@@ -13,14 +13,11 @@ from .model import (
     BernoulliScaled,
     Binomial,
     Constant,
-    QueueState,
     RngStream,
-    SlotOutcome,
     SystemConfig,
     config_from_dict,
     config_from_json,
     distribution_from_dict,
-    sample,
     sample_many,
     validate,
 )
@@ -47,13 +44,10 @@ from .simulator import (
     DominationReport,
     SampleSet,
     SamplingPlan,
-    SteadyStateSample,
     collect_steady_state,
     default_plan,
-    jsq_dispatch,
-    sample_abandonments,
     simulate_coupled_domination,
-    step,
+    step_many,
 )
 from .transform import (
     MgfEstimate,

@@ -1,15 +1,16 @@
 """Batch experiment runner.
 
 Subcommands:
-  jsqa run <manifest.json> [--out DIR] [--threads N]   sweep a regime over gamma
+  jsqa run <manifest.json> [--out DIR]                 sweep a regime over gamma
   jsqa oracle-check <config.json> --cap K --seed S     simulator vs exact chain
   jsqa domination <config.json> --horizon T --seed S   coupled-chain ordering
 
 `run` writes results.csv with columns gamma,regime,statistic,key,value,stderr
 (one row per computed number, flushed after each gamma so completed points
 survive a later failure) and run.json carrying the manifest, the derived
-constants per gamma, and the cross-gamma trend summary. JSQA_THREADS is the
-fallback for --threads.
+constants per gamma, and the cross-gamma trend summary. If a gamma point
+fails, its error goes to stderr as well as to run.json, and the exit status
+is 1. Identical manifests give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -114,14 +115,14 @@ class _CsvWriter:
         self.fh.close()
 
 
-def _gamma_point(manifest: ExperimentManifest, gi: int, gamma: float, writer, threads: int):
+def _gamma_point(manifest: ExperimentManifest, gi: int, gamma: float, writer):
     """Simulate one gamma point and emit all its statistics; returns the
     numbers the cross-gamma summary needs."""
     spec = manifest.regime
     config = regimes.build_config(spec, gamma)
     plan = manifest.plan
     seed_offset = gi << 32
-    samples = collect_steady_state(config, plan, manifest.seed + seed_offset, threads=threads)
+    samples = collect_steady_state(config, plan, manifest.seed + seed_offset)
     scaled = regimes.scale(samples, spec, gamma)
     per_coord, _total_dist = limits.limit_for_regime(spec)
     kind = spec.kind
@@ -210,7 +211,7 @@ def _summary(points: list[dict]) -> dict:
     return summary
 
 
-def run(manifest: ExperimentManifest, out_dir: str | None = None, threads: int = 1) -> int:
+def run(manifest: ExperimentManifest, out_dir: str | None = None) -> int:
     """Execute the sweep; returns a process exit status."""
     manifest.check()
     out = Path(out_dir if out_dir is not None else manifest.outputs)
@@ -243,11 +244,12 @@ def run(manifest: ExperimentManifest, out_dir: str | None = None, threads: int =
     status = 0
     try:
         for gi, gamma in enumerate(manifest.gammas):
-            points.append(_gamma_point(manifest, gi, gamma, writer, threads))
+            points.append(_gamma_point(manifest, gi, gamma, writer))
             writer.flush()
             sidecar["completed_gammas"].append(gamma)
     except Exception as exc:  # propagate the failure after flushing partial rows
         sidecar["error"] = f"{type(exc).__name__}: {exc}"
+        print(f"error: gamma={gamma:g}: {sidecar['error']}", file=sys.stderr)
         status = 1
     if points and status == 0:
         summary = _summary(points)
@@ -315,13 +317,6 @@ def _load_json(path: str) -> dict:
     return json.loads(Path(path).read_text())
 
 
-def _threads_from(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("JSQA_THREADS", "").strip()
-    return int(env) if env else 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="jsqa", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -330,7 +325,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute an experiment manifest")
     p_run.add_argument("manifest")
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--threads", type=int, default=None)
 
     p_oc = sub.add_parser("oracle-check", help="simulator vs exact stationary law")
     p_oc.add_argument("config")
@@ -349,7 +343,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             manifest = manifest_from_dict(_load_json(args.manifest))
-            return run(manifest, out_dir=args.out, threads=_threads_from(args))
+            return run(manifest, out_dir=args.out)
         if args.command == "oracle-check":
             config = config_from_dict(_load_json(args.config))
             from .simulator import default_plan

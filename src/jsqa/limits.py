@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import erf, ndtr
+from scipy.special import erfcx, ndtr
 
 from .regimes import RegimeSpec, limit_sigma2
 
@@ -160,13 +160,17 @@ def critical_unused_limit(c_c: float, sigma2: float) -> float:
     """Limiting unused service per sqrt(gamma) slot in the critical family.
 
     Equals the reciprocal of the integral of
-    exp(-s^2 sigma2 / 4 - c_c s) over s < 0, evaluated via the error
-    function:
+    exp(-s^2 sigma2 / 4 - c_c s) over s < 0, evaluated via the scaled
+    complementary error function:
 
-      integral = (sqrt(pi) / sigma) * exp(c_c^2 / sigma2) * (1 + erf(c_c / sigma)).
+      integral = (sqrt(pi) / sigma) * exp(c_c^2 / sigma2) * (1 + erf(c_c / sigma))
+               = (sqrt(pi) / sigma) * erfcx(-c_c / sigma).
+
+    The erfcx form stays finite for every c_c: the erf form overflows for
+    large positive c_c and cancels to 0 * inf for large negative c_c.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
     sigma = math.sqrt(sigma2)
-    integral = (math.sqrt(math.pi) / sigma) * math.exp(c_c**2 / sigma2) * (1.0 + erf(c_c / sigma))
+    integral = (math.sqrt(math.pi) / sigma) * float(erfcx(-c_c / sigma))
     return 1.0 / integral

@@ -1,5 +1,5 @@
 """Core model types: bounded integer distributions, system configuration,
-slot outcomes, and the reproducible random-stream contract.
+and the reproducible random-stream contract.
 
 Every arrival/service law is an integer-valued distribution with bounded
 support, so all first and second moments used by the limit formulas are
@@ -22,12 +22,9 @@ __all__ = [
     "Binomial",
     "BoundedDistribution",
     "SystemConfig",
-    "QueueState",
-    "SlotOutcome",
     "RngStream",
     "ValidationReport",
     "validate",
-    "sample",
     "sample_many",
     "distribution_from_dict",
     "config_from_dict",
@@ -289,37 +286,6 @@ def config_from_json(text: str) -> SystemConfig:
 
 
 @dataclass(frozen=True)
-class QueueState:
-    """Queue-length vector at the start of a slot."""
-
-    q: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", tuple(int(v) for v in self.q))
-        if any(v < 0 for v in self.q):
-            raise ValueError("queue lengths must be non-negative")
-
-    @property
-    def n(self) -> int:
-        return len(self.q)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.q, dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class SlotOutcome:
-    """Decomposition of one slot: arrivals, destination, services,
-    abandonments, and unused service."""
-
-    arrivals: int
-    destination: int
-    services: tuple[int, ...]
-    abandonments: tuple[int, ...]
-    unused: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class RngStream:
     """Counter-based random stream identified by (seed, stream_id).
 
@@ -336,24 +302,9 @@ class RngStream:
         return np.random.Generator(np.random.Philox(ss))
 
 
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    return rng
-
-
-def sample(dist: BoundedDistribution, rng) -> int:
-    """Draw one value from `dist`.
-
-    `rng` may be a live numpy Generator (advances across calls) or an
-    RngStream value (always yields the first draw of that stream).
-    """
-    return dist.sample(_as_generator(rng))
-
-
-def sample_many(dist: BoundedDistribution, rng, size) -> np.ndarray:
-    """Draw `size` values from `dist` as an int64 array."""
-    return dist.sample(_as_generator(rng), size)
+def sample_many(dist: BoundedDistribution, gen: np.random.Generator, size) -> np.ndarray:
+    """Draw `size` values from `dist` as an int64 array, advancing `gen`."""
+    return dist.sample(gen, size)
 
 
 @dataclass(frozen=True)

@@ -13,29 +13,19 @@ with the unused service u_i making up the clamp, so q+_i * u_i = 0 always.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ResourceLimitError
-from .model import (
-    QueueState,
-    RngStream,
-    SlotOutcome,
-    SystemConfig,
-    require_valid,
-    sample_many,
-)
+from .model import RngStream, SystemConfig, require_valid, sample_many
 
 __all__ = [
     "SamplingPlan",
-    "SteadyStateSample",
     "SampleSet",
     "DominationReport",
-    "jsq_dispatch",
-    "sample_abandonments",
-    "step",
+    "GROUP_SIZE",
+    "BLOCK",
     "step_many",
     "relaxation_slots",
     "default_plan",
@@ -44,9 +34,14 @@ __all__ = [
     "simulate_coupled_domination",
 ]
 
-# Replicas are simulated in fixed-size vectorized groups, one random stream
-# per group; the fixed group size keeps results identical for any thread count.
-GROUP_SIZE = 64
+# Replicas are simulated in vectorized groups of GROUP_SIZE rows, one random
+# stream per group. Within a group the draws that do not depend on the state
+# (arrivals, services, tie noise) come in blocks of BLOCK slots, one call per
+# draw; only the abandonment binomial is drawn slot by slot. Both sizes fix
+# the order in which each stream is consumed, so they are part of the
+# (config, plan, seed) -> samples contract and are not options.
+GROUP_SIZE = 256
+BLOCK = 64
 
 # Memory cap for collect_steady_state, in int64 cells (q plus per-sample totals).
 MAX_SAMPLE_CELLS = 1 << 28
@@ -90,15 +85,6 @@ def plan_from_dict(obj: dict) -> SamplingPlan:
         raise ConfigError(f"sampling plan is missing field {exc}") from exc
 
 
-@dataclass(frozen=True)
-class SteadyStateSample:
-    """One retained state plus the slot totals of the transition into it."""
-
-    q: tuple[int, ...]
-    u_total: int
-    d_total: int
-
-
 @dataclass
 class SampleSet:
     """Column store of retained steady-state samples.
@@ -133,55 +119,8 @@ class SampleSet:
     def num_batches(self) -> int:
         return int(self.batch.max()) + 1 if len(self) else 0
 
-    def row(self, i: int) -> SteadyStateSample:
-        return SteadyStateSample(
-            q=tuple(int(v) for v in self.q[i]),
-            u_total=int(self.u_total[i]),
-            d_total=int(self.d_total[i]),
-        )
-
     def totals(self) -> np.ndarray:
         return self.q.sum(axis=1)
-
-
-def jsq_dispatch(q, rng: np.random.Generator | RngStream) -> int:
-    """Index of a shortest queue, ties broken uniformly at random."""
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    arr = q.as_array() if isinstance(q, QueueState) else np.asarray(q, dtype=np.int64)
-    # adding U(0,1) noise keys the argmin on queue length first and breaks
-    # integer ties uniformly
-    return int(np.argmin(arr + gen.random(arr.shape[0])))
-
-
-def sample_abandonments(q, gamma: float, rng: np.random.Generator | RngStream) -> np.ndarray:
-    """Per-queue abandonment counts, Binomial(q_i, gamma) independently."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must lie in [0, 1]")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    arr = q.as_array() if isinstance(q, QueueState) else np.asarray(q, dtype=np.int64)
-    return gen.binomial(arr, gamma).astype(np.int64)
-
-
-def step(q, config: SystemConfig, rng: np.random.Generator | RngStream):
-    """Advance one slot; returns (next QueueState, SlotOutcome)."""
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    arr = q.as_array() if isinstance(q, QueueState) else np.asarray(q, dtype=np.int64)
-    d = sample_abandonments(arr, config.gamma, gen)
-    dest = jsq_dispatch(arr, gen)
-    a = config.arrivals.sample(gen)
-    s = np.array([svc.sample(gen) for svc in config.services], dtype=np.int64)
-    pre = arr - s - d
-    pre[dest] += a
-    nxt = np.maximum(pre, 0)
-    u = nxt - pre
-    outcome = SlotOutcome(
-        arrivals=int(a),
-        destination=dest,
-        services=tuple(int(v) for v in s),
-        abandonments=tuple(int(v) for v in d),
-        unused=tuple(int(v) for v in u),
-    )
-    return QueueState(tuple(int(v) for v in nxt)), outcome
 
 
 def relaxation_slots(config: SystemConfig) -> float:
@@ -231,6 +170,39 @@ def _batches_for(counts: np.ndarray, thinning: int, relax: float) -> np.ndarray:
     return np.concatenate(ids) if ids else np.zeros(0, dtype=np.int64)
 
 
+def _draw_block(config: SystemConfig, gen: np.random.Generator, slots: int, rows: int):
+    """The state-independent draws of `slots` consecutive slots for `rows`
+    replicas: arrivals (slots, rows), services and tie noise (slots, rows, n)."""
+    services = config.services
+    a = sample_many(config.arrivals, gen, (slots, rows))
+    if all(svc == services[0] for svc in services):
+        s = sample_many(services[0], gen, (slots, rows, config.n))
+    else:
+        s = np.stack([sample_many(svc, gen, (slots, rows)) for svc in services], axis=2)
+    noise = gen.random((slots, rows, config.n))
+    return a, s, noise
+
+
+def _slot(q, a, s, noise, offsets, gamma, gen, hook):
+    """Advance the (replicas, n) state q by one slot, given that slot's arrivals,
+    services and tie noise; `offsets` is arange(replicas) * n.
+
+    Returns (q_next, pre, dest, d), where pre is the unclamped next state, so
+    the unused service is q_next - pre.
+    """
+    d = gen.binomial(q, gamma)
+    if hook is not None:
+        d = hook(d, q)
+    # adding U(0,1) noise keys the argmin on queue length first and breaks
+    # integer ties uniformly
+    dest = (q + noise).argmin(axis=1)
+    pre = np.subtract(q, s, order="C")
+    pre -= d
+    # flat indexing into the C-ordered pre is cheaper than pre[rows, dest]
+    pre.ravel()[offsets + dest] += a
+    return np.maximum(pre, 0), pre, dest, d
+
+
 def step_many(q: np.ndarray, config: SystemConfig, gen: np.random.Generator, hook=None):
     """Advance every row of the (replicas, n) state matrix by one slot.
 
@@ -238,64 +210,49 @@ def step_many(q: np.ndarray, config: SystemConfig, gen: np.random.Generator, hoo
     all as arrays over replicas. `hook` may replace the abandonment matrix
     (test instrumentation).
     """
-    r, n = q.shape
-    gamma = config.gamma
-    d = gen.binomial(q, gamma)
-    if hook is not None:
-        d = hook(d, q)
-    dest = np.argmin(q + gen.random((r, n)), axis=1)
-    a = sample_many(config.arrivals, gen, r)
-    services = config.services
-    if all(svc == services[0] for svc in services):
-        s = sample_many(services[0], gen, (r, n))
-    else:
-        s = np.stack([sample_many(svc, gen, r) for svc in services], axis=1)
-    pre = q - s - d
-    pre[np.arange(r), dest] += a
-    q_next = np.maximum(pre, 0)
-    u = q_next - pre
-    return q_next, a, dest, s, d, u
+    r = q.shape[0]
+    a, s, noise = _draw_block(config, gen, 1, r)
+    offsets = np.arange(r) * config.n
+    q_next, pre, dest, d = _slot(q, a[0], s[0], noise[0], offsets, config.gamma, gen, hook)
+    return q_next, a[0], dest, s[0], d, q_next - pre
 
 
 def _run_group(config, counts, warmup, thinning, stream, hook=None):
-    """Simulate one vectorized group of replicas; returns stacked samples."""
+    """Simulate one vectorized group of replicas; returns their retained
+    samples (q, u_total, d_total) stacked in replica order."""
     gen = stream.generator()
     r = len(counts)
-    n = config.n
-    q = np.zeros((r, n), dtype=np.int64)
-    u_tot = np.zeros(r, dtype=np.int64)
-    d_tot = np.zeros(r, dtype=np.int64)
-    max_count = int(max(counts))
-    out_q = np.empty((r, max_count, n), dtype=np.int64)
-    out_u = np.empty((r, max_count), dtype=np.int64)
-    out_d = np.empty((r, max_count), dtype=np.int64)
+    offsets = np.arange(r) * config.n
+    ones = np.ones(config.n, dtype=np.int64)
+    q = np.zeros((r, config.n), dtype=np.int64)
+    max_count = int(counts.max())
+    out_q = np.empty((max_count, r, config.n), dtype=np.int64)
+    out_u = np.empty((max_count, r), dtype=np.int64)
+    out_d = np.empty((max_count, r), dtype=np.int64)
 
-    def advance():
-        nonlocal q, u_tot, d_tot
-        q, _, _, _, d, u = step_many(q, config, gen, hook=hook)
-        u_tot = u.sum(axis=1)
-        d_tot = d.sum(axis=1)
+    total = warmup + max_count * thinning
+    for b0 in range(0, total, BLOCK):
+        a, s, noise = _draw_block(config, gen, min(BLOCK, total - b0), r)
+        for j in range(a.shape[0]):
+            q, pre, _, d = _slot(q, a[j], s[j], noise[j], offsets, config.gamma, gen, hook)
+            # b0 + j + 1 slots have run; sample k (from 1) is retained once
+            # that reaches warmup + k * thinning
+            k, rem = divmod(b0 + j + 1 - warmup, thinning)
+            if rem == 0 and k > 0:
+                out_q[k - 1] = q
+                # row sums as products with ones: cheaper than sum(axis=1)
+                # on rows this narrow
+                out_u[k - 1] = (q - pre) @ ones
+                out_d[k - 1] = d @ ones
 
-    for _ in range(warmup):
-        advance()
-    for k in range(max_count):
-        for _ in range(thinning):
-            advance()
-        out_q[:, k, :] = q
-        out_u[:, k] = u_tot
-        out_d[:, k] = d_tot
-
-    qs = [out_q[i, : counts[i]] for i in range(r)]
-    us = [out_u[i, : counts[i]] for i in range(r)]
-    ds = [out_d[i, : counts[i]] for i in range(r)]
-    return np.concatenate(qs), np.concatenate(us), np.concatenate(ds)
+    keep = np.arange(max_count)[None, :] < counts[:, None]
+    return out_q.transpose(1, 0, 2)[keep], out_u.T[keep], out_d.T[keep]
 
 
 def collect_steady_state(
     config: SystemConfig,
     plan: SamplingPlan,
     seed: int,
-    threads: int = 1,
     max_cells: int = MAX_SAMPLE_CELLS,
     abandonment_hook=None,
 ) -> SampleSet:
@@ -305,8 +262,9 @@ def collect_steady_state(
     Each replica discards `plan.warmup_slots` slots, then retains one state
     every `plan.thinning` slots; retained counts are split as evenly as
     possible across replicas so that exactly `plan.num_samples` samples come
-    back, in replica order. Identical (config, plan, seed) always produce the
-    identical sample set, for any `threads`.
+    back, in replica order. Replicas run in groups of GROUP_SIZE, group g on
+    RngStream(seed, g), so identical (config, plan, seed) always produce the
+    identical sample set.
 
     `abandonment_hook` is test instrumentation: it may replace the sampled
     abandonment vector and deliberately corrupt the dynamics.
@@ -324,23 +282,13 @@ def collect_steady_state(
     counts[:rem] += 1
     counts = counts[counts > 0]
 
-    groups = []
-    for g0 in range(0, len(counts), GROUP_SIZE):
-        groups.append((g0 // GROUP_SIZE, counts[g0 : g0 + GROUP_SIZE]))
-
-    def work(item):
-        gid, cnts = item
-        return _run_group(
-            config, cnts, plan.warmup_slots, plan.thinning,
-            RngStream(seed, gid), hook=abandonment_hook,
+    results = [
+        _run_group(
+            config, counts[g0 : g0 + GROUP_SIZE], plan.warmup_slots, plan.thinning,
+            RngStream(seed, g0 // GROUP_SIZE), hook=abandonment_hook,
         )
-
-    if threads > 1 and len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, groups))
-    else:
-        results = [work(g) for g in groups]
-
+        for g0 in range(0, len(counts), GROUP_SIZE)
+    ]
     q = np.concatenate([r[0] for r in results])
     u = np.concatenate([r[1] for r in results])
     d = np.concatenate([r[2] for r in results])

@@ -35,7 +35,7 @@ __all__ = [
     "classic_residual",
     "critical_ode_residual",
     "overloaded_ode_residual",
-    "classic_residual_values",
+    "drift_relation_values",
     "critical_residual_values",
     "overloaded_residual_values",
     "ks_statistic",
@@ -108,7 +108,9 @@ def mgf_from_values(
     """Empirical MGF of `gamma**exponent * x` over a phi grid.
 
     Overflow guard: a grid point whose largest exponent would exceed
-    MAX_EXPONENT is flagged unusable instead of returning infinity.
+    MAX_EXPONENT is flagged unusable instead of returning infinity. A point
+    whose standard error is NaN (fewer than two batches) or zero is unusable
+    too, since no z-score can be formed from it.
     """
     phi_grid = np.asarray(phi_grid, dtype=float)
     if phi_grid.size == 0:
@@ -140,7 +142,7 @@ def mgf_from_values(
     stderr = _stderr(batch_values)
     with np.errstate(invalid="ignore", divide="ignore"):
         rel = np.where(values > 0, stderr / values, np.inf)
-    usable = ~overflow & ~(rel > MAX_RELATIVE_STDERR)
+    usable = ~overflow & (stderr > 0) & (rel <= MAX_RELATIVE_STDERR)
     values = np.where(overflow, np.nan, values)
     derivatives = np.where(overflow, np.nan, derivatives)
 
@@ -257,21 +259,37 @@ class ResidualPoint:
         return self.residual / self.stderr if self.stderr > 0 else math.inf
 
 
-def classic_residual_values(m_values, phi_grid, drift_scaled: float, c2: float) -> np.ndarray:
-    """Left side of the classic steady-state relation:
-    (drift_scaled + phi * c2 / 2) * M(phi) - drift_scaled."""
+def drift_relation_values(
+    m_values, m_derivs, phi_grid, drift_scaled: float, c2: float, u_scaled, abandon_weight: float
+) -> np.ndarray:
+    """Left side of the steady-state MGF relation of the total queue Q at
+    scaling exponent e:
+
+      (drift_scaled + phi * c2 / 2) * M(phi) - abandon_weight * M'(phi) + u_scaled
+
+    with M(phi) = E[exp(phi gamma^e Q)], drift_scaled = drift / gamma^e,
+    abandon_weight = gamma^(1 - 2e) and u_scaled = mean unused service / gamma^e.
+    It is the one-slot drift of exp(phi gamma^e Q), expanded to second order
+    and divided by phi gamma^(2e); the M' term is the abandonment drift
+    -gamma Q. At phi = 0 it reduces to the drift identity
+    (drift - gamma E[Q] + E[u]) / gamma^e = 0.
+    """
     phi = np.asarray(phi_grid, dtype=float)
-    return (drift_scaled + 0.5 * phi * c2) * np.asarray(m_values, dtype=float) - drift_scaled
+    m = np.asarray(m_values, dtype=float)
+    return (
+        (drift_scaled + 0.5 * phi * c2) * m
+        - abandon_weight * np.asarray(m_derivs, dtype=float)
+        + u_scaled
+    )
 
 
 def critical_residual_values(
     m_values, m_derivs, phi_grid, drift_scaled: float, c2: float, u_scaled
 ) -> np.ndarray:
     """Left side of the critical MGF differential relation:
-    -M(phi) * (phi * c2 / 2 + drift_scaled) + M'(phi) - u_scaled."""
-    phi = np.asarray(phi_grid, dtype=float)
-    m = np.asarray(m_values, dtype=float)
-    return -m * (0.5 * phi * c2 + drift_scaled) + np.asarray(m_derivs, dtype=float) - u_scaled
+    -M(phi) * (phi * c2 / 2 + drift_scaled) + M'(phi) - u_scaled, which is
+    drift_relation_values at e = 1/2 with the sign flipped."""
+    return -drift_relation_values(m_values, m_derivs, phi_grid, drift_scaled, c2, u_scaled, 1.0)
 
 
 def overloaded_residual_values(m_values, m_derivs, phi_grid, bar_c2: float) -> np.ndarray:
@@ -295,10 +313,14 @@ def _points(phi_grid, batch_rows: np.ndarray, usable) -> list[ResidualPoint]:
 def classic_residual(
     mgf: MgfEstimate, config: SystemConfig, spec: RegimeSpec
 ) -> list[ResidualPoint]:
-    """Residuals of the classic-regime algebraic MGF relation over the grid.
+    """Residuals of the classic-regime MGF relation over the grid.
 
     Expects the MGF of the total queue length scaled with the classic
-    exponent; the relation's error term vanishes as gamma -> 0.
+    exponent alpha, with per-batch unused-service means. Keeps the
+    abandonment term gamma^(1 - 2 alpha) M'(phi) and the measured unused
+    service, both of which the gamma -> 0 limit relation
+    (drift_scaled + phi c2 / 2) M(phi) = drift_scaled drops; at finite gamma
+    dropping them biases the residual by several standard errors.
     """
     if spec.kind != "classic":
         raise RegimeMismatchError("classic residual needs a classic regime spec")
@@ -306,10 +328,14 @@ def classic_residual(
         raise RegimeMismatchError(
             f"classic residual needs the total-queue MGF at exponent {scaling_exponent(spec)}"
         )
-    gamma = mgf.gamma
-    drift_scaled = config.drift / gamma**spec.alpha
+    if mgf.batch_u_mean is None:
+        raise RegimeMismatchError("classic residual needs unused-service totals in the samples")
+    scale = mgf.gamma**spec.alpha
     c2 = config.variance + config.drift**2
-    rows = classic_residual_values(mgf.batch_values, mgf.phi_grid, drift_scaled, c2)
+    rows = drift_relation_values(
+        mgf.batch_values, mgf.batch_derivs, mgf.phi_grid, config.drift / scale, c2,
+        mgf.batch_u_mean[:, None] / scale, mgf.gamma ** (1.0 - 2.0 * spec.alpha),
+    )
     return _points(mgf.phi_grid, rows, mgf.usable)
 
 

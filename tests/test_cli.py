@@ -76,15 +76,6 @@ class TestRun:
         b = json.loads((tmp_path / "b" / "run.json").read_text())
         assert a == b
 
-    def test_thread_env_does_not_change_output(self, tmp_path, monkeypatch):
-        path = write_manifest(tmp_path)
-        assert cli.main(["run", str(path), "--out", str(tmp_path / "a")]) == 0
-        monkeypatch.setenv("JSQA_THREADS", "4")
-        assert cli.main(["run", str(path), "--out", str(tmp_path / "b")]) == 0
-        assert (tmp_path / "a" / "results.csv").read_bytes() == (
-            tmp_path / "b" / "results.csv"
-        ).read_bytes()
-
     def test_output_schema(self, tmp_path):
         path = write_manifest(tmp_path)
         out = tmp_path / "out"
@@ -128,6 +119,17 @@ class TestRun:
         sidecar = json.loads((out / "run.json").read_text())
         assert sidecar["completed_gammas"] == [0.3]
         assert "synthetic failure" in sidecar["error"]
+
+    def test_failed_gamma_reported_on_stderr(self, tmp_path, monkeypatch, capsys):
+        def explode(samples, gamma):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setattr(cli.transform, "unused_service_rate", explode)
+        path = write_manifest(tmp_path)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "gamma=0.3" in err
+        assert "RuntimeError: synthetic failure" in err
 
 
 SSQ = SystemConfig(

@@ -148,11 +148,17 @@ class TestCriticalUnusedLimit:
         assert critical_unused_limit(0.0, 2.0) == pytest.approx(math.sqrt(2 / math.pi), rel=1e-10)
 
     def test_matches_quadrature(self):
-        for c_c, sigma2 in [(0.0, 2.0), (0.5, 1.5), (-0.8, 1.1), (2.0, 3.0)]:
+        # large |c| included: the limit is 20.02 at c = -20, sigma2 = 1
+        for c_c, sigma2 in [
+            (0.0, 2.0), (0.5, 1.5), (-0.8, 1.1), (2.0, 3.0),
+            (-20.0, 1.0), (-40.0, 1.0), (20.0, 1.0),
+        ]:
             integral, _ = integrate.quad(
                 lambda s: math.exp(-(s**2) * sigma2 / 4.0 - c_c * s), -60, 0, epsrel=1e-12
             )
             assert critical_unused_limit(c_c, sigma2) == pytest.approx(1 / integral, rel=1e-9)
+        # at c = 40 the true value, about exp(-1600), is below the smallest double
+        assert critical_unused_limit(40.0, 1.0) == 0.0
 
     def test_monotone_in_constant(self):
         vals = [critical_unused_limit(c, 2.0) for c in (1.0, 2.0, 4.0)]

@@ -10,12 +10,10 @@ from jsqa.model import (
     BernoulliScaled,
     Binomial,
     Constant,
-    QueueState,
     RngStream,
     SystemConfig,
     config_from_json,
     distribution_from_dict,
-    sample,
     sample_many,
     validate,
 )
@@ -29,7 +27,7 @@ class TestDistributions:
     def test_constant_is_degenerate(self):
         dist = Constant(3)
         gen = _gen()
-        assert all(sample(dist, gen) == 3 for _ in range(50))
+        assert (sample_many(dist, gen, 50) == 3).all()
         assert dist.mean == 3.0 and dist.variance == 0.0 and dist.bound == 3
 
     def test_bernoulli_scaled_zero_probability(self):
@@ -89,13 +87,13 @@ class TestDistributions:
 
 class TestRngStream:
     def test_equal_streams_identical(self):
-        a = sample_many(Binomial(5, 0.4), RngStream(9, 3), 1000)
-        b = sample_many(Binomial(5, 0.4), RngStream(9, 3), 1000)
+        a = sample_many(Binomial(5, 0.4), RngStream(9, 3).generator(), 1000)
+        b = sample_many(Binomial(5, 0.4), RngStream(9, 3).generator(), 1000)
         assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = sample_many(Binomial(5, 0.4), RngStream(9, 3), 1000)
-        b = sample_many(Binomial(5, 0.4), RngStream(9, 4), 1000)
+        a = sample_many(Binomial(5, 0.4), RngStream(9, 3).generator(), 1000)
+        b = sample_many(Binomial(5, 0.4), RngStream(9, 4).generator(), 1000)
         assert not np.array_equal(a, b)
 
 
@@ -114,10 +112,11 @@ class TestValidate:
         assert report.ssc_condition  # -0.2 >= -0.5 * 2 * 0.5
 
     def test_gamma_boundary_violation(self):
-        config = SystemConfig(n=1, gamma=0.0, arrivals=Constant(1), services=(Constant(1),))
-        report = validate(config)
-        assert not report.ok
-        assert any("gamma out of (0,1]" in v for v in report.violations)
+        for gamma in (0.0, 1.5):
+            config = SystemConfig(n=1, gamma=gamma, arrivals=Constant(1), services=(Constant(1),))
+            report = validate(config)
+            assert not report.ok
+            assert any("gamma out of (0,1]" in v for v in report.violations)
 
     def test_services_length_mismatch(self):
         config = SystemConfig(
@@ -163,8 +162,3 @@ class TestJson:
     def test_missing_config_key_rejected(self):
         with pytest.raises(ConfigError, match="missing required key"):
             config_from_json(json.dumps({"n": 1, "gamma": 0.1}))
-
-
-def test_queue_state_rejects_negative():
-    with pytest.raises(ValueError):
-        QueueState((1, -1))

@@ -6,16 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jsqa.errors import ConfigError, ResourceLimitError
-from jsqa.model import BernoulliScaled, Binomial, Constant, QueueState, RngStream, SystemConfig
+from jsqa.model import BernoulliScaled, Binomial, Constant, RngStream, SystemConfig
 from jsqa.oracle import build_chain, oracle_moments, stationary
 from jsqa.simulator import (
+    GROUP_SIZE,
     SamplingPlan,
     collect_steady_state,
     default_plan,
-    jsq_dispatch,
-    sample_abandonments,
     simulate_coupled_domination,
-    step,
     step_many,
 )
 
@@ -28,80 +26,76 @@ def _gen(seed=0):
     return RngStream(seed).generator()
 
 
+def _config(n, gamma=0.1, arrivals=Constant(1), service=Constant(1)):
+    return SystemConfig(n=n, gamma=gamma, arrivals=arrivals, services=(service,) * n)
+
+
+def _trials(q, trials):
+    """`trials` copies of the state q, one row per independent trial."""
+    return np.tile(np.asarray(q, dtype=np.int64), (trials, 1))
+
+
 class TestDispatch:
     def test_unique_minimum(self):
-        gen = _gen()
-        assert all(jsq_dispatch((3, 1, 2), gen) == 1 for _ in range(20))
+        dest = step_many(_trials((3, 1, 2), 20), _config(3), _gen())[2]
+        assert (dest == 1).all()
 
     def test_two_way_tie_is_fair(self):
-        gen = _gen(1)
-        q = np.array([2, 2])
-        hits = sum(jsq_dispatch(q, gen) == 0 for _ in range(1_000_000))
+        dest = step_many(_trials((2, 2), 1_000_000), _config(2), _gen(1))[2]
+        hits = int((dest == 0).sum())
         assert abs(hits - 500_000) < 2000
 
     def test_three_way_tie_is_fair(self):
-        gen = _gen(2)
-        q = np.array([0, 0, 0])
-        counts = np.zeros(3)
         trials = 1_000_000
-        for _ in range(trials):
-            counts[jsq_dispatch(q, gen)] += 1
+        dest = step_many(_trials((0, 0, 0), trials), _config(3), _gen(2))[2]
+        counts = np.bincount(dest, minlength=3)
         assert np.abs(counts / trials - 1 / 3).max() < 0.002
 
 
 class TestAbandonments:
     def test_gamma_zero_and_one(self):
-        gen = _gen()
-        q = np.array([4, 7, 0])
-        assert not sample_abandonments(q, 0.0, gen).any()
-        assert np.array_equal(sample_abandonments(q, 1.0, gen), q)
+        q = _trials((4, 7, 0), 1)
+        assert not step_many(q, _config(3, gamma=0.0), _gen())[4].any()
+        assert np.array_equal(step_many(q, _config(3, gamma=1.0), _gen())[4], q)
 
     def test_mean_matches_binomial(self):
-        gen = _gen(3)
-        draws = np.array([sample_abandonments(np.array([5]), 0.1, gen)[0] for _ in range(1_000_000)])
-        assert abs(draws.mean() - 0.5) < 0.003
+        d = step_many(_trials((5,), 1_000_000), _config(1, gamma=0.1), _gen(3))[4]
+        assert abs(d.mean() - 0.5) < 0.003
 
     def test_never_exceeds_queue(self):
-        gen = _gen(4)
-        q = np.array([3, 1, 6])
-        for _ in range(200):
-            assert (sample_abandonments(q, 0.7, gen) <= q).all()
-
-    def test_gamma_out_of_range(self):
-        with pytest.raises(ValueError):
-            sample_abandonments(np.array([1]), 1.5, _gen())
+        q = _trials((3, 1, 6), 200)
+        d = step_many(q, _config(3, gamma=0.7), _gen(4))[4]
+        assert (d <= q).all()
 
 
 class TestStep:
     def test_arrival_batch_to_short_queue(self):
-        # from (0,0): no abandonments possible; find a seed dispatching to 0
+        # from (0,0) no abandonments are possible; the batch of 2 lands on a
+        # tied queue, and only queue 0 serves
         config = SystemConfig(
             n=2, gamma=0.5, arrivals=Constant(2), services=(Constant(1), Constant(0))
         )
-        for seed in range(20):
-            nxt, out = step(QueueState((0, 0)), config, RngStream(seed))
-            if out.destination == 0:
-                assert nxt.q == (1, 0)
-                assert out.unused == (0, 0)
-                break
-        else:
-            pytest.fail("no seed dispatched to queue 0")
+        q_next, _, dest, _, _, u = step_many(_trials((0, 0), 20), config, _gen())
+        to0, to1 = dest == 0, dest == 1
+        assert to0.any() and to1.any()
+        assert (q_next[to0] == (1, 0)).all() and (u[to0] == (0, 0)).all()
+        assert (q_next[to1] == (0, 2)).all() and (u[to1] == (1, 0)).all()
 
     def test_unused_service_is_shortfall(self):
         config = SystemConfig(n=1, gamma=0.5, arrivals=Constant(0), services=(Constant(1),))
-        nxt, out = step(QueueState((0,)), config, RngStream(0))
-        assert nxt.q == (0,)
-        assert out.unused == (1,)
+        q_next, _, _, _, _, u = step_many(_trials((0,), 1), config, _gen())
+        assert q_next.tolist() == [[0]]
+        assert u.tolist() == [[1]]
 
     def test_full_abandonment_keeps_only_new_batch(self):
         config = SystemConfig(
             n=2, gamma=1.0, arrivals=Constant(1), services=(Constant(0), Constant(0))
         )
-        nxt, out = step(QueueState((4, 4)), config, RngStream(5))
-        assert out.abandonments == (4, 4)
-        assert sorted(nxt.q) == [0, 1]
-        assert nxt.q[out.destination] == 1
-        assert out.unused == (0, 0)
+        q_next, _, dest, _, d, u = step_many(_trials((4, 4), 1), config, _gen(5))
+        assert d.tolist() == [[4, 4]]
+        assert sorted(q_next[0]) == [0, 1]
+        assert q_next[0, dest[0]] == 1
+        assert not u.any()
 
     @given(
         q=st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=4),
@@ -114,15 +108,14 @@ class TestStep:
         config = SystemConfig(
             n=n, gamma=gamma, arrivals=Binomial(3, 0.4), services=(Binomial(2, 0.5),) * n
         )
-        state = QueueState(tuple(q))
-        nxt, out = step(state, config, RngStream(seed))
-        a = np.zeros(n, dtype=int)
-        a[out.destination] = out.arrivals
-        pre = np.array(q) + a - np.array(out.services) - np.array(out.abandonments)
-        assert np.array_equal(np.array(nxt.q), np.maximum(pre, 0))
-        assert all(d <= qi for d, qi in zip(out.abandonments, q))
-        assert all(0 <= u <= s for u, s in zip(out.unused, out.services))
-        assert all(qi * u == 0 for qi, u in zip(nxt.q, out.unused))
+        state = _trials(q, 1)
+        q_next, a, dest, s, d, u = step_many(state, config, RngStream(seed).generator())
+        add = np.zeros_like(state)
+        add[0, dest[0]] = a[0]
+        assert np.array_equal(q_next, np.maximum(state + add - s - d, 0))
+        assert (d <= state).all()
+        assert ((0 <= u) & (u <= s)).all()
+        assert (q_next * u == 0).all()
 
 
 class TestCollect:
@@ -141,11 +134,16 @@ class TestCollect:
         assert np.array_equal(a.u_total, b.u_total)
         assert np.array_equal(a.d_total, b.d_total)
 
-    def test_thread_count_does_not_change_results(self):
-        plan = default_plan(SSQ, num_samples=50_000, replicas=96)
-        a = collect_steady_state(SSQ, plan, seed=7, threads=1)
-        b = collect_steady_state(SSQ, plan, seed=7, threads=4)
+    def test_determinism_across_groups(self):
+        # more replicas than one group: a full group plus a partial one, each
+        # on its own stream
+        plan = default_plan(SSQ, num_samples=50_000, replicas=GROUP_SIZE + 40)
+        a = collect_steady_state(SSQ, plan, seed=7)
+        b = collect_steady_state(SSQ, plan, seed=7)
+        assert len(a) == plan.num_samples
         assert np.array_equal(a.q, b.q)
+        assert np.array_equal(a.u_total, b.u_total)
+        assert np.array_equal(a.d_total, b.d_total)
 
     def test_mean_matches_exact_chain(self):
         chain = build_chain(SSQ, 100)
@@ -184,13 +182,6 @@ class TestCollect:
         plan = SamplingPlan(warmup_slots=10, num_samples=10, thinning=1, replicas=1)
         with pytest.raises(ConfigError):
             collect_steady_state(bad, plan, seed=0)
-
-    def test_sample_row_view(self):
-        plan = SamplingPlan(warmup_slots=10, num_samples=50, thinning=1, replicas=2)
-        samples = collect_steady_state(SSQ, plan, seed=3)
-        row = samples.row(0)
-        assert row.q == tuple(samples.q[0])
-        assert row.u_total == samples.u_total[0]
 
 
 class TestStepMany:

@@ -12,9 +12,9 @@ from jsqa.regimes import RegimeSpec, ScaledSampleSet
 from jsqa.simulator import SampleSet, SamplingPlan
 from jsqa.transform import (
     classic_residual,
-    classic_residual_values,
     critical_ode_residual,
     critical_residual_values,
+    drift_relation_values,
     empirical_mgf,
     ks_statistic,
     ks_two_sample,
@@ -79,6 +79,16 @@ class TestEmpiricalMgf:
             est = mgf_from_values(x, np.arange(5000) % 8, 0.5, [phi - h, phi, phi + h])
             fd = (est.values[2] - est.values[0]) / (2 * h)
             assert abs(est.derivatives[1] - fd) < 1e-6
+
+    def test_single_batch_is_unusable(self):
+        # one batch gives a NaN stderr; zero spread gives a zero stderr
+        x = RngStream(1).generator().exponential(1.0, 100)
+        est = mgf_from_values(x, np.zeros(100, dtype=int), 0.5, [-0.5, 0.5])
+        assert np.isnan(est.stderr).all()
+        assert not est.usable.any()
+        flat = mgf_from_values(np.ones(100), np.arange(100) % 4, 0.5, [-0.5])
+        assert flat.stderr[0] == 0.0
+        assert not flat.usable[0]
 
     def test_overflow_guard_flags_point(self):
         x = np.full(100, 5000.0)
@@ -147,11 +157,15 @@ TWO_BINOMIAL = (Binomial(2, 0.25), Binomial(2, 0.25))
 
 class TestResidualFixedPoints:
     def test_classic_limit_is_exact_root(self):
+        # as gamma -> 0 the abandonment weight gamma^(1 - 2 alpha) vanishes and
+        # the scaled unused service tends to minus the scaled drift
         sigma2, c_f = 1.5, 0.5
-        dist = exponential(sigma2 / (2 * c_f))
+        mean = sigma2 / (2 * c_f)
+        dist = exponential(mean)
         grid = np.linspace(-1, 0.6, 20)
         m = np.array([dist.mgf(p) for p in grid])
-        res = classic_residual_values(m, grid, -c_f, sigma2)
+        md = mean * m**2
+        res = drift_relation_values(m, md, grid, -c_f, sigma2, c_f, 0.0)
         assert np.abs(res).max() < 1e-12
 
     @pytest.mark.parametrize("c_c,sigma2", [(0.0, 2.0), (0.5, 1.5), (-0.7, 1.2)])
@@ -184,14 +198,18 @@ class TestResidualFixedPoints:
 
 
 class TestResidualOps:
-    def test_classic_zero_at_phi_zero(self):
-        spec = RegimeSpec("classic", 0.5, 0.25, TWO_BINOMIAL, 4)
-        config = SystemConfig(n=2, gamma=1e-3, arrivals=Binomial(4, 0.25), services=TWO_BINOMIAL)
+    def test_classic_phi_zero_is_drift_identity(self):
+        gamma, alpha = 1e-3, 0.25
+        spec = RegimeSpec("classic", 0.5, alpha, TWO_BINOMIAL, 4)
+        config = SystemConfig(n=2, gamma=gamma, arrivals=Binomial(4, 0.25), services=TWO_BINOMIAL)
         gen = RngStream(1).generator()
-        samples = make_samples(gen.integers(0, 30, size=(400, 2)), gamma=1e-3, config=config)
-        mgf = empirical_mgf(samples, 1e-3, [-0.5, 0.0, 0.5], "total", exponent=0.25)
+        q = gen.integers(0, 30, size=(400, 2))
+        u = gen.integers(0, 2, size=400)
+        samples = make_samples(q, u=u, gamma=gamma, config=config)
+        mgf = empirical_mgf(samples, gamma, [-0.5, 0.0, 0.5], "total", exponent=alpha)
         points = classic_residual(mgf, config, spec)
-        assert points[1].residual == pytest.approx(0.0, abs=1e-12)
+        expect = (config.drift - gamma * q.sum(1).mean() + u.mean()) / gamma**alpha
+        assert points[1].residual == pytest.approx(expect, rel=1e-10)
 
     def test_critical_phi_zero_is_drift_identity(self):
         gamma = 0.04
