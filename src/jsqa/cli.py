@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import limits, oracle, regimes, transform
-from .errors import ConfigError
+from .errors import ConfigError, ResourceLimitError, StateBudgetError
 from .model import config_from_dict, validate
 from .simulator import (
     SamplingPlan,
@@ -361,7 +361,7 @@ def main(argv=None) -> int:
             f"max_violation={rep.max_violation} holds={rep.holds}"
         )
         return 0 if rep.holds else 1
-    except ConfigError as exc:
+    except (ConfigError, StateBudgetError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,7 @@ class ResourceLimitError(RuntimeError):
 
 
 class StateBudgetError(ValueError):
-    """A truncated chain would exceed the allowed number of states."""
+    """A truncated chain would exceed the exact oracle's memory budget."""
 
 
 class NonConvergenceError(RuntimeError):

@@ -31,7 +31,10 @@ __all__ = [
     "oracle_perp_second_moment",
 ]
 
-MAX_STATES = 1_000_000
+# Budget for the dense float64 kernel alone. The dense stationary solve holds
+# about three kernel-sized arrays at once (the kernel, its shifted transpose
+# and the LU factor), so peak memory is roughly three times this.
+MAX_KERNEL_BYTES = 1 << 30
 DENSE_SOLVE_STATES = 20_000
 
 
@@ -96,13 +99,21 @@ def _next_pmf(q: int, abandon_pmf: np.ndarray, kernel: np.ndarray, kernel_lo: in
 
 
 def build_chain(config: SystemConfig, cap: int) -> TruncatedChain:
-    """Exact one-slot kernel truncated at `cap` jobs per queue."""
+    """Exact one-slot kernel truncated at `cap` jobs per queue.
+
+    The kernel is a dense (states x states) float64 matrix, so its size in
+    bytes is checked against MAX_KERNEL_BYTES before anything is allocated;
+    the dense solve in `stationary` then holds about three such arrays.
+    """
     n = config.n
     if n > 2:
         raise StateBudgetError("exact chains are built for n <= 2 only")
-    if (cap + 1) ** n > MAX_STATES:
+    states = (cap + 1) ** n
+    kernel_bytes = 8 * states**2
+    if kernel_bytes > MAX_KERNEL_BYTES:
         raise StateBudgetError(
-            f"(cap+1)^n = {(cap + 1) ** n} states exceeds the budget of {MAX_STATES}"
+            f"cap {cap} gives {states} states, a dense kernel of {kernel_bytes} bytes, "
+            f"over the budget of {MAX_KERNEL_BYTES} bytes"
         )
     gamma = config.gamma
 

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import jsqa.cli as cli
 from jsqa.model import BernoulliScaled, Constant, SystemConfig
@@ -137,7 +138,28 @@ SSQ = SystemConfig(
 )
 
 
+def write_config(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config.to_dict()))
+    return path
+
+
 class TestOracleCheck:
+    def test_state_budget_is_a_clean_error(self, tmp_path, capsys):
+        config = SystemConfig(
+            n=2, gamma=0.1, arrivals=BernoulliScaled(2, 0.2),
+            services=(BernoulliScaled(1, 0.25), BernoulliScaled(1, 0.25)),
+        )
+        path = write_config(tmp_path, config)
+        assert cli.main(["oracle-check", str(path), "--cap", "1500"]) == 2
+        assert capsys.readouterr().err.startswith("error: cap 1500 gives")
+
+    def test_sample_budget_is_a_clean_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, SSQ)
+        argv = ["oracle-check", str(path), "--cap", "10", "--samples", str(1 << 28)]
+        assert cli.main(argv) == 2
+        assert "exceeding the cap" in capsys.readouterr().err
+
     def test_absorbing_system_exits_zero(self, tmp_path, capsys):
         config = SystemConfig(n=1, gamma=1.0, arrivals=Constant(0), services=(Constant(0),))
         cfg_path = tmp_path / "config.json"
@@ -178,6 +200,13 @@ class TestDomination:
         )
         assert status == 0
         assert "violations=0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("c_tilde", ["nan", "inf", "-inf"])
+    def test_non_finite_constant_is_a_clean_error(self, tmp_path, capsys, c_tilde):
+        path = write_config(tmp_path, SSQ)
+        argv = ["domination", str(path), "--horizon", "10", f"--c-tilde={c_tilde}"]
+        assert cli.main(argv) == 2
+        assert "c_tilde must be finite" in capsys.readouterr().err
 
     def test_multi_queue_config_rejected(self, tmp_path):
         config = SystemConfig(

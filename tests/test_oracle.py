@@ -53,6 +53,18 @@ class TestBuildChain:
         with pytest.raises(StateBudgetError):
             build_chain(config3, 10)
 
+    def test_kernel_byte_budget(self):
+        # 301^2 = 90,601 states pass a state-count guard of 1e6, but their
+        # dense kernel would take 65.7 GB
+        config = SystemConfig(
+            n=2,
+            gamma=0.1,
+            arrivals=BernoulliScaled(2, 0.2),
+            services=(BernoulliScaled(1, 0.25), BernoulliScaled(1, 0.25)),
+        )
+        with pytest.raises(StateBudgetError, match=f"{8 * 301**4} bytes"):
+            build_chain(config, 300)
+
     def test_two_queue_kernel_rows_stochastic(self):
         config = SystemConfig(
             n=2,

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -201,6 +202,19 @@ class TestStepMany:
         assert (q_next * u == 0).all()
 
 
+@functools.cache
+def _domination_runs(gamma, arrival_p):
+    """10 seeds x 100k slots of the coupled chains at the default constant,
+    shared by the law and ordering tests."""
+    config = SystemConfig(
+        n=1, gamma=gamma, arrivals=BernoulliScaled(1, arrival_p),
+        services=(BernoulliScaled(1, 0.4),),
+    )
+    c_tilde = config.drift + config.bound * math.sqrt(gamma)
+    reports = [simulate_coupled_domination(config, c_tilde, 100_000, seed) for seed in range(10)]
+    return config, reports
+
+
 class TestDomination:
     def test_no_abandonment_cap_dominates(self):
         # cap 0 exposes no jobs for the upper chain while gamma=1 drains q
@@ -219,6 +233,31 @@ class TestDomination:
     def test_empty_horizon_vacuous(self):
         report = simulate_coupled_domination(SSQ, 0.3, horizon=0, seed=0)
         assert report.slots_checked == 0 and report.holds
+        assert report.mean_queue == 0.0
+
+    @pytest.mark.parametrize("c_tilde", [math.nan, math.inf, -math.inf])
+    def test_non_finite_constant_rejected(self, c_tilde):
+        with pytest.raises(ConfigError):
+            simulate_coupled_domination(SSQ, c_tilde, horizon=10, seed=0)
+
+    @pytest.mark.parametrize(
+        "gamma, arrival_p, cap",
+        [(0.05, 0.3, 200), (0.05, 0.5, 400), (1e-3, 0.5, 400)],
+    )
+    def test_mean_queue_matches_oracle(self, gamma, arrival_p, cap):
+        # zero violations holds for any shared mark process; the time average
+        # of the unmodified chain is what pins the abandonment law itself
+        config, reports = _domination_runs(gamma, arrival_p)
+        chain = build_chain(config, cap)
+        exact = oracle_moments(chain, stationary(chain))["total_m1"]
+        means = np.array([r.mean_queue for r in reports])
+        z = (means.mean() - exact) / (means.std(ddof=1) / math.sqrt(len(means)))
+        assert abs(z) < 4.0, f"mean {means.mean():.4f} vs exact {exact:.4f}, z={z:+.2f}"
+
+    def test_ordering_at_small_gamma(self):
+        # overloaded single queue at gamma = 1e-3: about 132 exposed heads
+        _, reports = _domination_runs(1e-3, 0.5)
+        assert [r.violations for r in reports] == [0] * len(reports)
 
     def test_requires_single_queue(self):
         config = SystemConfig(
