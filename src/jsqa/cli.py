@@ -131,31 +131,30 @@ def _gamma_point(manifest: ExperimentManifest, gi: int, gamma: float, writer):
     writer.row(gamma, kind, "config", "drift", config.drift)
     writer.row(gamma, kind, "config", "variance", config.variance)
 
-    totals = samples.totals().astype(float)
-    bm, _ = transform._batch_means(totals, samples.batch)
-    writer.row(gamma, kind, "raw", "total_mean", float(bm.mean()),
-               float(transform._stderr(bm[:, None])[0]))
-    out["total_mean"] = float(bm.mean())
+    counts = samples.counts
+    total_mean, total_se = counts.estimate(counts.rows.sum(axis=1).astype(float))
+    writer.row(gamma, kind, "raw", "total_mean", total_mean, total_se)
+    out["total_mean"] = total_mean
 
-    xt = scaled.x_total
-    centered = xt - xt.mean()
-    var = float(centered.var())
-    skew = float((centered**3).mean() / var**1.5) if var > 0 else 0.0
+    # pooled over all samples, not batch means
+    weights = scaled.counts.pooled / len(scaled)
+    xt = scaled.counts.rows.sum(axis=1)
+    centered = xt - weights @ xt
+    var = float(weights @ centered**2)
+    skew = float(weights @ centered**3 / var**1.5) if var > 0 else 0.0
     writer.row(gamma, kind, "scaled_total", "variance", var)
     writer.row(gamma, kind, "scaled_total", "skewness", skew)
     out["scaled_variance"] = var
     out["scaled_skewness"] = skew
 
     rows = transform.moment_report(scaled, per_coord, max_order=max(manifest.moment_orders))
-    zmax = 0.0
     for r in rows:
         key = r.label.replace(" ", "_")
         writer.row(gamma, kind, "moment", key, r.empirical, r.stderr)
         writer.row(gamma, kind, "moment_limit", key, r.limit)
-        zmax = max(zmax, abs(r.zscore))
-    out["max_moment_z"] = zmax
+    out["max_moment_z"] = _max_abs([r.zscore for r in rows])
 
-    ks = transform.ks_statistic(scaled.x[:, 0], per_coord)
+    ks = transform.ks_statistic(scaled.counts.rows[:, 0], per_coord, scaled.counts.pooled)
     writer.row(gamma, kind, "ks", "coordinate0", ks)
     out["ks"] = ks
 
@@ -192,13 +191,20 @@ def _gamma_point(manifest: ExperimentManifest, gi: int, gamma: float, writer):
     return out
 
 
+def _max_abs(values) -> float:
+    """Largest |value|, NaN if any value is NaN (a z-score without a standard
+    error), and 0.0 for no values."""
+    mags = [abs(v) for v in values]
+    return math.nan if any(math.isnan(v) for v in mags) else max(mags, default=0.0)
+
+
 def _summary(points: list[dict]) -> dict:
     ks_vals = [p["ks"] for p in points]
     decreasing = all(b < a for a, b in zip(ks_vals, ks_vals[1:]))
     summary = {
         "ks_trend": "decreasing" if decreasing else "not-decreasing",
         "ks_values": ks_vals,
-        "max_moment_z": max(p["max_moment_z"] for p in points),
+        "max_moment_z": _max_abs(p["max_moment_z"] for p in points),
         "max_residual_z": max(p["max_residual_z"] for p in points),
     }
     if "perp_second_moment" in points[0]:
@@ -288,21 +294,20 @@ def oracle_check(
     samples = collect_steady_state(config, plan, seed, abandonment_hook=abandonment_hook)
     gamma = config.gamma
 
-    totals = samples.totals().astype(float)
+    counts = samples.counts
+    totals = counts.rows.sum(axis=1).astype(float)
     checks = []
 
-    def add(name, emp_values, batch, target):
-        bm, _ = transform._batch_means(np.asarray(emp_values, dtype=float), batch)
-        se = float(transform._stderr(bm[:, None])[0])
-        est = float(bm.mean())
+    def add(name, values, target):
+        est, se = counts.estimate(values)
         z = (est - target) / se if se > 0 else (0.0 if est == target else math.inf)
         checks.append((name, est, target, se, z))
 
-    add("total_mean", totals, samples.batch, exact["total_m1"])
-    add("total_second_moment", totals**2, samples.batch, exact["total_m2"])
+    add("total_mean", totals, exact["total_m1"])
+    add("total_second_moment", totals**2, exact["total_m2"])
     for phi in phi_grid:
         vals = np.exp(math.sqrt(gamma) * phi * totals)
-        add(f"mgf_phi={phi:g}", vals, samples.batch, oracle.oracle_mgf(chain, pi, gamma, phi))
+        add(f"mgf_phi={phi:g}", vals, oracle.oracle_mgf(chain, pi, gamma, phi))
 
     worst = 0.0
     for name, est, target, se, z in checks:

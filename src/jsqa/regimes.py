@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .counts import StateCounts, count_rows
 from .errors import ConfigError
 from .model import Binomial, BoundedDistribution, SystemConfig, distribution_from_dict
 from .simulator import SampleSet
@@ -143,7 +144,9 @@ class ScaledSampleSet:
 
     `x` is (N, n); `x_total` the scaled total. Classic and critical
     coordinates are nonnegative; overloaded ones are centered and may be
-    negative. Batch labels are carried over from the raw samples.
+    negative. Batch labels are carried over from the raw samples. `counts`
+    is the per-batch count table of the distinct rows of `x`; `scale` maps it
+    over from the raw samples, otherwise it is counted from `x`.
     """
 
     x: np.ndarray
@@ -151,6 +154,11 @@ class ScaledSampleSet:
     batch: np.ndarray
     kind: str
     gamma: float
+    counts: StateCounts | None = None
+
+    def __post_init__(self):
+        if self.counts is None:
+            self.counts = count_rows(self.x, self.batch)
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -163,13 +171,16 @@ class ScaledSampleSet:
 def scale(samples: SampleSet, spec: RegimeSpec, gamma: float) -> ScaledSampleSet:
     """Apply the regime's scaling (and centering) to raw samples."""
     factor = gamma ** scaling_exponent(spec)
-    x = factor * (samples.q - center_per_queue(spec, gamma))
+    center = center_per_queue(spec, gamma)
+    x = factor * (samples.q - center)
+    counts = samples.counts
     return ScaledSampleSet(
         x=x,
         x_total=x.sum(axis=1),
         batch=samples.batch,
         kind=spec.kind,
         gamma=gamma,
+        counts=replace(counts, rows=factor * (counts.rows - center)),
     )
 
 

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .counts import StateCounts, count_rows
 from .errors import ConfigError, ResourceLimitError
 from .model import RngStream, SystemConfig, require_valid, sample_many
 
@@ -93,7 +95,8 @@ class SampleSet:
     abandonment totals of the slot that produced each state. `batch` assigns
     each sample to a contiguous within-replica batch; batch spans are sized
     against the chain's relaxation time so batch means give honest standard
-    errors.
+    errors. `counts` is the per-batch count table of the distinct rows of
+    `q`, built on first use; `q` and `batch` must not change after that.
     """
 
     q: np.ndarray
@@ -121,6 +124,10 @@ class SampleSet:
 
     def totals(self) -> np.ndarray:
         return self.q.sum(axis=1)
+
+    @cached_property
+    def counts(self) -> StateCounts:
+        return count_rows(self.q, self.batch)
 
 
 def relaxation_slots(config: SystemConfig) -> float:

@@ -6,7 +6,10 @@ residuals of the three steady-state transform identities.
 All estimators are folds over per-batch means; reported standard errors are
 batch-means standard errors, and residuals are evaluated per batch before
 aggregation so covariances between the MGF, its derivative, and the
-unused-service mean propagate automatically.
+unused-service mean propagate automatically. Every statistic of the queue
+state is evaluated once per distinct state and folded through the sample
+set's per-batch count table (`jsqa.counts`); only the unused service, which
+is not a function of the state, is folded over the samples themselves.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .counts import StateCounts, batch_stderr, count_rows
 from .errors import RegimeMismatchError
 from .limits import LimitDistribution
 from .model import SystemConfig
@@ -47,28 +51,17 @@ __all__ = [
 MAX_EXPONENT = 700.0
 # grid points whose value estimate has relative stderr above this are unusable
 MAX_RELATIVE_STDERR = 0.10
+# bound on the exp() cells evaluated at once over (distinct rows x grid points)
+MGF_CHUNK_CELLS = 1 << 21
 
 STATISTICS = ("per-queue", "total", "centered-total")
 
 
-def _batch_means(values: np.ndarray, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-batch means and batch sizes; `values` may be (N,) or (N, K)."""
-    nb = int(batch.max()) + 1
-    sizes = np.bincount(batch, minlength=nb).astype(float)
-    if values.ndim == 1:
-        sums = np.bincount(batch, weights=values, minlength=nb)
-        return sums / sizes, sizes
-    means = np.empty((nb, values.shape[1]))
-    for k in range(values.shape[1]):
-        means[:, k] = np.bincount(batch, weights=values[:, k], minlength=nb) / sizes
-    return means, sizes
-
-
-def _stderr(batch_means: np.ndarray) -> np.ndarray:
-    b = batch_means.shape[0]
-    if b < 2:
-        return np.full(batch_means.shape[1:], np.nan)
-    return np.std(batch_means, axis=0, ddof=1) / math.sqrt(b)
+def _sample_batch_means(values, batch) -> np.ndarray:
+    """Per-batch means of a per-sample quantity that is not a function of the
+    queue state (the unused service)."""
+    sizes = np.bincount(batch)
+    return np.bincount(batch, weights=np.asarray(values, dtype=float)) / sizes
 
 
 @dataclass
@@ -96,59 +89,49 @@ class MgfEstimate:
     batch_u_mean: np.ndarray | None = None
 
 
-def mgf_from_values(
+def _mgf(
+    counts: StateCounts,
     x: np.ndarray,
-    batch: np.ndarray,
     gamma: float,
     phi_grid,
-    exponent: float = 0.5,
-    statistic: str = "raw",
-    u_total: np.ndarray | None = None,
+    exponent: float,
+    statistic: str,
+    batch_u_mean: np.ndarray | None,
 ) -> MgfEstimate:
-    """Empirical MGF of `gamma**exponent * x` over a phi grid.
-
-    Overflow guard: a grid point whose largest exponent would exceed
-    MAX_EXPONENT is flagged unusable instead of returning infinity. A point
-    whose standard error is NaN (fewer than two batches) or zero is unusable
-    too, since no z-score can be formed from it.
-    """
+    """MGF estimate from a count table; `x` (U, m) holds the statistic at each
+    distinct row, and a row contributes the mean of exp over its m entries
+    (the pooled coordinates of the per-queue statistic)."""
     phi_grid = np.asarray(phi_grid, dtype=float)
     if phi_grid.size == 0:
         raise ValueError("phi grid must be nonempty")
     if np.any(np.abs(phi_grid) > 2.0):
         raise ValueError("phi grid must lie within [-2, 2]")
-    x = np.asarray(x, dtype=float)
-    if x.size == 0:
-        raise ValueError("samples must be nonempty")
     scaled = gamma**exponent * x
 
     lo, hi = scaled.min(), scaled.max()
     extremes = np.maximum(phi_grid * lo, phi_grid * hi)
     overflow = extremes > MAX_EXPONENT
 
-    nb = int(batch.max()) + 1
+    nb = counts.num_batches
     k = phi_grid.size
     batch_values = np.ones((nb, k))
     batch_derivs = np.zeros((nb, k))
-    for j in np.nonzero(~overflow)[0]:
-        e = np.exp(phi_grid[j] * scaled)
-        bv, _ = _batch_means(e, batch)
-        bd, _ = _batch_means(scaled * e, batch)
-        batch_values[:, j] = bv
-        batch_derivs[:, j] = bd
+    finite = np.flatnonzero(~overflow)
+    step = max(1, MGF_CHUNK_CELLS // scaled.size)
+    for j in range(0, finite.size, step):
+        cols = finite[j : j + step]
+        e = np.exp(scaled[:, :, None] * phi_grid[cols])
+        batch_values[:, cols] = counts.batch_means(e.mean(axis=1))
+        batch_derivs[:, cols] = counts.batch_means((scaled[:, :, None] * e).mean(axis=1))
 
     values = batch_values.mean(axis=0)
     derivatives = batch_derivs.mean(axis=0)
-    stderr = _stderr(batch_values)
+    stderr = batch_stderr(batch_values)
     with np.errstate(invalid="ignore", divide="ignore"):
         rel = np.where(values > 0, stderr / values, np.inf)
     usable = ~overflow & (stderr > 0) & (rel <= MAX_RELATIVE_STDERR)
     values = np.where(overflow, np.nan, values)
     derivatives = np.where(overflow, np.nan, derivatives)
-
-    u_mean = None
-    if u_total is not None:
-        u_mean, _ = _batch_means(np.asarray(u_total, dtype=float), batch)
     return MgfEstimate(
         phi_grid=phi_grid,
         values=values,
@@ -160,8 +143,32 @@ def mgf_from_values(
         statistic=statistic,
         batch_values=batch_values,
         batch_derivs=batch_derivs,
-        batch_u_mean=u_mean,
+        batch_u_mean=batch_u_mean,
     )
+
+
+def mgf_from_values(
+    x: np.ndarray,
+    batch: np.ndarray,
+    gamma: float,
+    phi_grid,
+    exponent: float = 0.5,
+    statistic: str = "raw",
+    u_total: np.ndarray | None = None,
+) -> MgfEstimate:
+    """Empirical MGF of `gamma**exponent * x` over a phi grid.
+
+    `x` may take any real values; its distinct values are counted per batch
+    and exp is evaluated once per distinct value.
+
+    Overflow guard: a grid point whose largest exponent would exceed
+    MAX_EXPONENT is flagged unusable instead of returning infinity. A point
+    whose standard error is NaN (fewer than two batches) or zero is unusable
+    too, since no z-score can be formed from it.
+    """
+    counts = count_rows(np.asarray(x, dtype=float), batch)
+    u_mean = None if u_total is None else _sample_batch_means(u_total, batch)
+    return _mgf(counts, counts.rows, gamma, phi_grid, exponent, statistic, u_mean)
 
 
 def empirical_mgf(
@@ -179,22 +186,17 @@ def empirical_mgf(
     """
     if statistic not in STATISTICS:
         raise ValueError(f"statistic must be one of {STATISTICS}")
+    counts = samples.counts
     if statistic == "per-queue":
-        n = samples.n
-        x = samples.q.reshape(-1).astype(float)
-        batch = np.repeat(samples.batch, n)
-        u = None
+        x = counts.rows.astype(float)
     elif statistic == "total":
-        x = samples.totals().astype(float)
-        batch = samples.batch
-        u = samples.u_total
+        x = counts.rows.sum(axis=1, keepdims=True).astype(float)
     else:
-        x = samples.totals() - samples.config.drift / gamma
-        batch = samples.batch
-        u = samples.u_total
-    return mgf_from_values(
-        x, batch, gamma, phi_grid, exponent=exponent, statistic=statistic, u_total=u
-    )
+        x = counts.rows.sum(axis=1, keepdims=True) - samples.config.drift / gamma
+    u_mean = None
+    if statistic != "per-queue":
+        u_mean = _sample_batch_means(samples.u_total, samples.batch)
+    return _mgf(counts, x, gamma, phi_grid, exponent, statistic, u_mean)
 
 
 @dataclass(frozen=True)
@@ -209,20 +211,20 @@ class SscEstimate:
 def ssc_estimate(samples: SampleSet) -> SscEstimate:
     """Mean squared norm of the queue component orthogonal to the diagonal.
 
-    Uses the Pythagoras identity per sample:
+    Uses the Pythagoras identity per state:
     |q_perp|^2 = |q|^2 - <q, 1>^2 / n.
     """
     if samples.n < 2:
         raise ValueError("perpendicular component needs n >= 2 queues")
-    q = samples.q.astype(float)
+    counts = samples.counts
+    q = counts.rows.astype(float)
     sq = (q**2).sum(axis=1)
-    perp = sq - samples.totals().astype(float) ** 2 / samples.n
-    bm_perp, _ = _batch_means(perp, samples.batch)
-    bm_sq, _ = _batch_means(sq, samples.batch)
+    perp = sq - q.sum(axis=1) ** 2 / samples.n
+    bm = counts.batch_means(np.column_stack([perp, sq]))
     return SscEstimate(
-        perp_second_moment=float(bm_perp.mean()),
-        total_second_moment=float(bm_sq.mean()),
-        stderr=float(_stderr(bm_perp[:, None])[0]),
+        perp_second_moment=float(bm[:, 0].mean()),
+        total_second_moment=float(bm[:, 1].mean()),
+        stderr=float(batch_stderr(bm[:, 0])),
     )
 
 
@@ -236,12 +238,12 @@ class UnusedServiceRate:
 
 
 def unused_service_rate(samples: SampleSet, gamma: float) -> UnusedServiceRate:
-    bm, _ = _batch_means(samples.u_total.astype(float), samples.batch)
+    bm = _sample_batch_means(samples.u_total, samples.batch)
     raw = float(bm.mean())
     return UnusedServiceRate(
         raw=raw,
         critical_scaled=raw / math.sqrt(gamma),
-        stderr_raw=float(_stderr(bm[:, None])[0]),
+        stderr_raw=float(batch_stderr(bm)),
     )
 
 
@@ -303,7 +305,7 @@ def overloaded_residual_values(m_values, m_derivs, phi_grid, bar_c2: float) -> n
 
 def _points(phi_grid, batch_rows: np.ndarray, usable) -> list[ResidualPoint]:
     res = batch_rows.mean(axis=0)
-    se = _stderr(batch_rows)
+    se = batch_stderr(batch_rows)
     return [
         ResidualPoint(phi=float(p), residual=float(r), stderr=float(s), usable=bool(u))
         for p, r, s, u in zip(phi_grid, res, se, usable)
@@ -370,16 +372,24 @@ def overloaded_ode_residual(mgf: MgfEstimate, config: SystemConfig) -> list[Resi
     return _points(mgf.phi_grid, rows, mgf.usable)
 
 
-def ks_statistic(samples, dist: LimitDistribution) -> float:
-    """Sup distance between the empirical CDF and `dist`, evaluated with both
-    one-sided gaps at every sample point."""
-    x = np.sort(np.asarray(samples, dtype=float))
+def ks_statistic(samples, dist: LimitDistribution, counts=None) -> float:
+    """Sup distance between the empirical CDF and `dist`.
+
+    `samples` are the sample points, or distinct points whose multiplicities
+    are `counts`. Within a group of tied points the CDF of `dist` is constant,
+    so the upper gap peaks at the end of the group and the lower gap at its
+    start; the distance is the larger of those maxima.
+    """
+    x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise ValueError("samples must be nonempty")
-    n = x.size
-    cdf = dist.cdf(x)
-    upper = np.arange(1, n + 1) / n - cdf
-    lower = cdf - np.arange(0, n) / n
+    points, group = np.unique(x, return_inverse=True)
+    weights = np.bincount(group.reshape(-1), weights=counts, minlength=points.size)
+    end = np.cumsum(weights)
+    n = end[-1]
+    cdf = dist.cdf(points)
+    upper = end / n - cdf
+    lower = cdf - (end - weights) / n
     return float(max(upper.max(), lower.max()))
 
 
@@ -421,31 +431,21 @@ def moment_report(
     """
     if not 1 <= max_order <= 4:
         raise ValueError("moment orders must lie in 1..4")
-    rows: list[MomentRow] = []
-    n = scaled.n
-    pooled = scaled.x.reshape(-1)
-    pooled_batch = np.repeat(scaled.batch, n)
+    counts = scaled.counts
+    x = counts.rows
+    labels, targets, columns = [], [], []
     for m in range(1, max_order + 1):
-        bm, _ = _batch_means(pooled**m, pooled_batch)
-        rows.append(
-            MomentRow(
-                label=f"coordinate m={m}",
-                empirical=float(bm.mean()),
-                stderr=float(_stderr(bm[:, None])[0]),
-                limit=dist.moment(m),
-            )
-        )
-    if n >= 2:
+        labels.append(f"coordinate m={m}")
+        targets.append(dist.moment(m))
+        columns.append((x**m).mean(axis=1))
+    if scaled.n >= 2:
         for m1 in range(1, max_order):
             for m2 in range(1, max_order - m1 + 1):
-                prod = scaled.x[:, 0] ** m1 * scaled.x[:, 1] ** m2
-                bm, _ = _batch_means(prod, scaled.batch)
-                rows.append(
-                    MomentRow(
-                        label=f"cross m1={m1} m2={m2}",
-                        empirical=float(bm.mean()),
-                        stderr=float(_stderr(bm[:, None])[0]),
-                        limit=dist.moment(m1 + m2),
-                    )
-                )
-    return rows
+                labels.append(f"cross m1={m1} m2={m2}")
+                targets.append(dist.moment(m1 + m2))
+                columns.append(x[:, 0] ** m1 * x[:, 1] ** m2)
+    bm = counts.batch_means(np.column_stack(columns))
+    return [
+        MomentRow(label=label, empirical=float(emp), stderr=float(se), limit=target)
+        for label, emp, se, target in zip(labels, bm.mean(axis=0), batch_stderr(bm), targets)
+    ]

@@ -23,7 +23,7 @@ from jsqa.simulator import (
     simulate_coupled_domination,
     step_many,
 )
-from jsqa.transform import _batch_means, _stderr, ks_two_sample
+from jsqa.transform import ks_two_sample
 
 SERVICES = [
     {"kind": "binomial", "trial-count": 2, "success-probability": 0.25},
@@ -127,10 +127,11 @@ def overloaded_run(tmp_path_factory):
     return _run_sweep(tmp_path_factory, OVERLOADED_MANIFEST, "overloaded")
 
 
-def _zscore(values, batch, target):
-    bm, _ = _batch_means(np.asarray(values, dtype=float), batch)
-    se = float(_stderr(bm[:, None])[0])
-    return (float(bm.mean()) - target) / se, se
+def _zscore(counts, values, target):
+    """z-score of the batch-means estimate of a function given by its
+    `values` at the distinct states of the count table `counts`."""
+    est, se = counts.estimate(values)
+    return (est - target) / se, se
 
 
 def test_criterion_01_ssq_oracle_equivalence():
@@ -140,14 +141,15 @@ def test_criterion_01_ssq_oracle_equivalence():
     exact = oracle_moments(chain, pi, order=2)
     plan = default_plan(SSQ, num_samples=1_000_000, replicas=64)
     samples = collect_steady_state(SSQ, plan, seed=101)
-    totals = samples.totals().astype(float)
+    counts = samples.counts
+    totals = counts.rows.sum(axis=1).astype(float)
 
     zs = {}
-    zs["mean"], _ = _zscore(totals, samples.batch, exact["total_m1"])
-    zs["second"], _ = _zscore(totals**2, samples.batch, exact["total_m2"])
+    zs["mean"], _ = _zscore(counts, totals, exact["total_m1"])
+    zs["second"], _ = _zscore(counts, totals**2, exact["total_m2"])
     for phi in (-1.0, -0.5, 0.25):
         vals = np.exp(math.sqrt(SSQ.gamma) * phi * totals)
-        zs[f"mgf({phi:g})"], _ = _zscore(vals, samples.batch, oracle_mgf(chain, pi, SSQ.gamma, phi))
+        zs[f"mgf({phi:g})"], _ = _zscore(counts, vals, oracle_mgf(chain, pi, SSQ.gamma, phi))
     elapsed = time.time() - t0
 
     assert stationary_leakage(chain, pi) < 1e-8
@@ -172,11 +174,12 @@ def test_criterion_02_jsq_oracle_equivalence():
     plan = default_plan(config, num_samples=1_000_000, replicas=64)
     samples = collect_steady_state(config, plan, seed=202)
 
-    totals = samples.totals().astype(float)
-    z_mean, _ = _zscore(totals, samples.batch, exact["total_m1"])
-    q = samples.q.astype(float)
+    counts = samples.counts
+    q = counts.rows.astype(float)
+    totals = q.sum(1)
+    z_mean, _ = _zscore(counts, totals, exact["total_m1"])
     perp = (q**2).sum(1) - totals**2 / 2
-    z_perp, _ = _zscore(perp, samples.batch, exact["perp_second_moment"])
+    z_perp, _ = _zscore(counts, perp, exact["perp_second_moment"])
     ks_sym = ks_two_sample(samples.q[:, 0], samples.q[:, 1])
     elapsed = time.time() - t0
 

@@ -92,6 +92,23 @@ class TestRun:
         assert sidecar["summary"]["ks_trend"] in ("decreasing", "not-decreasing")
         assert sidecar["completed_gammas"] == [0.3, 0.2]
 
+    def test_single_batch_max_moment_z_is_nan(self, tmp_path):
+        # one replica of 500 samples spans less than ten relaxation times
+        # (1000 slots at gamma = 1e-2), so it forms one batch and every
+        # moment stderr is NaN: the summary must not report a perfect fit
+        manifest = dict(
+            TINY_MANIFEST,
+            regime=dict(TINY_MANIFEST["regime"], kind="critical", constant=0.0, alpha=0.5),
+            gammas=[1e-2],
+            plan={"warmup_slots": 200, "num_samples": 500, "thinning": 1, "replicas": 1},
+        )
+        out = tmp_path / "out"
+        assert cli.main(["run", str(write_manifest(tmp_path, manifest)), "--out", str(out)]) == 0
+        moments = [r for r in read_rows(out) if r["statistic"] == "moment"]
+        assert moments and all(np.isnan(r["stderr"]) for r in moments)
+        sidecar = json.loads((out / "run.json").read_text())
+        assert np.isnan(sidecar["summary"]["max_moment_z"])
+
     def test_golden_file(self, tmp_path):
         # regenerate with: python -m tests.make_golden (after intentional changes)
         path = write_manifest(tmp_path)

@@ -1,0 +1,85 @@
+import numpy as np
+import pytest
+
+from jsqa.counts import batch_stderr, count_rows
+from jsqa.model import RngStream
+
+
+def dense_reference(rows, batch):
+    """(distinct rows, dense (batches, rows) count matrix) by np.unique over
+    whole rows."""
+    rows = np.asarray(rows).reshape(len(batch), -1)
+    distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
+    dense = np.zeros((batch.max() + 1, distinct.shape[0]))
+    np.add.at(dense, (batch, inverse.reshape(-1)), 1.0)
+    return distinct, dense
+
+
+def assert_matches_reference(rows, batch):
+    counts = count_rows(rows, batch)
+    distinct, dense = dense_reference(rows, batch)
+    # both list distinct rows in lexicographic order
+    assert np.array_equal(counts.rows, distinct)
+    assert np.array_equal(counts.table.toarray(), dense)
+    assert np.array_equal(counts.sizes, np.bincount(batch).astype(float))
+    assert np.array_equal(counts.pooled, dense.sum(axis=0))
+    return counts
+
+
+class TestCountRows:
+    def test_integer_rows(self):
+        gen = RngStream(1).generator()
+        rows = gen.integers(-5, 9, size=(4000, 3))
+        assert_matches_reference(rows, np.arange(4000) * 7 // 4000)
+
+    def test_continuous_rows(self):
+        gen = RngStream(2).generator()
+        rows = np.round(gen.normal(size=(3000, 2)), 1)
+        assert_matches_reference(rows, np.arange(3000) % 5)
+
+    def test_one_dimensional_values(self):
+        x = np.array([0.5, -1.0, 0.5, 2.0, -1.0, 0.5])
+        counts = count_rows(x, np.array([0, 0, 0, 1, 1, 1]))
+        assert counts.rows.ravel().tolist() == [-1.0, 0.5, 2.0]
+        assert counts.table.toarray().tolist() == [[1, 2, 0], [1, 1, 1]]
+
+    @pytest.mark.parametrize("width,batches", [(40, 9), (18, 12)])
+    def test_wide_rows_fold_before_overflow(self, width, batches):
+        # columns of 10 values each: 10**40 codes overflow int64, so leading
+        # columns are folded into the codes of their distinct combinations;
+        # 10**18 codes fit, but not once 12 batch labels are put in front
+        gen = RngStream(3).generator()
+        base = gen.integers(0, 10, size=(50, width))
+        rows = base[gen.integers(0, 50, size=2000)]
+        counts = assert_matches_reference(rows, np.arange(2000) % batches)
+        assert counts.rows.shape == (50, width)
+
+    def test_sparse_integer_span_is_renumbered(self):
+        # a span far beyond the sample count is numbered by distinct value,
+        # not offset, so no bounding-box-sized radix arises
+        rows = np.array([[0, 10**15], [3, -(10**15)], [0, 10**15]])
+        assert_matches_reference(rows, np.array([0, 1, 1]))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            count_rows(np.zeros((0, 2)), np.zeros(0, dtype=int))
+
+
+class TestBatchMeans:
+    def test_matches_per_sample_means(self):
+        gen = RngStream(4).generator()
+        rows = gen.integers(0, 6, size=(1000, 2))
+        batch = np.arange(1000) * 4 // 1000
+        counts = count_rows(rows, batch)
+        f = lambda r: np.exp(0.1 * r[:, 0]) * r[:, 1]  # noqa: E731
+        expect = np.bincount(batch, weights=f(rows)) / np.bincount(batch)
+        np.testing.assert_allclose(counts.batch_means(f(counts.rows)), expect, rtol=1e-12)
+        est, se = counts.estimate(f(counts.rows))
+        assert est == pytest.approx(expect.mean(), rel=1e-12)
+        assert se == pytest.approx(batch_stderr(expect), rel=1e-12)
+
+    def test_single_batch_stderr_is_nan(self):
+        counts = count_rows(np.arange(10), np.zeros(10, dtype=int))
+        est, se = counts.estimate(counts.rows[:, 0].astype(float))
+        assert est == 4.5
+        assert np.isnan(se)

@@ -8,7 +8,7 @@ from jsqa.errors import RegimeMismatchError
 from jsqa.limits import critical_unused_limit, exponential, gaussian, truncated_gaussian
 from jsqa.model import BernoulliScaled, Binomial, RngStream, SystemConfig
 from jsqa.oracle import build_chain, oracle_mgf, stationary
-from jsqa.regimes import RegimeSpec, ScaledSampleSet
+from jsqa.regimes import RegimeSpec, ScaledSampleSet, build_config, scale
 from jsqa.simulator import SampleSet, SamplingPlan
 from jsqa.transform import (
     classic_residual,
@@ -302,3 +302,165 @@ class TestMomentReport:
         )
         with pytest.raises(ValueError):
             moment_report(scaled, exponential(1.0), 5)
+
+
+# Per-sample reference estimators: the formulas the count-table estimators
+# replace, folded over every sample instead of every distinct state.
+
+
+def ref_batch_means(values, batch):
+    sizes = np.bincount(batch)
+    return np.bincount(batch, weights=np.asarray(values, dtype=float)) / sizes
+
+
+def ref_stderr(bm):
+    if bm.shape[0] < 2:
+        return np.full(bm.shape[1:], np.nan)
+    return np.std(bm, axis=0, ddof=1) / math.sqrt(bm.shape[0])
+
+
+def ref_mgf(x, batch, gamma, grid, exponent):
+    scaled = gamma**exponent * np.asarray(x, dtype=float)
+    bv = np.column_stack([ref_batch_means(np.exp(p * scaled), batch) for p in grid])
+    bd = np.column_stack([ref_batch_means(scaled * np.exp(p * scaled), batch) for p in grid])
+    return bv, bd
+
+
+def ref_ks(x, dist):
+    x = np.sort(np.asarray(x, dtype=float))
+    n = x.size
+    cdf = dist.cdf(x)
+    return float(max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(0, n) / n).max()))
+
+
+def assert_close(actual, expected):
+    np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=0)
+
+
+def random_samples(n, batches, seed, lo=0, hi=15, size=3000, config=None):
+    gen = RngStream(seed).generator()
+    q = gen.integers(lo, hi, size=(size, n))
+    u = gen.integers(0, 3, size=size)
+    return make_samples(q, u=u, batches=batches, config=config)
+
+
+# drift 2 - 2 * 0.5 = 1 at gamma 0.1, so the centered total q1 + q2 - 10 of
+# totals in [0, 28] takes both signs
+OVERLOADED_CONFIG = SystemConfig(
+    n=2, gamma=0.1, arrivals=Binomial(4, 0.5), services=(Binomial(2, 0.25),) * 2
+)
+GRID = np.linspace(-1.0, 0.5, 7)
+
+
+class TestMatchesPerSampleReference:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("statistic", ["per-queue", "total", "centered-total"])
+    def test_empirical_mgf(self, n, statistic):
+        samples = random_samples(n, batches=6, seed=10 + n)
+        gamma = samples.gamma
+        est = empirical_mgf(samples, gamma, GRID, statistic, exponent=0.5)
+        batch = samples.batch
+        if statistic == "per-queue":
+            x, batch = samples.q.reshape(-1), np.repeat(batch, n)
+        elif statistic == "total":
+            x = samples.totals()
+        else:
+            x = samples.totals() - samples.config.drift / gamma
+        bv, bd = ref_mgf(x, batch, gamma, GRID, 0.5)
+        assert_close(est.batch_values, bv)
+        assert_close(est.batch_derivs, bd)
+        assert_close(est.values, bv.mean(axis=0))
+        assert_close(est.derivatives, bd.mean(axis=0))
+        assert_close(est.stderr, ref_stderr(bv))
+        if statistic == "per-queue":
+            assert est.batch_u_mean is None
+        else:
+            assert_close(est.batch_u_mean, ref_batch_means(samples.u_total, samples.batch))
+
+    def test_centered_total_takes_both_signs(self):
+        samples = random_samples(2, batches=5, seed=3, hi=15, config=OVERLOADED_CONFIG)
+        x = samples.totals() - OVERLOADED_CONFIG.drift / 0.1
+        assert x.min() < 0 < x.max()
+        est = empirical_mgf(samples, 0.1, GRID, "centered-total")
+        bv, bd = ref_mgf(x, samples.batch, 0.1, GRID, 0.5)
+        assert_close(est.batch_values, bv)
+        assert_close(est.batch_derivs, bd)
+
+    def test_continuous_values(self):
+        gen = RngStream(8).generator()
+        x = gen.normal(0.0, 3.0, 2000)
+        batch = np.arange(2000) % 7
+        u = gen.integers(0, 2, 2000)
+        est = mgf_from_values(x, batch, 0.2, GRID, exponent=0.5, u_total=u)
+        bv, bd = ref_mgf(x, batch, 0.2, GRID, 0.5)
+        assert_close(est.batch_values, bv)
+        assert_close(est.batch_derivs, bd)
+        assert_close(est.batch_u_mean, ref_batch_means(u, batch))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_ssc(self, n):
+        samples = random_samples(n, batches=6, seed=20 + n)
+        q = samples.q.astype(float)
+        sq = (q**2).sum(axis=1)
+        perp = ref_batch_means(sq - q.sum(axis=1) ** 2 / n, samples.batch)
+        est = ssc_estimate(samples)
+        assert_close(est.perp_second_moment, perp.mean())
+        assert_close(est.total_second_moment, ref_batch_means(sq, samples.batch).mean())
+        assert_close(est.stderr, ref_stderr(perp))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_moment_report_on_overloaded_scale(self, n):
+        services = (Binomial(2, 0.25),) * n
+        spec = RegimeSpec("overloaded", 0.2, 0.0, services, 4)
+        gamma = 0.05
+        config = build_config(spec, gamma)
+        # per-queue center 0.2 / (n * gamma) = 4 / n: scaled coordinates of
+        # both signs
+        samples = random_samples(n, batches=6, seed=30 + n, hi=10, config=config)
+        scaled = scale(samples, spec, gamma)
+        assert scaled.x.min() < 0 < scaled.x.max()
+        rows = moment_report(scaled, gaussian(1.0), 4)
+        pooled, pooled_batch = scaled.x.reshape(-1), np.repeat(scaled.batch, n)
+        expected = [ref_batch_means(pooled**m, pooled_batch) for m in range(1, 5)]
+        if n >= 2:
+            x = scaled.x
+            expected += [
+                ref_batch_means(x[:, 0] ** m1 * x[:, 1] ** m2, scaled.batch)
+                for m1 in range(1, 4)
+                for m2 in range(1, 5 - m1)
+            ]
+        assert len(rows) == len(expected)
+        for row, bm in zip(rows, expected):
+            assert_close(row.empirical, bm.mean())
+            assert_close(row.stderr, ref_stderr(bm))
+
+    def test_single_batch_stays_unusable(self):
+        samples = random_samples(2, batches=1, seed=40)
+        est = empirical_mgf(samples, samples.gamma, GRID, "total")
+        assert np.isnan(est.stderr).all()
+        assert not est.usable.any()
+        assert math.isnan(ssc_estimate(samples).stderr)
+        assert math.isnan(unused_service_rate(samples, samples.gamma).stderr_raw)
+        x = samples.q.astype(float)
+        scaled = ScaledSampleSet(x=x, x_total=x.sum(1), batch=samples.batch, kind="classic",
+                                 gamma=samples.gamma)
+        for row in moment_report(scaled, exponential(1.0), 2):
+            assert math.isnan(row.stderr)
+            assert math.isnan(row.zscore)
+
+    def test_ks_with_ties_is_exact(self):
+        gen = RngStream(9).generator()
+        x = gen.integers(0, 12, 5000) * 0.25
+        dist = exponential(1.0)
+        assert ks_statistic(x, dist) == ref_ks(x, dist)
+        points, counts = np.unique(x, return_counts=True)
+        assert ks_statistic(points, dist, counts.astype(float)) == ref_ks(x, dist)
+
+    def test_ks_of_scaled_coordinate_is_exact(self):
+        spec = RegimeSpec("overloaded", 0.2, 0.0, TWO_BINOMIAL, 4)
+        gamma = 0.05
+        samples = random_samples(2, batches=4, seed=50, hi=10, config=build_config(spec, gamma))
+        scaled = scale(samples, spec, gamma)
+        dist = gaussian(0.8)
+        counts = scaled.counts
+        assert ks_statistic(counts.rows[:, 0], dist, counts.pooled) == ref_ks(scaled.x[:, 0], dist)
