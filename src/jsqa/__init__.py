@@ -3,7 +3,6 @@ join-the-shortest-queue systems with per-job abandonment."""
 
 from .errors import (
     ConfigError,
-    NonConvergenceError,
     RegimeMismatchError,
     ResourceLimitError,
     StateBudgetError,

@@ -181,21 +181,18 @@ def _gamma_point(manifest: ExperimentManifest, gi: int, gamma: float, writer):
         points = transform.critical_ode_residual(mgf, config)
     else:
         points = transform.overloaded_ode_residual(mgf, config)
-    rmax = 0.0
     for p in points:
         writer.row(gamma, kind, "residual", f"phi={p.phi:g}", p.residual, p.stderr)
         writer.row(gamma, kind, "residual_usable", f"phi={p.phi:g}", 1.0 if p.usable else 0.0)
-        if p.usable and p.phi != 0.0:
-            rmax = max(rmax, abs(p.zscore))
-    out["max_residual_z"] = rmax
+    out["max_residual_z"] = _max_abs([p.zscore for p in points if p.usable and p.phi != 0.0])
     return out
 
 
 def _max_abs(values) -> float:
     """Largest |value|, NaN if any value is NaN (a z-score without a standard
-    error), and 0.0 for no values."""
+    error) or if there are no values (nothing could be tested)."""
     mags = [abs(v) for v in values]
-    return math.nan if any(math.isnan(v) for v in mags) else max(mags, default=0.0)
+    return math.nan if not mags or any(math.isnan(v) for v in mags) else max(mags)
 
 
 def _summary(points: list[dict]) -> dict:
@@ -205,7 +202,7 @@ def _summary(points: list[dict]) -> dict:
         "ks_trend": "decreasing" if decreasing else "not-decreasing",
         "ks_values": ks_vals,
         "max_moment_z": _max_abs(p["max_moment_z"] for p in points),
-        "max_residual_z": max(p["max_residual_z"] for p in points),
+        "max_residual_z": _max_abs(p["max_residual_z"] for p in points),
     }
     if "perp_second_moment" in points[0]:
         perp = [p["perp_second_moment"] for p in points]

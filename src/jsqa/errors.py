@@ -16,6 +16,3 @@ class ResourceLimitError(RuntimeError):
 class StateBudgetError(ValueError):
     """A truncated chain would exceed the exact oracle's memory budget."""
 
-
-class NonConvergenceError(RuntimeError):
-    """An iterative solver exhausted its iteration budget."""

@@ -2,22 +2,29 @@
 space, for one or two queues. Serves as ground truth for simulator and
 estimator validation.
 
-The one-slot kernel convolves the abandonment law Binomial(q_i, gamma), the
-dispatch decision (argmin with a half/half tie split for two queues), and the
-arrival/service laws, then applies the positive-part map. Probability mass
-that would land above the per-queue cap is clamped into the cap state, which
-keeps rows exactly stochastic; the clamped mass is reported as leakage.
+The one-slot kernel is a scipy.sparse CSR array built from per-queue
+next-state tables over 0..cap: row q of H_i is the law of
+max(0, q - d + a - s_i), where queue i gets the arrival batch a, and row q of
+M_i that of max(0, q - d - s_i), with d ~ Binomial(q, gamma). One queue gives
+P = H_1; two give P = D_0 (H_1 kron M_2) + D_1 (M_1 kron H_2), where the
+diagonal dispatch weights D_i are 1, 1/2 or 0 as queue i is shorter, tied or
+longer. Table entries below DROP_BELOW, like the mass above the cap, fold
+into the cap state, so rows stay exactly stochastic and `row_clamp` reports
+all truncation error.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
-from scipy.stats import binom
+import scipy.sparse as sp
+from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
-from .errors import NonConvergenceError, StateBudgetError
+from .errors import StateBudgetError
 from .model import SystemConfig
 
 __all__ = [
@@ -31,11 +38,13 @@ __all__ = [
     "oracle_perp_second_moment",
 ]
 
-# Budget for the dense float64 kernel alone. The dense stationary solve holds
-# about three kernel-sized arrays at once (the kernel, its shifted transpose
-# and the LU factor), so peak memory is roughly three times this.
-MAX_KERNEL_BYTES = 1 << 30
-DENSE_SOLVE_STATES = 20_000
+# Without the drop, Binomial(q, gamma) tails fill each table row and the
+# two-queue kernel holds about twice the nonzeros.
+DROP_BELOW = 1e-14
+# 2^24 nonzeros are 200 MB of CSR; the Kronecker products that build the
+# kernel and the LU of the solve take several times that (criterion 2's
+# config at cap 100: 8.1 M nonzeros, 0.7 GB peak).
+MAX_KERNEL_NONZEROS = 1 << 24
 
 
 @dataclass
@@ -43,17 +52,16 @@ class TruncatedChain:
     """Row-stochastic one-slot kernel over {0..cap}^n plus bookkeeping.
 
     `row_clamp[s]` is the probability mass that state s would have pushed
-    beyond the cap (folded into the cap state); `leakage` is its maximum over
-    states. The max is dominated by the cap-boundary rows themselves, so
-    truncation quality checks weight it by the stationary law instead (see
+    beyond the cap or below DROP_BELOW (folded into the cap state). Its
+    maximum is dominated by the cap-boundary rows themselves, so truncation
+    quality checks weight it by the stationary law instead (see
     `stationary_leakage`). `expected_unused` holds E[total unused service |
     state] computed exactly from the same convolutions.
     """
 
     config: SystemConfig
     cap: int
-    matrix: np.ndarray
-    leakage: float
+    matrix: sp.csr_array
     expected_unused: np.ndarray
     row_clamp: np.ndarray
 
@@ -63,20 +71,12 @@ class TruncatedChain:
 
     def state_vectors(self) -> np.ndarray:
         """(num_states, n) integer array mapping state index -> queue vector."""
-        n = self.config.n
-        if n == 1:
-            return np.arange(self.cap + 1, dtype=np.int64)[:, None]
-        side = self.cap + 1
-        q1, q2 = np.divmod(np.arange(side * side, dtype=np.int64), side)
-        return np.stack([q1, q2], axis=1)
+        return _states(self.cap + 1, self.config.n)
 
 
-def _signed_pmf(dist, negate: bool) -> tuple[np.ndarray, int]:
-    """PMF array and the value of its first cell, optionally for -X."""
-    p = dist.pmf()
-    if negate:
-        return p[::-1], -dist.bound
-    return p, 0
+def _states(side: int, n: int) -> np.ndarray:
+    """(side**n, n) queue vectors in state-index order (row-major over queues)."""
+    return np.indices((side,) * n, dtype=np.int64).reshape(n, -1).T
 
 
 def _next_pmf(q: int, abandon_pmf: np.ndarray, kernel: np.ndarray, kernel_lo: int, cap: int):
@@ -98,95 +98,100 @@ def _next_pmf(q: int, abandon_pmf: np.ndarray, kernel: np.ndarray, kernel_lo: in
     return out, overflow, unused
 
 
+def _queue_table(abandon: list, kernel: np.ndarray, kernel_lo: int, cap: int):
+    """One queue's next-state table (CSR, rows q = 0..cap) for the increment
+    law `kernel` starting at `kernel_lo`, and a (2, cap + 1) array of each
+    row's clamped mass and expected unused service. Entries below DROP_BELOW
+    fold into the cap state and count as clamped."""
+    side = cap + 1
+    clamp_unused = np.zeros((2, side))
+    cols, vals = [], []
+    for q in range(side):
+        row, overflow, clamp_unused[1, q] = _next_pmf(q, abandon[q], kernel, kernel_lo, cap)
+        small = row < DROP_BELOW
+        small[cap] = False
+        dropped = row[small].sum()
+        row[small] = 0.0
+        row[cap] += dropped
+        clamp_unused[0, q] = overflow + dropped
+        cols.append(np.flatnonzero(row))
+        vals.append(row[cols[-1]])
+    indptr = np.concatenate([[0], np.cumsum([c.size for c in cols])])
+    table = sp.csr_array((np.concatenate(vals), np.concatenate(cols), indptr), shape=(side, side))
+    return table, clamp_unused
+
+
+def _kernel_nonzeros(hit: list, miss: list) -> int:
+    """Exact nonzero count of the kernel, from the table row supports."""
+    if len(hit) == 1:
+        return hit[0].nnz
+    (h1, h2), (m1, m2) = hit, miss
+    # the count passes 2^31 at large caps, and index arrays may be int32
+    sh1, sh2, sm1, sm2 = (np.diff(t.indptr).astype(np.int64) for t in (h1, h2, m1, m2))
+    # rows with q1 < q2 hold supp H_1[q1] x supp M_2[q2]; sum over q1 < q2 by
+    # exclusive prefix sums
+    below1, below2 = np.cumsum(sh1) - sh1, np.cumsum(sh2) - sh2
+    # tied rows hold the union of both products, which overlap in the cells
+    # that H and M of the same queue both reach
+    shared1 = h1.astype(bool).multiply(m1.astype(bool)).sum(axis=1, dtype=np.int64)
+    shared2 = h2.astype(bool).multiply(m2.astype(bool)).sum(axis=1, dtype=np.int64)
+    return int(sm2 @ below1 + sm1 @ below2 + sh1 @ sm2 + sm1 @ sh2 - shared1 @ shared2)
+
+
 def build_chain(config: SystemConfig, cap: int) -> TruncatedChain:
     """Exact one-slot kernel truncated at `cap` jobs per queue.
 
-    The kernel is a dense (states x states) float64 matrix, so its size in
-    bytes is checked against MAX_KERNEL_BYTES before anything is allocated;
-    the dense solve in `stationary` then holds about three such arrays.
+    Refuses, before anything of that size is allocated, a cap whose per-queue
+    tables or kernel would exceed MAX_KERNEL_NONZEROS entries.
     """
     n = config.n
     if n > 2:
         raise StateBudgetError("exact chains are built for n <= 2 only")
-    states = (cap + 1) ** n
-    kernel_bytes = 8 * states**2
-    if kernel_bytes > MAX_KERNEL_BYTES:
-        raise StateBudgetError(
-            f"cap {cap} gives {states} states, a dense kernel of {kernel_bytes} bytes, "
-            f"over the budget of {MAX_KERNEL_BYTES} bytes"
-        )
-    gamma = config.gamma
-
-    # abandonment pmf rows: row q holds Binomial(q, gamma) over 0..q
-    aband = [binom.pmf(np.arange(q + 1), q, gamma) for q in range(cap + 1)]
-
-    arr_pmf = config.arrivals.pmf()
-    if n == 1:
-        svc_pmf, svc_lo = _signed_pmf(config.services[0], negate=True)
-        kernel = np.convolve(arr_pmf, svc_pmf)  # a - s
-        kernel_lo = svc_lo
-        size = cap + 1
-        P = np.zeros((size, size))
-        E_u = np.zeros(size)
-        clamp = np.zeros(size)
-        for q in range(size):
-            row, overflow, unused = _next_pmf(q, aband[q], kernel, kernel_lo, cap)
-            P[q] = row
-            E_u[q] = unused
-            clamp[q] = overflow
-        return TruncatedChain(
-            config=config, cap=cap, matrix=P, leakage=float(clamp.max()),
-            expected_unused=E_u, row_clamp=clamp,
-        )
-
-    # n == 2: per queue, kernels with and without the arrival batch
-    kernels = []
-    for svc in config.services:
-        svc_pmf, svc_lo = _signed_pmf(svc, negate=True)
-        with_arr = np.convolve(arr_pmf, svc_pmf)
-        kernels.append({"hit": (with_arr, svc_lo), "miss": (svc_pmf, svc_lo)})
-
     side = cap + 1
-    size = side * side
-    P = np.zeros((size, size))
-    E_u = np.zeros(size)
-    clamp = np.zeros(size)
-    # cache marginal next-state pmfs per (queue, q, hit/miss)
-    cache: dict[tuple[int, int, str], tuple[np.ndarray, float, float]] = {}
+    if side**2 > MAX_KERNEL_NONZEROS:
+        raise StateBudgetError(
+            f"cap {cap} gives {side}^2 = {side**2} table cells, "
+            f"over the budget of {MAX_KERNEL_NONZEROS} kernel nonzeros"
+        )
 
-    def marginal(i: int, q: int, key: str):
-        ck = (i, q, key)
-        if ck not in cache:
-            kern, lo = kernels[i][key]
-            cache[ck] = _next_pmf(q, aband[q], kern, lo, cap)
-        return cache[ck]
+    # Binomial(q, gamma) pmfs by the recurrence Bin(q) = Bin(q - 1) * Bernoulli:
+    # one short convolution per q instead of a scipy.stats call
+    abandon = [np.ones(1)]
+    for _ in range(cap):
+        abandon.append(np.convolve(abandon[-1], [1.0 - config.gamma, config.gamma]))
+    arr_pmf = config.arrivals.pmf()
+    tables = {}  # queues with the same service law share their tables
+    for svc in set(config.services):
+        svc_pmf, svc_lo = svc.pmf()[::-1], -svc.bound  # law of -s
+        tables[svc] = (
+            _queue_table(abandon, np.convolve(arr_pmf, svc_pmf), svc_lo, cap),
+            _queue_table(abandon, svc_pmf, svc_lo, cap),
+        )
+    hit, miss = zip(*(tables[svc] for svc in config.services))
+    nonzeros = _kernel_nonzeros([t for t, _ in hit], [t for t, _ in miss])
+    if nonzeros > MAX_KERNEL_NONZEROS:
+        raise StateBudgetError(
+            f"cap {cap} gives {side**n} states and a kernel of {nonzeros} nonzeros, "
+            f"over the budget of {MAX_KERNEL_NONZEROS}"
+        )
 
-    for q1 in range(side):
-        for q2 in range(side):
-            state = q1 * side + q2
-            if q1 < q2:
-                weights = ((1.0, 0), )
-            elif q2 < q1:
-                weights = ((1.0, 1), )
-            else:
-                weights = ((0.5, 0), (0.5, 1))
-            row = np.zeros((side, side))
-            overflow = 0.0
-            unused = 0.0
-            for w, dest in weights:
-                k1 = "hit" if dest == 0 else "miss"
-                k2 = "hit" if dest == 1 else "miss"
-                p1, o1, u1 = marginal(0, q1, k1)
-                p2, o2, u2 = marginal(1, q2, k2)
-                row += w * np.outer(p1, p2)
-                overflow += w * (o1 + o2)
-                unused += w * (u1 + u2)
-            P[state] = row.reshape(-1)
-            E_u[state] = unused
-            clamp[state] = overflow
+    states = _states(side, n)
+    # dispatch weights: the shortest queue gets the batch, ties split evenly
+    shortest = states == states.min(axis=1, keepdims=True)
+    weights = shortest / shortest.sum(axis=1, keepdims=True)
+    matrix = sum(
+        sp.diags_array(weights[:, i])
+        @ reduce(sp.kron, [(hit if j == i else miss)[j][0] for j in range(n)])
+        for i in range(n)
+    )
+    # the same dispatch mixture of the per-queue clamped mass and unused service
+    clamp, unused = sum(
+        w * h[:, q] + (1.0 - w) * m[:, q]
+        for w, (_, h), (_, m), q in zip(weights.T, hit, miss, states.T)
+    )
     return TruncatedChain(
-        config=config, cap=cap, matrix=P, leakage=float(clamp.max()),
-        expected_unused=E_u, row_clamp=clamp,
+        config=config, cap=cap, matrix=matrix,
+        expected_unused=unused, row_clamp=clamp,
     )
 
 
@@ -220,37 +225,28 @@ def auto_chain(
         cap *= 2
 
 
-def stationary(
-    chain: TruncatedChain,
-    method: str = "auto",
-    tol: float = 1e-12,
-    max_sweeps: int = 2_000_000,
-) -> np.ndarray:
-    """Stationary probability vector of the truncated kernel.
+def stationary(chain: TruncatedChain) -> np.ndarray:
+    """Stationary probability vector of the truncated kernel: one sparse
+    solve of (P^T - I) pi = 0 with its last equation replaced by sum(pi) = 1.
 
-    Solves the linear fixed point densely for small chains and falls back to
-    power iteration (total-variation tolerance per sweep) for large ones.
+    Raises numpy.linalg.LinAlgError if the kernel has no unique stationary
+    law (the system is singular).
     """
-    P = chain.matrix
-    size = P.shape[0]
-    if method == "auto":
-        method = "dense" if size <= DENSE_SOLVE_STATES else "power"
-    if method == "dense":
-        A = P.T - np.eye(size)
-        A[-1, :] = 1.0
-        b = np.zeros(size)
-        b[-1] = 1.0
-        pi = np.linalg.solve(A, b)
-        pi = np.maximum(pi, 0.0)
-        return pi / pi.sum()
-    pi = np.full(size, 1.0 / size)
-    for _ in range(max_sweeps):
-        nxt = pi @ P
-        delta = np.abs(nxt - pi).sum()
-        pi = nxt
-        if delta < tol:
-            return pi / pi.sum()
-    raise NonConvergenceError(f"power iteration did not reach tol={tol} in {max_sweeps} sweeps")
+    size = chain.num_states
+    A = sp.vstack([(chain.matrix.T - sp.eye_array(size))[:-1], np.ones((1, size))], format="csr")
+    b = np.zeros(size)
+    b[-1] = 1.0
+    with warnings.catch_warnings():
+        # a singular system only warns and returns NaN; the check below raises
+        warnings.simplefilter("ignore", MatrixRankWarning)
+        # SuperLU factors the transpose of a CSR system. In the natural state
+        # order that took a half to a fifth of the time of COLAMD on two-queue
+        # kernels of 0.2-4 M nonzeros.
+        pi = spsolve(A, b, permc_spec="NATURAL")
+    if not np.isfinite(pi).all():
+        raise np.linalg.LinAlgError("the truncated kernel has no unique stationary law")
+    pi = np.maximum(pi, 0.0)
+    return pi / pi.sum()
 
 
 def oracle_moments(chain: TruncatedChain, pi: np.ndarray, order: int = 1) -> dict:

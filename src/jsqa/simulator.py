@@ -91,17 +91,16 @@ def plan_from_dict(obj: dict) -> SamplingPlan:
 class SampleSet:
     """Column store of retained steady-state samples.
 
-    `q` is (N, n); `u_total` and `d_total` are the unused-service and
-    abandonment totals of the slot that produced each state. `batch` assigns
-    each sample to a contiguous within-replica batch; batch spans are sized
-    against the chain's relaxation time so batch means give honest standard
-    errors. `counts` is the per-batch count table of the distinct rows of
-    `q`, built on first use; `q` and `batch` must not change after that.
+    `q` is (N, n); `u_total` is the unused-service total of the slot that
+    produced each state. `batch` assigns each sample to a contiguous
+    within-replica batch; batch spans are sized against the chain's
+    relaxation time so batch means give honest standard errors. `counts` is
+    the per-batch count table of the distinct rows of `q`, built on first
+    use; `q` and `batch` must not change after that.
     """
 
     q: np.ndarray
     u_total: np.ndarray
-    d_total: np.ndarray
     batch: np.ndarray
     config: SystemConfig
     plan: SamplingPlan
@@ -226,7 +225,7 @@ def step_many(q: np.ndarray, config: SystemConfig, gen: np.random.Generator, hoo
 
 def _run_group(config, counts, warmup, thinning, stream, hook=None):
     """Simulate one vectorized group of replicas; returns their retained
-    samples (q, u_total, d_total) stacked in replica order."""
+    samples (q, u_total) stacked in replica order."""
     gen = stream.generator()
     r = len(counts)
     offsets = np.arange(r) * config.n
@@ -235,13 +234,12 @@ def _run_group(config, counts, warmup, thinning, stream, hook=None):
     max_count = int(counts.max())
     out_q = np.empty((max_count, r, config.n), dtype=np.int64)
     out_u = np.empty((max_count, r), dtype=np.int64)
-    out_d = np.empty((max_count, r), dtype=np.int64)
 
     total = warmup + max_count * thinning
     for b0 in range(0, total, BLOCK):
         a, s, noise = _draw_block(config, gen, min(BLOCK, total - b0), r)
         for j in range(a.shape[0]):
-            q, pre, _, d = _slot(q, a[j], s[j], noise[j], offsets, config.gamma, gen, hook)
+            q, pre, _, _ = _slot(q, a[j], s[j], noise[j], offsets, config.gamma, gen, hook)
             # b0 + j + 1 slots have run; sample k (from 1) is retained once
             # that reaches warmup + k * thinning
             k, rem = divmod(b0 + j + 1 - warmup, thinning)
@@ -250,10 +248,9 @@ def _run_group(config, counts, warmup, thinning, stream, hook=None):
                 # row sums as products with ones: cheaper than sum(axis=1)
                 # on rows this narrow
                 out_u[k - 1] = (q - pre) @ ones
-                out_d[k - 1] = d @ ones
 
     keep = np.arange(max_count)[None, :] < counts[:, None]
-    return out_q.transpose(1, 0, 2)[keep], out_u.T[keep], out_d.T[keep]
+    return out_q.transpose(1, 0, 2)[keep], out_u.T[keep]
 
 
 def collect_steady_state(
@@ -278,9 +275,9 @@ def collect_steady_state(
     """
     require_valid(config)
     plan.check()
-    if plan.num_samples * (config.n + 2) > max_cells:
+    if plan.num_samples * (config.n + 1) > max_cells:
         raise ResourceLimitError(
-            f"plan retains {plan.num_samples} samples x {config.n + 2} cells, "
+            f"plan retains {plan.num_samples} samples x {config.n + 1} cells, "
             f"exceeding the cap of {max_cells} cells"
         )
 
@@ -298,9 +295,8 @@ def collect_steady_state(
     ]
     q = np.concatenate([r[0] for r in results])
     u = np.concatenate([r[1] for r in results])
-    d = np.concatenate([r[2] for r in results])
     batch = _batches_for(counts, plan.thinning, relaxation_slots(config))
-    return SampleSet(q=q, u_total=u, d_total=d, batch=batch, config=config, plan=plan, seed=seed)
+    return SampleSet(q=q, u_total=u, batch=batch, config=config, plan=plan, seed=seed)
 
 
 @dataclass(frozen=True)

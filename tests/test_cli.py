@@ -95,7 +95,8 @@ class TestRun:
     def test_single_batch_max_moment_z_is_nan(self, tmp_path):
         # one replica of 500 samples spans less than ten relaxation times
         # (1000 slots at gamma = 1e-2), so it forms one batch and every
-        # moment stderr is NaN: the summary must not report a perfect fit
+        # moment and residual stderr is NaN: the summary must not report a
+        # perfect fit
         manifest = dict(
             TINY_MANIFEST,
             regime=dict(TINY_MANIFEST["regime"], kind="critical", constant=0.0, alpha=0.5),
@@ -108,6 +109,9 @@ class TestRun:
         assert moments and all(np.isnan(r["stderr"]) for r in moments)
         sidecar = json.loads((out / "run.json").read_text())
         assert np.isnan(sidecar["summary"]["max_moment_z"])
+        usable = [r for r in read_rows(out) if r["statistic"] == "residual_usable"]
+        assert usable and all(r["value"] == 0.0 for r in usable)
+        assert np.isnan(sidecar["summary"]["max_residual_z"])
 
     def test_golden_file(self, tmp_path):
         # regenerate with: python -m tests.make_golden (after intentional changes)

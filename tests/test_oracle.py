@@ -1,9 +1,17 @@
+import itertools
+import re
+from functools import reduce
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.stats import binom
 
+from jsqa import oracle
 from jsqa.errors import StateBudgetError
-from jsqa.model import BernoulliScaled, Constant, SystemConfig
+from jsqa.model import BernoulliScaled, Binomial, Constant, SystemConfig
 from jsqa.oracle import (
+    _next_pmf,
     auto_chain,
     build_chain,
     oracle_mgf,
@@ -15,6 +23,16 @@ from jsqa.oracle import (
 SSQ = SystemConfig(
     n=1, gamma=0.1, arrivals=BernoulliScaled(1, 0.3), services=(BernoulliScaled(1, 0.4),)
 )
+# the two-queue config of acceptance criterion 2
+JSQ2 = SystemConfig(
+    n=2,
+    gamma=0.1,
+    arrivals=BernoulliScaled(2, 0.2),
+    services=(BernoulliScaled(1, 0.25), BernoulliScaled(1, 0.25)),
+)
+UNEQUAL = SystemConfig(
+    n=2, gamma=0.3, arrivals=Binomial(3, 0.4), services=(BernoulliScaled(1, 0.5), Binomial(2, 0.3))
+)
 
 # frozen exact values for SSQ at cap=200 (produced by this module at build
 # time; the simulator must reproduce them statistically)
@@ -23,11 +41,40 @@ SSQ_EXACT_SECOND = 1.240312058990
 SSQ_EXACT_UNUSED = 0.165442478314
 
 
+def reference_chain(config, cap):
+    """Dense kernel, row clamp and expected unused service built state by
+    state: each row is the dispatch mixture of outer products of the
+    per-queue next-state laws, with no entry dropped."""
+    side = cap + 1
+    abandon = [binom.pmf(np.arange(q + 1), q, config.gamma) for q in range(side)]
+    arrivals = config.arrivals.pmf()
+
+    def marginal(i, q, hit):
+        svc = config.services[i]
+        minus_s = svc.pmf()[::-1]
+        kernel = np.convolve(arrivals, minus_s) if hit else minus_s
+        return _next_pmf(q, abandon[q], kernel, -svc.bound, cap)
+
+    states = list(itertools.product(range(side), repeat=config.n))
+    P = np.zeros((len(states), len(states)))
+    clamp = np.zeros(len(states))
+    unused = np.zeros(len(states))
+    for s, qs in enumerate(states):
+        shortest = [i for i, q in enumerate(qs) if q == min(qs)]
+        for dest in shortest:
+            w = 1.0 / len(shortest)
+            parts = [marginal(i, q, i == dest) for i, q in enumerate(qs)]
+            P[s] += w * reduce(np.multiply.outer, [p[0] for p in parts]).ravel()
+            clamp[s] += w * sum(p[1] for p in parts)
+            unused[s] += w * sum(p[2] for p in parts)
+    return P, clamp, unused
+
+
 class TestBuildChain:
     def test_total_abandonment_resets_to_empty(self):
         config = SystemConfig(n=1, gamma=1.0, arrivals=Constant(0), services=(Constant(1),))
         chain = build_chain(config, 10)
-        assert np.allclose(chain.matrix[:, 0], 1.0)
+        assert np.allclose(chain.matrix.toarray()[:, 0], 1.0)
 
     def test_birth_chain_rows_by_inspection(self):
         # no services, no abandonment: q -> q+1 w.p. p else stay
@@ -35,10 +82,10 @@ class TestBuildChain:
         config = SystemConfig(
             n=1, gamma=0.0, arrivals=BernoulliScaled(1, p), services=(Constant(0),)
         )
-        chain = build_chain(config, 6)
+        P = build_chain(config, 6).matrix.toarray()
         for q in range(6):
-            assert chain.matrix[q, q] == pytest.approx(1 - p)
-            assert chain.matrix[q, q + 1] == pytest.approx(p)
+            assert P[q, q] == pytest.approx(1 - p)
+            assert P[q, q + 1] == pytest.approx(p)
 
     def test_row_sums_and_leakage(self):
         chain = build_chain(SSQ, 100)
@@ -53,35 +100,63 @@ class TestBuildChain:
         with pytest.raises(StateBudgetError):
             build_chain(config3, 10)
 
-    def test_kernel_byte_budget(self):
-        # 301^2 = 90,601 states pass a state-count guard of 1e6, but their
-        # dense kernel would take 65.7 GB
-        config = SystemConfig(
-            n=2,
-            gamma=0.1,
-            arrivals=BernoulliScaled(2, 0.2),
-            services=(BernoulliScaled(1, 0.25), BernoulliScaled(1, 0.25)),
-        )
-        with pytest.raises(StateBudgetError, match=f"{8 * 301**4} bytes"):
-            build_chain(config, 300)
+    def test_kernel_nonzero_budget(self):
+        # 301^2 = 90,601 states pass the table-size check, but their kernel
+        # has far more nonzeros than the budget
+        with pytest.raises(StateBudgetError) as info:
+            build_chain(JSQ2, 300)
+        match = re.search(r"cap 300 gives 90601 states and a kernel of (\d+) nonzeros", str(info.value))
+        assert match is not None
+        assert int(match.group(1)) > oracle.MAX_KERNEL_NONZEROS
+
+    @pytest.mark.parametrize("config", [JSQ2, UNEQUAL], ids=["equal", "unequal"])
+    def test_nonzero_count_is_exact(self, config, monkeypatch):
+        # the count checked before the build is the built kernel's nnz
+        nnz = build_chain(config, 20).matrix.nnz
+        monkeypatch.setattr(oracle, "MAX_KERNEL_NONZEROS", nnz)
+        assert build_chain(config, 20).matrix.nnz == nnz
+        monkeypatch.setattr(oracle, "MAX_KERNEL_NONZEROS", nnz - 1)
+        with pytest.raises(StateBudgetError, match=f"a kernel of {nnz} nonzeros"):
+            build_chain(config, 20)
 
     def test_two_queue_kernel_rows_stochastic(self):
-        config = SystemConfig(
-            n=2,
-            gamma=0.1,
-            arrivals=BernoulliScaled(2, 0.2),
-            services=(BernoulliScaled(1, 0.25), BernoulliScaled(1, 0.25)),
-        )
-        chain = build_chain(config, 20)
+        chain = build_chain(JSQ2, 20)
         assert np.abs(chain.matrix.sum(axis=1) - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "config, cap", [(SSQ, 50), (JSQ2, 20), (UNEQUAL, 12)], ids=["n1", "n2", "n2-unequal"]
+    )
+    def test_matches_per_state_reference(self, config, cap):
+        chain = build_chain(config, cap)
+        P, clamp, unused = reference_chain(config, cap)
+        assert isinstance(chain.matrix, sp.csr_array)
+        assert np.abs(chain.matrix.toarray() - P).max() < 1e-12
+        assert np.abs(chain.row_clamp - clamp).max() < 1e-12
+        assert np.abs(chain.expected_unused - unused).max() < 1e-12
 
 
 class TestStationary:
     def test_two_state_doubly_stochastic(self):
         chain = build_chain(SSQ, 30)
-        chain.matrix = np.array([[0.5, 0.5], [0.5, 0.5]])
+        chain.matrix = sp.csr_array(np.array([[0.5, 0.5], [0.5, 0.5]]))
         pi = stationary(chain)
         assert np.allclose(pi, [0.5, 0.5])
+
+    def test_reducible_kernel_raises(self):
+        # two closed classes: no unique stationary law, and the sparse solve
+        # only warns and returns NaN
+        chain = build_chain(SSQ, 30)
+        chain.matrix = sp.csr_array(np.eye(2))
+        with pytest.raises(np.linalg.LinAlgError):
+            stationary(chain)
+
+    def test_matches_dense_solve(self):
+        chain = build_chain(JSQ2, 30)
+        A = chain.matrix.toarray().T - np.eye(chain.num_states)
+        A[-1, :] = 1.0
+        b = np.zeros(chain.num_states)
+        b[-1] = 1.0
+        assert np.abs(stationary(chain) - np.linalg.solve(A, b)).sum() < 1e-12
 
     def test_birth_death_geometric_closed_form(self):
         # births w.p. p(1-r), deaths w.p. r(1-p): geometric stationary law
@@ -101,18 +176,6 @@ class TestStationary:
         pi = stationary(chain)
         assert np.abs(pi @ chain.matrix - pi).sum() < 1e-10
 
-    def test_power_iteration_agrees_with_dense(self):
-        chain = build_chain(SSQ, 60)
-        dense = stationary(chain, method="dense")
-        power = stationary(chain, method="power", tol=1e-13)
-        assert np.abs(dense - power).max() < 1e-9
-
-    def test_power_iteration_budget(self):
-        from jsqa.errors import NonConvergenceError
-
-        chain = build_chain(SSQ, 60)
-        with pytest.raises(NonConvergenceError):
-            stationary(chain, method="power", tol=1e-13, max_sweeps=2)
 
 
 class TestMoments:

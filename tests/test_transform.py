@@ -29,7 +29,7 @@ from jsqa.transform import (
 PLAN = SamplingPlan(warmup_slots=10, num_samples=10, thinning=1, replicas=1)
 
 
-def make_samples(q, u=None, d=None, gamma=0.1, batches=4, config=None):
+def make_samples(q, u=None, gamma=0.1, batches=4, config=None):
     q = np.atleast_2d(np.asarray(q, dtype=np.int64).T).T if np.ndim(q) == 1 else np.asarray(q, dtype=np.int64)
     n = q.shape[1]
     if config is None:
@@ -38,9 +38,8 @@ def make_samples(q, u=None, d=None, gamma=0.1, batches=4, config=None):
         )
     size = q.shape[0]
     u = np.zeros(size, dtype=np.int64) if u is None else np.asarray(u, dtype=np.int64)
-    d = np.zeros(size, dtype=np.int64) if d is None else np.asarray(d, dtype=np.int64)
     batch = (np.arange(size) * batches // size).astype(np.int64)
-    return SampleSet(q=q, u_total=u, d_total=d, batch=batch, config=config, plan=PLAN, seed=0)
+    return SampleSet(q=q, u_total=u, batch=batch, config=config, plan=PLAN, seed=0)
 
 
 class TestEmpiricalMgf:
