@@ -31,13 +31,11 @@ from .oracle import (
 )
 from .regimes import (
     RegimeSpec,
-    ScaledSampleSet,
     build_config,
     limit_sigma2,
     regime_from_dict,
     regime_from_json,
     scale,
-    unscale,
 )
 from .simulator import (
     DominationReport,

@@ -63,8 +63,10 @@ class ExperimentManifest:
         self.plan.check()
         for g in self.gammas:
             regimes.build_config(self.regime, g)
-        if not self.moment_orders or max(self.moment_orders) > 4:
-            raise ConfigError("moment_orders must be nonempty with orders <= 4")
+        if not self.moment_orders or any(not 1 <= m <= 4 for m in self.moment_orders):
+            raise ConfigError("moment_orders must be nonempty with every order in 1..4")
+        if not self.phi_grid or any(not -2.0 <= p <= 2.0 for p in self.phi_grid):
+            raise ConfigError("phi_grid must be nonempty with every point finite and in [-2, 2]")
 
 
 def manifest_from_dict(obj: dict) -> ExperimentManifest:
@@ -137,8 +139,8 @@ def _gamma_point(manifest: ExperimentManifest, gi: int, gamma: float, writer):
     out["total_mean"] = total_mean
 
     # pooled over all samples, not batch means
-    weights = scaled.counts.pooled / len(scaled)
-    xt = scaled.counts.rows.sum(axis=1)
+    weights = scaled.pooled / len(samples)
+    xt = scaled.rows.sum(axis=1)
     centered = xt - weights @ xt
     var = float(weights @ centered**2)
     skew = float(weights @ centered**3 / var**1.5) if var > 0 else 0.0
@@ -154,7 +156,7 @@ def _gamma_point(manifest: ExperimentManifest, gi: int, gamma: float, writer):
         writer.row(gamma, kind, "moment_limit", key, r.limit)
     out["max_moment_z"] = _max_abs([r.zscore for r in rows])
 
-    ks = transform.ks_statistic(scaled.counts.rows[:, 0], per_coord, scaled.counts.pooled)
+    ks = transform.ks_statistic(scaled.rows[:, 0], per_coord, scaled.pooled)
     writer.row(gamma, kind, "ks", "coordinate0", ks)
     out["ks"] = ks
 

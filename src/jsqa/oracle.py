@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
-from .errors import StateBudgetError
+from .errors import ConfigError, StateBudgetError
 from .model import SystemConfig
 
 __all__ = [
@@ -144,6 +144,8 @@ def build_chain(config: SystemConfig, cap: int) -> TruncatedChain:
     Refuses, before anything of that size is allocated, a cap whose per-queue
     tables or kernel would exceed MAX_KERNEL_NONZEROS entries.
     """
+    if cap < 0:
+        raise ConfigError(f"cap must be nonnegative, got {cap}")
     n = config.n
     if n > 2:
         raise StateBudgetError("exact chains are built for n <= 2 only")

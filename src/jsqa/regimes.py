@@ -1,5 +1,5 @@
 """One-parameter config families indexed by the abandonment probability, and
-the matching scaling/centering transforms for steady-state samples.
+the matching scaling/centering transform for steady-state samples.
 
 Each family holds the service laws fixed and moves only the arrival mean, so
 the per-slot drift hits the target of its regime exactly:
@@ -10,6 +10,10 @@ the per-slot drift hits the target of its regime exactly:
 
 Arrivals are Binomial(bound, lam/bound) with lam = drift + total service mean,
 which keeps the arrival variance available in closed form along the sweep.
+
+`scale` maps the samples' per-batch count table (`jsqa.counts`), not the
+samples themselves: every scaled statistic is a function of the queue state,
+so the scaled rows share the raw table and batch sizes.
 """
 
 from __future__ import annotations
@@ -18,20 +22,16 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .counts import StateCounts, count_rows
+from .counts import StateCounts
 from .errors import ConfigError
 from .model import Binomial, BoundedDistribution, SystemConfig, distribution_from_dict
 from .simulator import SampleSet
 
 __all__ = [
     "RegimeSpec",
-    "ScaledSampleSet",
     "regime_drift",
     "build_config",
     "scale",
-    "unscale",
     "limit_sigma2",
     "regime_from_dict",
     "regime_from_json",
@@ -138,57 +138,13 @@ def center_per_queue(spec: RegimeSpec, gamma: float) -> float:
     return regime_drift(spec, gamma) / (spec.n * gamma)
 
 
-@dataclass
-class ScaledSampleSet:
-    """Scaled/centered coordinates of a sample set.
-
-    `x` is (N, n); `x_total` the scaled total. Classic and critical
-    coordinates are nonnegative; overloaded ones are centered and may be
-    negative. Batch labels are carried over from the raw samples. `counts`
-    is the per-batch count table of the distinct rows of `x`; `scale` maps it
-    over from the raw samples, otherwise it is counted from `x`.
-    """
-
-    x: np.ndarray
-    x_total: np.ndarray
-    batch: np.ndarray
-    kind: str
-    gamma: float
-    counts: StateCounts | None = None
-
-    def __post_init__(self):
-        if self.counts is None:
-            self.counts = count_rows(self.x, self.batch)
-
-    def __len__(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[1]
-
-
-def scale(samples: SampleSet, spec: RegimeSpec, gamma: float) -> ScaledSampleSet:
-    """Apply the regime's scaling (and centering) to raw samples."""
+def scale(samples: SampleSet, spec: RegimeSpec, gamma: float) -> StateCounts:
+    """The regime's scaling (and centering) applied to the count table of the
+    raw samples: the same table and batch sizes, with each distinct state
+    mapped to gamma^e * (q - center)."""
     factor = gamma ** scaling_exponent(spec)
-    center = center_per_queue(spec, gamma)
-    x = factor * (samples.q - center)
     counts = samples.counts
-    return ScaledSampleSet(
-        x=x,
-        x_total=x.sum(axis=1),
-        batch=samples.batch,
-        kind=spec.kind,
-        gamma=gamma,
-        counts=replace(counts, rows=factor * (counts.rows - center)),
-    )
-
-
-def unscale(scaled: ScaledSampleSet, spec: RegimeSpec, gamma: float) -> np.ndarray:
-    """Invert `scale`, recovering the integer queue matrix."""
-    factor = gamma ** scaling_exponent(spec)
-    q = scaled.x / factor + center_per_queue(spec, gamma)
-    return np.rint(q).astype(np.int64)
+    return replace(counts, rows=factor * (counts.rows - center_per_queue(spec, gamma)))
 
 
 def limit_sigma2(spec: RegimeSpec) -> tuple[float, float]:

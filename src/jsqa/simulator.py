@@ -117,13 +117,6 @@ class SampleSet:
     def gamma(self) -> float:
         return self.config.gamma
 
-    @property
-    def num_batches(self) -> int:
-        return int(self.batch.max()) + 1 if len(self) else 0
-
-    def totals(self) -> np.ndarray:
-        return self.q.sum(axis=1)
-
     @cached_property
     def counts(self) -> StateCounts:
         return count_rows(self.q, self.batch)

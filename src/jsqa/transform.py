@@ -23,7 +23,7 @@ from .counts import StateCounts, batch_stderr, count_rows
 from .errors import RegimeMismatchError
 from .limits import LimitDistribution
 from .model import SystemConfig
-from .regimes import RegimeSpec, ScaledSampleSet, scaling_exponent
+from .regimes import RegimeSpec, scaling_exponent
 from .simulator import SampleSet
 
 __all__ = [
@@ -40,8 +40,6 @@ __all__ = [
     "critical_ode_residual",
     "overloaded_ode_residual",
     "drift_relation_values",
-    "critical_residual_values",
-    "overloaded_residual_values",
     "ks_statistic",
     "ks_two_sample",
     "moment_report",
@@ -54,7 +52,7 @@ MAX_RELATIVE_STDERR = 0.10
 # bound on the exp() cells evaluated at once over (distinct rows x grid points)
 MGF_CHUNK_CELLS = 1 << 21
 
-STATISTICS = ("per-queue", "total", "centered-total")
+STATISTICS = ("total", "centered-total")
 
 
 def _sample_batch_means(values, batch) -> np.ndarray:
@@ -98,9 +96,8 @@ def _mgf(
     statistic: str,
     batch_u_mean: np.ndarray | None,
 ) -> MgfEstimate:
-    """MGF estimate from a count table; `x` (U, m) holds the statistic at each
-    distinct row, and a row contributes the mean of exp over its m entries
-    (the pooled coordinates of the per-queue statistic)."""
+    """MGF estimate from a count table; `x` (U,) holds the statistic at each
+    distinct row."""
     phi_grid = np.asarray(phi_grid, dtype=float)
     if phi_grid.size == 0:
         raise ValueError("phi grid must be nonempty")
@@ -120,9 +117,9 @@ def _mgf(
     step = max(1, MGF_CHUNK_CELLS // scaled.size)
     for j in range(0, finite.size, step):
         cols = finite[j : j + step]
-        e = np.exp(scaled[:, :, None] * phi_grid[cols])
-        batch_values[:, cols] = counts.batch_means(e.mean(axis=1))
-        batch_derivs[:, cols] = counts.batch_means((scaled[:, :, None] * e).mean(axis=1))
+        e = np.exp(scaled[:, None] * phi_grid[cols])
+        batch_values[:, cols] = counts.batch_means(e)
+        batch_derivs[:, cols] = counts.batch_means(scaled[:, None] * e)
 
     values = batch_values.mean(axis=0)
     derivatives = batch_derivs.mean(axis=0)
@@ -168,7 +165,7 @@ def mgf_from_values(
     """
     counts = count_rows(np.asarray(x, dtype=float), batch)
     u_mean = None if u_total is None else _sample_batch_means(u_total, batch)
-    return _mgf(counts, counts.rows, gamma, phi_grid, exponent, statistic, u_mean)
+    return _mgf(counts, counts.rows[:, 0], gamma, phi_grid, exponent, statistic, u_mean)
 
 
 def empirical_mgf(
@@ -180,22 +177,15 @@ def empirical_mgf(
 ) -> MgfEstimate:
     """Empirical MGF of a queue statistic from steady-state samples.
 
-    `statistic` picks the underlying variable: each coordinate pooled
-    ("per-queue"), the total queue length ("total"), or the total centered at
-    drift/gamma ("centered-total").
+    `statistic` picks the underlying variable: the total queue length
+    ("total") or the total centered at drift/gamma ("centered-total").
     """
     if statistic not in STATISTICS:
         raise ValueError(f"statistic must be one of {STATISTICS}")
     counts = samples.counts
-    if statistic == "per-queue":
-        x = counts.rows.astype(float)
-    elif statistic == "total":
-        x = counts.rows.sum(axis=1, keepdims=True).astype(float)
-    else:
-        x = counts.rows.sum(axis=1, keepdims=True) - samples.config.drift / gamma
-    u_mean = None
-    if statistic != "per-queue":
-        u_mean = _sample_batch_means(samples.u_total, samples.batch)
+    total = counts.rows.sum(axis=1)
+    x = total.astype(float) if statistic == "total" else total - samples.config.drift / gamma
+    u_mean = _sample_batch_means(samples.u_total, samples.batch)
     return _mgf(counts, x, gamma, phi_grid, exponent, statistic, u_mean)
 
 
@@ -285,24 +275,6 @@ def drift_relation_values(
     )
 
 
-def critical_residual_values(
-    m_values, m_derivs, phi_grid, drift_scaled: float, c2: float, u_scaled
-) -> np.ndarray:
-    """Left side of the critical MGF differential relation:
-    -M(phi) * (phi * c2 / 2 + drift_scaled) + M'(phi) - u_scaled, which is
-    drift_relation_values at e = 1/2 with the sign flipped."""
-    return -drift_relation_values(m_values, m_derivs, phi_grid, drift_scaled, c2, u_scaled, 1.0)
-
-
-def overloaded_residual_values(m_values, m_derivs, phi_grid, bar_c2: float) -> np.ndarray:
-    """Left side of the overloaded MGF differential relation:
-    (phi * bar_c2 / 2) * M(phi) - M'(phi)."""
-    phi = np.asarray(phi_grid, dtype=float)
-    return 0.5 * phi * bar_c2 * np.asarray(m_values, dtype=float) - np.asarray(
-        m_derivs, dtype=float
-    )
-
-
 def _points(phi_grid, batch_rows: np.ndarray, usable) -> list[ResidualPoint]:
     res = batch_rows.mean(axis=0)
     se = batch_stderr(batch_rows)
@@ -345,7 +317,9 @@ def critical_ode_residual(mgf: MgfEstimate, config: SystemConfig) -> list[Residu
     """Residuals of the critical-regime MGF differential relation.
 
     Needs the total-queue MGF at exponent 1/2 together with analytic
-    derivatives and per-batch unused-service means.
+    derivatives and per-batch unused-service means. The relation is
+    -M(phi) * (phi * c2 / 2 + drift_scaled) + M'(phi) - u_scaled, the drift
+    relation at e = 1/2 with its sign flipped.
     """
     if mgf.exponent != 0.5 or mgf.statistic != "total":
         raise RegimeMismatchError("critical residual needs the sqrt-scaled total-queue MGF")
@@ -355,20 +329,23 @@ def critical_ode_residual(mgf: MgfEstimate, config: SystemConfig) -> list[Residu
     drift_scaled = config.drift / math.sqrt(gamma)
     c2 = config.variance + config.drift**2
     u_scaled = mgf.batch_u_mean[:, None] / math.sqrt(gamma)
-    rows = critical_residual_values(
-        mgf.batch_values, mgf.batch_derivs, mgf.phi_grid, drift_scaled, c2, u_scaled
+    rows = -drift_relation_values(
+        mgf.batch_values, mgf.batch_derivs, mgf.phi_grid, drift_scaled, c2, u_scaled, 1.0
     )
     return _points(mgf.phi_grid, rows, mgf.usable)
 
 
 def overloaded_ode_residual(mgf: MgfEstimate, config: SystemConfig) -> list[ResidualPoint]:
-    """Residuals of the overloaded-regime MGF differential relation, on the
-    centered-total statistic."""
+    """Residuals of the overloaded-regime MGF differential relation
+    (phi * bar_c2 / 2) * M(phi) - M'(phi), on the centered-total statistic:
+    the drift relation at e = 1/2 with no drift and no unused service."""
     if mgf.exponent != 0.5 or mgf.statistic != "centered-total":
         raise RegimeMismatchError("overloaded residual needs the centered-total MGF")
     gamma = mgf.gamma
     bar_c2 = config.variance + config.drift * (1.0 - gamma)
-    rows = overloaded_residual_values(mgf.batch_values, mgf.batch_derivs, mgf.phi_grid, bar_c2)
+    rows = drift_relation_values(
+        mgf.batch_values, mgf.batch_derivs, mgf.phi_grid, 0.0, bar_c2, 0.0, 1.0
+    )
     return _points(mgf.phi_grid, rows, mgf.usable)
 
 
@@ -420,10 +397,11 @@ class MomentRow:
 
 
 def moment_report(
-    scaled: ScaledSampleSet, dist: LimitDistribution, max_order: int = 2
+    scaled: StateCounts, dist: LimitDistribution, max_order: int = 2
 ) -> list[MomentRow]:
     """Compare pooled per-coordinate moments (and, for n >= 2, cross-coordinate
     product moments of the first two coordinates) against the limit law.
+    `scaled` is the count table of the scaled coordinates (`regimes.scale`).
 
     Cross moments test the rank-one structure of the limit: every product
     E[x_1^m1 * x_2^m2] must converge to the (m1+m2)-th moment of the scalar
@@ -431,20 +409,19 @@ def moment_report(
     """
     if not 1 <= max_order <= 4:
         raise ValueError("moment orders must lie in 1..4")
-    counts = scaled.counts
-    x = counts.rows
+    x = scaled.rows
     labels, targets, columns = [], [], []
     for m in range(1, max_order + 1):
         labels.append(f"coordinate m={m}")
         targets.append(dist.moment(m))
         columns.append((x**m).mean(axis=1))
-    if scaled.n >= 2:
+    if x.shape[1] >= 2:
         for m1 in range(1, max_order):
             for m2 in range(1, max_order - m1 + 1):
                 labels.append(f"cross m1={m1} m2={m2}")
                 targets.append(dist.moment(m1 + m2))
                 columns.append(x[:, 0] ** m1 * x[:, 1] ** m2)
-    bm = counts.batch_means(np.column_stack(columns))
+    bm = scaled.batch_means(np.column_stack(columns))
     return [
         MomentRow(label=label, empirical=float(emp), stderr=float(se), limit=target)
         for label, emp, se, target in zip(labels, bm.mean(axis=0), batch_stderr(bm), targets)

@@ -66,6 +66,24 @@ class TestRun:
         path = write_manifest(tmp_path, bad)
         assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("moment_orders", [0]),
+            ("moment_orders", [-3]),
+            ("phi_grid", []),
+            ("phi_grid", [3.0]),
+            ("phi_grid", [float("nan")]),
+            ("phi_grid", [float("inf")]),
+        ],
+        ids=["order-0", "order-neg", "phi-empty", "phi-3", "phi-nan", "phi-inf"],
+    )
+    def test_invalid_input_exits_2_before_simulating(self, tmp_path, key, value):
+        path = write_manifest(tmp_path, dict(TINY_MANIFEST, **{key: value}))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 2
+        assert not (out / "results.csv").exists()
+
     def test_rerun_is_byte_identical(self, tmp_path):
         path = write_manifest(tmp_path)
         assert cli.main(["run", str(path), "--out", str(tmp_path / "a")]) == 0
@@ -174,6 +192,11 @@ class TestOracleCheck:
         path = write_config(tmp_path, config)
         assert cli.main(["oracle-check", str(path), "--cap", "1500"]) == 2
         assert capsys.readouterr().err.startswith("error: cap 1500 gives")
+
+    def test_negative_cap_is_a_clean_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, SSQ)
+        assert cli.main(["oracle-check", str(path), "--cap", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: cap must be nonnegative")
 
     def test_sample_budget_is_a_clean_error(self, tmp_path, capsys):
         path = write_config(tmp_path, SSQ)

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from scipy.stats import binom
 
 from jsqa import oracle
-from jsqa.errors import StateBudgetError
+from jsqa.errors import ConfigError, StateBudgetError
 from jsqa.model import BernoulliScaled, Binomial, Constant, SystemConfig
 from jsqa.oracle import (
     _next_pmf,
@@ -99,6 +99,16 @@ class TestBuildChain:
         config3 = SystemConfig(n=3, gamma=0.5, arrivals=Constant(1), services=(Constant(1),) * 3)
         with pytest.raises(StateBudgetError):
             build_chain(config3, 10)
+
+    def test_negative_cap_rejected(self):
+        with pytest.raises(ConfigError, match="cap must be nonnegative"):
+            build_chain(SSQ, -1)
+
+    @pytest.mark.parametrize("config", [SSQ, JSQ2], ids=["n1", "n2"])
+    def test_cap_zero_is_one_state(self, config):
+        chain = build_chain(config, 0)
+        assert chain.matrix.toarray().tolist() == [[1.0]]
+        assert stationary(chain).tolist() == [1.0]
 
     def test_kernel_nonzero_budget(self):
         # 301^2 = 90,601 states pass the table-size check, but their kernel

@@ -8,11 +8,12 @@ from jsqa.model import Binomial, Constant
 from jsqa.regimes import (
     RegimeSpec,
     build_config,
+    center_per_queue,
     limit_sigma2,
     regime_drift,
     regime_from_json,
     scale,
-    unscale,
+    scaling_exponent,
 )
 from jsqa.simulator import SamplingPlan, collect_steady_state
 
@@ -86,20 +87,26 @@ def _samples_for(spec, gamma, num=2000, seed=1):
     return collect_steady_state(config, plan, seed=seed)
 
 
+def _scaled_row(scaled, samples, state):
+    """Scaled coordinates of the raw `state`, found through the shared table."""
+    (u,) = np.flatnonzero((samples.counts.rows == state).all(axis=1))
+    return scaled.rows[u]
+
+
 class TestScale:
     def test_classic_scaling_factor(self):
         samples = _samples_for(classic_spec(), 1e-4)
         samples.q[:2] = np.array([[100, 100], [0, 40]])
         scaled = scale(samples, classic_spec(), 1e-4)
-        assert np.allclose(scaled.x[0], [10.0, 10.0])
-        assert scaled.x_total[1] == pytest.approx(4.0)
+        assert _scaled_row(scaled, samples, [100, 100]) == pytest.approx([10.0, 10.0])
+        assert _scaled_row(scaled, samples, [0, 40]).sum() == pytest.approx(4.0)
 
     def test_critical_scaling_factor(self):
         spec = critical_spec()
         samples = _samples_for(spec, 0.01)
         samples.q[0] = [30, 0]
         scaled = scale(samples, spec, 0.01)
-        assert scaled.x[0, 0] == pytest.approx(3.0)
+        assert _scaled_row(scaled, samples, [30, 0])[0] == pytest.approx(3.0)
 
     def test_overloaded_centering(self):
         spec = overloaded_spec()
@@ -107,22 +114,28 @@ class TestScale:
         samples.q[0] = [12, 9]
         scaled = scale(samples, spec, 0.01)
         # center is drift/(n*gamma) = 10 per queue
-        assert scaled.x[0, 0] == pytest.approx(0.2)
-        assert scaled.x[0, 1] == pytest.approx(-0.1)
+        assert _scaled_row(scaled, samples, [12, 9]) == pytest.approx([0.2, -0.1])
 
     @pytest.mark.parametrize(
         "spec,gamma",
         [(classic_spec(), 1e-3), (critical_spec(), 1e-2), (overloaded_spec(), 1e-2)],
     )
     def test_scale_unscale_identity(self, spec, gamma):
+        # the scaled table is the raw one, and its rows map back to the raw
+        # states one to one
         samples = _samples_for(spec, gamma)
         scaled = scale(samples, spec, gamma)
-        assert np.array_equal(unscale(scaled, spec, gamma), samples.q)
+        raw = samples.counts
+        assert scaled.table is raw.table
+        assert scaled.sizes is raw.sizes
+        factor = gamma ** scaling_exponent(spec)
+        back = np.rint(scaled.rows / factor + center_per_queue(spec, gamma)).astype(np.int64)
+        assert np.array_equal(back, raw.rows)
 
     @pytest.mark.parametrize("spec,gamma", [(classic_spec(), 1e-3), (critical_spec(), 1e-2)])
     def test_uncentered_kinds_nonnegative(self, spec, gamma):
         scaled = scale(_samples_for(spec, gamma), spec, gamma)
-        assert (scaled.x >= 0).all()
+        assert (scaled.rows >= 0).all()
 
 
 class TestLimitSigma2:

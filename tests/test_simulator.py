@@ -149,8 +149,8 @@ class TestCollect:
         exact = oracle_moments(chain, stationary(chain), order=1)["total_m1"]
         plan = default_plan(SSQ, num_samples=400_000, replicas=64)
         samples = collect_steady_state(SSQ, plan, seed=11)
-        totals = samples.totals().astype(float)
-        nb = samples.num_batches
+        totals = samples.q.sum(axis=1).astype(float)
+        nb = samples.counts.num_batches
         means = np.array([totals[samples.batch == b].mean() for b in range(nb)])
         se = means.std(ddof=1) / math.sqrt(nb)
         assert abs(totals.mean() - exact) < 4 * se
@@ -159,8 +159,8 @@ class TestCollect:
         # mean of gamma * total - u_total equals the drift in steady state
         plan = default_plan(SSQ, num_samples=400_000, replicas=64)
         samples = collect_steady_state(SSQ, plan, seed=13)
-        vals = SSQ.gamma * samples.totals() - samples.u_total
-        nb = samples.num_batches
+        vals = SSQ.gamma * samples.q.sum(axis=1) - samples.u_total
+        nb = samples.counts.num_batches
         means = np.array([vals[samples.batch == b].mean() for b in range(nb)])
         se = means.std(ddof=1) / math.sqrt(nb)
         assert abs(vals.mean() - SSQ.drift) < 4 * se

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from jsqa.counts import count_rows
 from jsqa.errors import RegimeMismatchError
 from jsqa.limits import critical_unused_limit, exponential, gaussian, truncated_gaussian
 from jsqa.model import BernoulliScaled, Binomial, RngStream, SystemConfig
 from jsqa.oracle import build_chain, oracle_mgf, stationary
-from jsqa.regimes import RegimeSpec, ScaledSampleSet, build_config, scale
+from jsqa.regimes import RegimeSpec, build_config, center_per_queue, scale, scaling_exponent
 from jsqa.simulator import SampleSet, SamplingPlan
 from jsqa.transform import (
     classic_residual,
     critical_ode_residual,
-    critical_residual_values,
     drift_relation_values,
     empirical_mgf,
     ks_statistic,
@@ -21,7 +21,6 @@ from jsqa.transform import (
     mgf_from_values,
     moment_report,
     overloaded_ode_residual,
-    overloaded_residual_values,
     ssc_estimate,
     unused_service_rate,
 )
@@ -103,13 +102,11 @@ class TestEmpiricalMgf:
         samples = make_samples(np.array([[1, 3], [2, 0], [4, 4], [0, 1]]), gamma=0.25)
         grid = [0.5]
         total = empirical_mgf(samples, 0.25, grid, "total")
-        expect = np.exp(0.5 * 0.5 * samples.totals()).mean()
+        expect = np.exp(0.5 * 0.5 * samples.q.sum(axis=1)).mean()
         assert total.values[0] == pytest.approx(expect, rel=1e-12)
-        pooled = empirical_mgf(samples, 0.25, grid, "per-queue")
-        expect = np.exp(0.5 * 0.5 * samples.q.reshape(-1)).mean()
-        assert pooled.values[0] == pytest.approx(expect, rel=1e-12)
-        with pytest.raises(ValueError):
-            empirical_mgf(samples, 0.25, grid, "median")
+        for statistic in ("median", "per-queue"):
+            with pytest.raises(ValueError):
+                empirical_mgf(samples, 0.25, grid, statistic)
 
 
 class TestSsc:
@@ -183,7 +180,7 @@ class TestResidualFixedPoints:
                 for p in grid
             ]
         )
-        res = critical_residual_values(m, md, grid, c_c, sigma2, u_lim)
+        res = -drift_relation_values(m, md, grid, c_c, sigma2, u_lim, 1.0)
         assert np.abs(res).max() < 1e-8
 
     def test_overloaded_limit_solves_ode(self):
@@ -192,7 +189,7 @@ class TestResidualFixedPoints:
         grid = np.linspace(-0.5, 0.5, 11)
         m = np.array([dist.mgf(p) for p in grid])
         md = grid * (bar_sigma2 / 2) * m
-        res = overloaded_residual_values(m, md, grid, bar_sigma2)
+        res = drift_relation_values(m, md, grid, 0.0, bar_sigma2, 0.0, 1.0)
         assert np.abs(res).max() < 1e-12
 
 
@@ -269,13 +266,7 @@ class TestKs:
 
 class TestMomentReport:
     def test_degenerate_first_moment(self):
-        scaled = ScaledSampleSet(
-            x=np.full((100, 1), 3.0),
-            x_total=np.full(100, 3.0),
-            batch=(np.arange(100) // 25).astype(np.int64),
-            kind="classic",
-            gamma=0.01,
-        )
+        scaled = count_rows(np.full((100, 1), 3.0), np.arange(100) // 25)
         rows = moment_report(scaled, exponential(1.0), 1)
         assert rows[0].empirical == pytest.approx(3.0)
         assert rows[0].stderr == 0.0
@@ -283,10 +274,7 @@ class TestMomentReport:
     def test_cross_rows_present_for_two_queues(self):
         gen = RngStream(6).generator()
         x = gen.exponential(1.0, size=(4000, 2))
-        scaled = ScaledSampleSet(
-            x=x, x_total=x.sum(1), batch=(np.arange(4000) // 500).astype(np.int64),
-            kind="classic", gamma=0.01,
-        )
+        scaled = count_rows(x, np.arange(4000) // 500)
         rows = moment_report(scaled, exponential(1.0), 2)
         labels = [r.label for r in rows]
         assert "cross m1=1 m2=1" in labels
@@ -295,10 +283,7 @@ class TestMomentReport:
         assert cross.zscore < -4
 
     def test_order_cap(self):
-        scaled = ScaledSampleSet(
-            x=np.ones((10, 1)), x_total=np.ones(10), batch=np.zeros(10, dtype=np.int64),
-            kind="classic", gamma=0.1,
-        )
+        scaled = count_rows(np.ones((10, 1)), np.zeros(10, dtype=np.int64))
         with pytest.raises(ValueError):
             moment_report(scaled, exponential(1.0), 5)
 
@@ -353,32 +338,25 @@ GRID = np.linspace(-1.0, 0.5, 7)
 
 class TestMatchesPerSampleReference:
     @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("statistic", ["per-queue", "total", "centered-total"])
+    @pytest.mark.parametrize("statistic", ["total", "centered-total"])
     def test_empirical_mgf(self, n, statistic):
         samples = random_samples(n, batches=6, seed=10 + n)
         gamma = samples.gamma
         est = empirical_mgf(samples, gamma, GRID, statistic, exponent=0.5)
-        batch = samples.batch
-        if statistic == "per-queue":
-            x, batch = samples.q.reshape(-1), np.repeat(batch, n)
-        elif statistic == "total":
-            x = samples.totals()
-        else:
-            x = samples.totals() - samples.config.drift / gamma
-        bv, bd = ref_mgf(x, batch, gamma, GRID, 0.5)
+        x = samples.q.sum(axis=1)
+        if statistic == "centered-total":
+            x = x - samples.config.drift / gamma
+        bv, bd = ref_mgf(x, samples.batch, gamma, GRID, 0.5)
         assert_close(est.batch_values, bv)
         assert_close(est.batch_derivs, bd)
         assert_close(est.values, bv.mean(axis=0))
         assert_close(est.derivatives, bd.mean(axis=0))
         assert_close(est.stderr, ref_stderr(bv))
-        if statistic == "per-queue":
-            assert est.batch_u_mean is None
-        else:
-            assert_close(est.batch_u_mean, ref_batch_means(samples.u_total, samples.batch))
+        assert_close(est.batch_u_mean, ref_batch_means(samples.u_total, samples.batch))
 
     def test_centered_total_takes_both_signs(self):
         samples = random_samples(2, batches=5, seed=3, hi=15, config=OVERLOADED_CONFIG)
-        x = samples.totals() - OVERLOADED_CONFIG.drift / 0.1
+        x = samples.q.sum(axis=1) - OVERLOADED_CONFIG.drift / 0.1
         assert x.min() < 0 < x.max()
         est = empirical_mgf(samples, 0.1, GRID, "centered-total")
         bv, bd = ref_mgf(x, samples.batch, 0.1, GRID, 0.5)
@@ -416,15 +394,14 @@ class TestMatchesPerSampleReference:
         # per-queue center 0.2 / (n * gamma) = 4 / n: scaled coordinates of
         # both signs
         samples = random_samples(n, batches=6, seed=30 + n, hi=10, config=config)
-        scaled = scale(samples, spec, gamma)
-        assert scaled.x.min() < 0 < scaled.x.max()
-        rows = moment_report(scaled, gaussian(1.0), 4)
-        pooled, pooled_batch = scaled.x.reshape(-1), np.repeat(scaled.batch, n)
+        x = gamma ** scaling_exponent(spec) * (samples.q - center_per_queue(spec, gamma))
+        assert x.min() < 0 < x.max()
+        rows = moment_report(scale(samples, spec, gamma), gaussian(1.0), 4)
+        pooled, pooled_batch = x.reshape(-1), np.repeat(samples.batch, n)
         expected = [ref_batch_means(pooled**m, pooled_batch) for m in range(1, 5)]
         if n >= 2:
-            x = scaled.x
             expected += [
-                ref_batch_means(x[:, 0] ** m1 * x[:, 1] ** m2, scaled.batch)
+                ref_batch_means(x[:, 0] ** m1 * x[:, 1] ** m2, samples.batch)
                 for m1 in range(1, 4)
                 for m2 in range(1, 5 - m1)
             ]
@@ -440,9 +417,7 @@ class TestMatchesPerSampleReference:
         assert not est.usable.any()
         assert math.isnan(ssc_estimate(samples).stderr)
         assert math.isnan(unused_service_rate(samples, samples.gamma).stderr_raw)
-        x = samples.q.astype(float)
-        scaled = ScaledSampleSet(x=x, x_total=x.sum(1), batch=samples.batch, kind="classic",
-                                 gamma=samples.gamma)
+        scaled = count_rows(samples.q.astype(float), samples.batch)
         for row in moment_report(scaled, exponential(1.0), 2):
             assert math.isnan(row.stderr)
             assert math.isnan(row.zscore)
@@ -460,6 +435,6 @@ class TestMatchesPerSampleReference:
         gamma = 0.05
         samples = random_samples(2, batches=4, seed=50, hi=10, config=build_config(spec, gamma))
         scaled = scale(samples, spec, gamma)
+        x0 = gamma ** scaling_exponent(spec) * (samples.q[:, 0] - center_per_queue(spec, gamma))
         dist = gaussian(0.8)
-        counts = scaled.counts
-        assert ks_statistic(counts.rows[:, 0], dist, counts.pooled) == ref_ks(scaled.x[:, 0], dist)
+        assert ks_statistic(scaled.rows[:, 0], dist, scaled.pooled) == ref_ks(x0, dist)
