@@ -13,7 +13,9 @@ is a single scalar times the all-ones vector).
 
 Gaussian integrals use error-function closed forms; quadrature is kept to
 test-time cross-checks and to truncated-normal moments, where it is exact
-enough at the stated tolerance and avoids a recurrence.
+enough at the stated tolerance and avoids a recurrence. The truncated forms
+are ratios to the mass above zero, Phi(mu0 / sd), which underflows for a
+mean far below zero, so they are taken in log space through log_ndtr.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import erfcx, ndtr
+from scipy.special import erfcx, log_ndtr, ndtr
 
 from .regimes import RegimeSpec, limit_sigma2
 
@@ -60,8 +62,8 @@ class LimitDistribution:
         else:
             raise ValueError(f"unknown limit kind {self.kind!r}")
 
-    def _norm_mass_above_zero(self) -> float:
-        return float(ndtr(self.mu0 / math.sqrt(self.var)))
+    def _log_mass_above_zero(self) -> float:
+        return float(log_ndtr(self.mu0 / math.sqrt(self.var)))
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -69,8 +71,8 @@ class LimitDistribution:
             out = np.where(x < 0, 0.0, np.exp(-x / self.mean) / self.mean)
         elif self.kind == "truncated-gaussian":
             sd = math.sqrt(self.var)
-            body = np.exp(-0.5 * ((x - self.mu0) / sd) ** 2) / (sd * _SQRT2PI)
-            out = np.where(x < 0, 0.0, body / self._norm_mass_above_zero())
+            log_body = -0.5 * ((x - self.mu0) / sd) ** 2 - self._log_mass_above_zero()
+            out = np.where(x < 0, 0.0, np.exp(log_body) / (sd * _SQRT2PI))
         else:
             sd = math.sqrt(self.var)
             out = np.exp(-0.5 * (x / sd) ** 2) / (sd * _SQRT2PI)
@@ -81,10 +83,12 @@ class LimitDistribution:
         if self.kind == "exponential":
             out = np.where(x < 0, 0.0, 1.0 - np.exp(-x / self.mean))
         elif self.kind == "truncated-gaussian":
+            # one minus the survival ratio P(X > x) / P(X > 0), which is 1 at
+            # and below zero; the clip keeps rounding from giving a cdf below 0
             sd = math.sqrt(self.var)
-            z = self._norm_mass_above_zero()
-            body = (ndtr((x - self.mu0) / sd) - ndtr(-self.mu0 / sd)) / z
-            out = np.where(x < 0, 0.0, body)
+            log_surv = log_ndtr((self.mu0 - np.maximum(x, 0.0)) / sd)
+            log_ratio = log_surv - self._log_mass_above_zero()
+            out = -np.expm1(np.minimum(log_ratio, 0.0))
         else:
             out = ndtr(x / math.sqrt(self.var))
         return out if out.ndim else float(out)
@@ -98,9 +102,8 @@ class LimitDistribution:
             return 1.0 / (1.0 - phi * self.mean)
         if self.kind == "truncated-gaussian":
             sd = math.sqrt(self.var)
-            num = ndtr((self.mu0 + self.var * phi) / sd)
-            den = ndtr(self.mu0 / sd)
-            return math.exp(self.mu0 * phi + 0.5 * self.var * phi**2) * num / den
+            log_ratio = log_ndtr((self.mu0 + self.var * phi) / sd) - self._log_mass_above_zero()
+            return math.exp(self.mu0 * phi + 0.5 * self.var * phi**2 + log_ratio)
         return math.exp(0.5 * self.var * phi**2)
 
     def moment(self, m: int) -> float:

@@ -8,6 +8,12 @@ One slot, starting from queue vector q:
   s_i ~ service law i, and
   q+_i = max(0, q_i + a*1{i=dest} - s_i - d_i),
 with the unused service u_i making up the clamp, so q+_i * u_i = 0 always.
+
+The abandonments of queue i are the marked positions among its q_i jobs in
+an i.i.d. Bernoulli(gamma) marking, read as a renewal sequence with
+Geometric(gamma) gaps. Each cell (replica, queue) carries the position of
+its next mark, counted from the first job of the current slot, from one slot
+to the next (see `_abandon`).
 """
 
 from __future__ import annotations
@@ -37,11 +43,12 @@ __all__ = [
 ]
 
 # Replicas are simulated in vectorized groups of GROUP_SIZE rows, one random
-# stream per group. Within a group the draws that do not depend on the state
-# (arrivals, services, tie noise) come in blocks of BLOCK slots, one call per
-# draw; only the abandonment binomial is drawn slot by slot. Both sizes fix
-# the order in which each stream is consumed, so they are part of the
-# (config, plan, seed) -> samples contract and are not options.
+# stream per group. Within a group the first draw is each cell's first
+# abandonment mark; then the draws that do not depend on the state (arrivals,
+# services, tie noise) come in blocks of BLOCK slots, one call per draw, and
+# only the fresh mark gaps of the cells that abandon are drawn slot by slot.
+# Both sizes fix the order in which each stream is consumed, so they are
+# part of the (config, plan, seed) -> samples contract and are not options.
 GROUP_SIZE = 256
 BLOCK = 64
 
@@ -182,14 +189,42 @@ def _draw_block(config: SystemConfig, gen: np.random.Generator, slots: int, rows
     return a, s, noise
 
 
-def _slot(q, a, s, noise, offsets, gamma, gen, hook):
+def _abandon(q, marks, gamma, gen):
+    """Abandonments of the (replicas, n) state q in one slot, read from the
+    per-cell mark positions `marks` (each >= 1, counted from the cell's first
+    job), which are advanced in place to the next slot's.
+
+    A cell whose next mark lies at or below q loses that job and draws the
+    gap to its following mark, until its next mark lies beyond q. The marks
+    beyond q are unread Bernoulli(gamma) positions, so by memorylessness the
+    overshoot is a fresh Geometric(gamma) start for the next slot. A slot
+    costs one pass per abandonment of its busiest cell, plus one.
+    """
+    marks -= q
+    hit = marks <= 0
+    d = hit.astype(np.int64)
+    idx = np.flatnonzero(hit)
+    if idx.size:
+        # both arrays are C-ordered, so ravel() is a view
+        flat, d_flat = marks.ravel(), d.ravel()
+        while True:
+            flat[idx] += gen.geometric(gamma, idx.size)
+            idx = idx[flat[idx] <= 0]
+            if not idx.size:
+                break
+            d_flat[idx] += 1
+    return d
+
+
+def _slot(q, a, s, noise, offsets, marks, gamma, gen, hook):
     """Advance the (replicas, n) state q by one slot, given that slot's arrivals,
-    services and tie noise; `offsets` is arange(replicas) * n.
+    services and tie noise and the cells' next abandonment marks (advanced in
+    place); `offsets` is arange(replicas) * n.
 
     Returns (q_next, pre, dest, d), where pre is the unclamped next state, so
     the unused service is q_next - pre.
     """
-    d = gen.binomial(q, gamma)
+    d = _abandon(q, marks, gamma, gen)
     if hook is not None:
         d = hook(d, q)
     # adding U(0,1) noise keys the argmin on queue length first and breaks
@@ -202,17 +237,29 @@ def _slot(q, a, s, noise, offsets, gamma, gen, hook):
     return np.maximum(pre, 0), pre, dest, d
 
 
+def _first_marks(gamma, gen, shape):
+    """Each cell's first mark position, Geometric(gamma); with gamma = 0 no
+    job is ever marked, so the mark sits beyond every queue length."""
+    if gamma == 0:
+        return np.full(shape, np.iinfo(np.int64).max)
+    return gen.geometric(gamma, shape)
+
+
 def step_many(q: np.ndarray, config: SystemConfig, gen: np.random.Generator, hook=None):
     """Advance every row of the (replicas, n) state matrix by one slot.
 
     Returns (q_next, arrivals, destinations, services, abandonments, unused),
     all as arrays over replicas. `hook` may replace the abandonment matrix
-    (test instrumentation).
+    (test instrumentation). Each call draws fresh abandonment marks, which is
+    exact for one slot; only `collect_steady_state` carries marks across slots.
     """
     r = q.shape[0]
     a, s, noise = _draw_block(config, gen, 1, r)
     offsets = np.arange(r) * config.n
-    q_next, pre, dest, d = _slot(q, a[0], s[0], noise[0], offsets, config.gamma, gen, hook)
+    marks = _first_marks(config.gamma, gen, q.shape)
+    q_next, pre, dest, d = _slot(
+        q, a[0], s[0], noise[0], offsets, marks, config.gamma, gen, hook
+    )
     return q_next, a[0], dest, s[0], d, q_next - pre
 
 
@@ -224,6 +271,7 @@ def _run_group(config, counts, warmup, thinning, stream, hook=None):
     offsets = np.arange(r) * config.n
     ones = np.ones(config.n, dtype=np.int64)
     q = np.zeros((r, config.n), dtype=np.int64)
+    marks = _first_marks(config.gamma, gen, q.shape)
     max_count = int(counts.max())
     out_q = np.empty((max_count, r, config.n), dtype=np.int64)
     out_u = np.empty((max_count, r), dtype=np.int64)
@@ -232,7 +280,9 @@ def _run_group(config, counts, warmup, thinning, stream, hook=None):
     for b0 in range(0, total, BLOCK):
         a, s, noise = _draw_block(config, gen, min(BLOCK, total - b0), r)
         for j in range(a.shape[0]):
-            q, pre, _, _ = _slot(q, a[j], s[j], noise[j], offsets, config.gamma, gen, hook)
+            q, pre, _, _ = _slot(
+                q, a[j], s[j], noise[j], offsets, marks, config.gamma, gen, hook
+            )
             # b0 + j + 1 slots have run; sample k (from 1) is retained once
             # that reaches warmup + k * thinning
             k, rem = divmod(b0 + j + 1 - warmup, thinning)

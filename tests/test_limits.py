@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.stats import truncnorm
 
 from jsqa.limits import (
     critical_unused_limit,
@@ -141,6 +142,59 @@ class TestMoments:
     def test_order_domain(self):
         with pytest.raises(ValueError):
             exponential(1.0).moment(0)
+
+
+# mu0 / sd for the truncated law: a critical family with constant C has
+# mu0 / sd = C * sqrt(2) / sigma per coordinate, so C = -8 on servers with
+# sigma2 = 1.5 already gives -9.24, where Phi(mu0 / sd) is below 1e-19
+TAIL_RATIOS = [1.0, -2.0, -8.0, -12.0, -40.0]
+TAIL_SD = 0.7
+
+
+def _tail_pair(ratio):
+    """(closed form, scipy reference) for the zero-truncated N(ratio * sd, sd^2)."""
+    mu0 = ratio * TAIL_SD
+    return truncated_gaussian(mu0, TAIL_SD**2), truncnorm(-ratio, np.inf, loc=mu0, scale=TAIL_SD)
+
+
+class TestTruncatedGaussianFarBelowZero:
+    # the grid resolves the body of the law, whose width is about
+    # sd / |ratio| for a mean far below zero
+    GRID = TAIL_SD * np.array([0.0, 1e-3, 0.01, 0.05, 0.2, 1.0, 5.0])
+
+    @pytest.mark.parametrize("ratio", TAIL_RATIOS)
+    def test_cdf_matches_truncnorm(self, ratio):
+        dist, ref = _tail_pair(ratio)
+        assert np.abs(dist.cdf(self.GRID) - ref.cdf(self.GRID)).max() < 1e-12
+
+    @pytest.mark.parametrize("ratio", TAIL_RATIOS)
+    def test_pdf_matches_truncnorm(self, ratio):
+        # x = 0 is left out: scipy's support starts at loc + a * scale, which
+        # can round to just above 0
+        dist, ref = _tail_pair(ratio)
+        x = self.GRID[1:]
+        np.testing.assert_allclose(dist.pdf(x), ref.pdf(x), rtol=1e-10)
+
+    @pytest.mark.parametrize("ratio", TAIL_RATIOS)
+    def test_low_moments_match_truncnorm(self, ratio):
+        # scipy's own third and fourth moments drift by up to 3% at ratio -40,
+        # so only the mean and the second moment serve as a reference
+        dist, ref = _tail_pair(ratio)
+        mean, var = ref.stats("mv")
+        assert dist.moment(1) == pytest.approx(mean, rel=1e-6)
+        assert dist.moment(2) == pytest.approx(var + mean**2, rel=1e-6)
+
+    @pytest.mark.parametrize("ratio", TAIL_RATIOS)
+    def test_mgf_matches_quadrature(self, ratio):
+        dist, ref = _tail_pair(ratio)
+        width = TAIL_SD / max(1.0, -ratio)
+        for phi in (-2.0, -1.0, 0.5, 2.0):
+            top = max(dist.mu0, 0.0) + max(phi, 0.0) * dist.var + 40.0 * TAIL_SD
+            val, _ = integrate.quad(
+                lambda x: math.exp(phi * x) * ref.pdf(x), 0.0, top,
+                points=[width], epsrel=1e-12, limit=300,
+            )
+            assert dist.mgf(phi) == pytest.approx(val, rel=1e-9)
 
 
 class TestCriticalUnusedLimit:

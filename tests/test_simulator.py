@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from jsqa.errors import ConfigError, ResourceLimitError
 from jsqa.model import BernoulliScaled, Binomial, Constant, RngStream, SystemConfig
 from jsqa.oracle import build_chain, oracle_moments, stationary
+from jsqa.regimes import RegimeSpec, build_config
 from jsqa.simulator import (
     GROUP_SIZE,
     SamplingPlan,
@@ -67,6 +68,19 @@ class TestAbandonments:
         q = _trials((3, 1, 6), 200)
         d = step_many(q, _config(3, gamma=0.7), _gen(4))[4]
         assert (d <= q).all()
+
+    @pytest.mark.parametrize("q, gamma", [(5, 0.1), (40, 1.0)])
+    def test_variance_matches_binomial(self, q, gamma):
+        # the sample variance of 1M draws of Binomial(5, 0.1) (variance 0.45)
+        # has a standard error of about 8e-4
+        d = step_many(_trials((q,), 1_000_000), _config(1, gamma=gamma), _gen(6))[4]
+        assert abs(d.var() - q * gamma * (1 - gamma)) < 0.004
+
+    def test_empty_cells_never_abandon(self):
+        q = _trials((0, 5, 0), 100_000)
+        d = step_many(q, _config(3, gamma=0.5), _gen(9))[4]
+        assert not d[:, [0, 2]].any()
+        assert abs(d[:, 1].mean() - 2.5) < 0.02
 
 
 class TestStep:
@@ -164,6 +178,36 @@ class TestCollect:
         means = np.array([vals[samples.batch == b].mean() for b in range(nb)])
         se = means.std(ddof=1) / math.sqrt(nb)
         assert abs(vals.mean() - SSQ.drift) < 4 * se
+
+    def test_marks_carried_across_slots_are_exact(self):
+        """Abandonments over a whole steady-state run, where each cell's next
+        mark is carried from slot to slot: given the state, d is Binomial(q,
+        gamma) in every slot, so the residuals d - gamma q of one cell form a
+        martingale difference sequence. Their sum has variance gamma (1 - gamma)
+        sum(q) and consecutive residuals are uncorrelated."""
+        spec = RegimeSpec("critical", 0.0, 0.5, (Binomial(2, 0.25), Binomial(2, 0.25)), 4)
+        config = build_config(spec, 1e-2)
+        plan = SamplingPlan(warmup_slots=2000, num_samples=128 * 2000, thinning=1, replicas=128)
+        seen = []
+
+        def record(d, q):
+            seen.append((d.copy(), q.copy()))
+            return d
+
+        collect_steady_state(config, plan, seed=31, abandonment_hook=record)
+        d = np.array([x[0] for x in seen], dtype=float)  # (slots, replicas, n)
+        q = np.array([x[1] for x in seen], dtype=float)
+        assert d.shape == (4000, 128, 2)
+
+        gamma = config.gamma
+        z_sum = (d.sum() - gamma * q.sum()) / math.sqrt(gamma * (1 - gamma) * q.sum())
+        res = d - gamma * q
+        lag = res[1:] * res[:-1]
+        corr = lag.mean() / res.var()
+        # self-normalized z of the lag-1 products, themselves martingale differences
+        z_lag = lag.sum() / math.sqrt((lag**2).sum())
+        assert abs(z_sum) < 4.0, f"z_sum={z_sum:+.2f}"
+        assert abs(z_lag) < 4.0, f"lag-1 corr={corr:+.4f}, z={z_lag:+.2f}"
 
     def test_memory_cap(self):
         plan = SamplingPlan(warmup_slots=10, num_samples=10_000, thinning=1, replicas=2)
