@@ -26,11 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from . import limits, oracle, regimes, transform
-from .errors import ConfigError, ResourceLimitError, StateBudgetError
-from .model import config_from_dict, validate
+from .errors import ConfigError, ResourceLimitError, StateBudgetError, parsing
+from .model import config_from_dict, require_valid
 from .simulator import (
     SamplingPlan,
     collect_steady_state,
+    default_plan,
     plan_from_dict,
     simulate_coupled_domination,
 )
@@ -73,15 +74,16 @@ def manifest_from_dict(obj: dict) -> ExperimentManifest:
     for key in ("regime", "gammas", "plan", "seed"):
         if key not in obj:
             raise ConfigError(f"manifest is missing required key {key!r}")
-    return ExperimentManifest(
-        regime=regimes.regime_from_dict(obj["regime"]),
-        gammas=tuple(float(g) for g in obj["gammas"]),
-        plan=plan_from_dict(obj["plan"]),
-        phi_grid=tuple(float(p) for p in obj.get("phi_grid", _default_phi_grid())),
-        moment_orders=tuple(int(m) for m in obj.get("moment_orders", (1, 2))),
-        seed=int(obj["seed"]),
-        outputs=str(obj.get("outputs", ".")),
-    )
+    with parsing("manifest"):
+        return ExperimentManifest(
+            regime=regimes.regime_from_dict(obj["regime"]),
+            gammas=tuple(float(g) for g in obj["gammas"]),
+            plan=plan_from_dict(obj["plan"]),
+            phi_grid=tuple(float(p) for p in obj.get("phi_grid", _default_phi_grid())),
+            moment_orders=tuple(int(m) for m in obj.get("moment_orders", (1, 2))),
+            seed=int(obj["seed"]),
+            outputs=str(obj.get("outputs", ".")),
+        )
 
 
 def _default_phi_grid() -> list[float]:
@@ -318,7 +320,13 @@ def oracle_check(
 
 
 def _load_json(path: str) -> dict:
-    return json.loads(Path(path).read_text())
+    try:
+        obj = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # unreadable file or not JSON
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path} must hold a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def main(argv=None) -> int:
@@ -348,17 +356,14 @@ def main(argv=None) -> int:
         if args.command == "run":
             manifest = manifest_from_dict(_load_json(args.manifest))
             return run(manifest, out_dir=args.out)
+        config = config_from_dict(_load_json(args.config))
+        require_valid(config)
         if args.command == "oracle-check":
-            config = config_from_dict(_load_json(args.config))
-            from .simulator import default_plan
-
             plan = default_plan(config, num_samples=args.samples, replicas=args.replicas)
             return oracle_check(config, args.cap, plan, args.seed)
-        config = config_from_dict(_load_json(args.config))
         c_tilde = args.c_tilde
         if c_tilde is None:
-            report = validate(config)
-            c_tilde = report.drift + config.bound * math.sqrt(config.gamma)
+            c_tilde = config.drift + config.bound * math.sqrt(config.gamma)
         rep = simulate_coupled_domination(config, c_tilde, args.horizon, args.seed)
         print(
             f"slots={rep.slots_checked} violations={rep.violations} "

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class ConfigError(ValueError):
     """A system configuration or experiment manifest is invalid."""
@@ -16,3 +18,16 @@ class ResourceLimitError(RuntimeError):
 class StateBudgetError(ValueError):
     """A truncated chain would exceed the exact oracle's memory budget."""
 
+
+@contextmanager
+def parsing(what: str):
+    """Report a missing or malformed field of the JSON input `what` as a
+    ConfigError; a ConfigError raised inside passes through unchanged."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"{what} is missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what} has a malformed field: {exc}") from exc

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Union
+from functools import cached_property
 
 import numpy as np
+from scipy.special import gammaln, xlog1py, xlogy
 
-from .errors import ConfigError
+from .errors import ConfigError, parsing
 
 __all__ = [
     "Constant",
@@ -32,142 +33,97 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Constant:
-    """Degenerate distribution: always `value`."""
-
-    value: int
-    bound: int = -1
-
-    def __post_init__(self):
-        if self.bound < 0:
-            object.__setattr__(self, "bound", self.value)
-
-    @property
-    def kind(self) -> str:
-        return "constant"
-
-    @property
-    def mean(self) -> float:
-        return float(self.value)
-
-    @property
-    def variance(self) -> float:
-        return 0.0
-
-    def sample(self, rng: np.random.Generator, size=None):
-        if size is None:
-            return int(self.value)
-        return np.full(size, self.value, dtype=np.int64)
-
-    def pmf(self) -> np.ndarray:
-        p = np.zeros(self.bound + 1)
-        p[self.value] = 1.0
-        return p
-
-    def to_dict(self) -> dict:
-        return {"kind": "constant", "value": self.value, "bound": self.bound}
+# Per kind: the JSON field that holds the law's size, and whether the law has
+# a success probability (a constant's is 1).
+KINDS = {
+    "constant": ("value", False),
+    "bernoulli-scaled": ("support-point", True),
+    "binomial": ("trial-count", True),
+}
 
 
 @dataclass(frozen=True)
-class BernoulliScaled:
-    """Takes `support_point` with probability `success_probability`, else 0.
+class BoundedDistribution:
+    """An integer law on {0, ..., bound}.
 
-    Models batched arrivals: the whole batch joins one queue.
+    `size` is the constant value (kind "constant"), the one nonzero support
+    point, taken with probability `success_probability` (kind
+    "bernoulli-scaled", which models a batch that joins one queue whole), or
+    the trial count of a Binomial(size, success_probability) (kind
+    "binomial"). `bound` defaults to `size`.
     """
 
-    support_point: int
-    success_probability: float
+    kind: str
+    size: int
+    success_probability: float = 1.0
     bound: int = -1
 
     def __post_init__(self):
         if self.bound < 0:
-            object.__setattr__(self, "bound", self.support_point)
-
-    @property
-    def kind(self) -> str:
-        return "bernoulli-scaled"
+            object.__setattr__(self, "bound", self.size)
 
     @property
     def mean(self) -> float:
-        return self.support_point * self.success_probability
+        return self.size * self.success_probability
 
     @property
     def variance(self) -> float:
         p = self.success_probability
-        return self.support_point**2 * p * (1.0 - p)
-
-    def sample(self, rng: np.random.Generator, size=None):
-        if size is None:
-            return int(self.support_point) if rng.random() < self.success_probability else 0
-        hits = rng.random(size) < self.success_probability
-        return hits.astype(np.int64) * self.support_point
+        spread = self.size if self.kind == "binomial" else self.size**2
+        return spread * p * (1.0 - p)
 
     def pmf(self) -> np.ndarray:
-        p = np.zeros(self.bound + 1)
-        p[0] = 1.0 - self.success_probability
-        p[self.support_point] += self.success_probability
-        return p
+        """Probabilities of 0, ..., bound."""
+        m, prob = self.size, self.success_probability
+        out = np.zeros(self.bound + 1)
+        if self.kind == "binomial":
+            # in logs: the binomial coefficients overflow a double from 1030
+            # trials on
+            k = np.arange(m + 1)
+            out[: m + 1] = np.exp(
+                gammaln(m + 1) - gammaln(k + 1) - gammaln(m - k + 1)
+                + xlogy(k, prob) + xlog1py(m - k, -prob)
+            )
+        else:
+            out[0] = 1.0 - prob
+            out[m] += prob
+        return out
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """The CDF on 0..top, top the largest value of positive mass. Its last
+        entry is exactly 1, so no uniform in [0, 1) is inverted past top."""
+        pmf = self.pmf()
+        cdf = np.minimum(np.cumsum(pmf[: np.flatnonzero(pmf)[-1] + 1]), 1.0)
+        cdf[-1] = 1.0
+        return cdf
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "bernoulli-scaled",
-            "support-point": self.support_point,
-            "success-probability": self.success_probability,
-            "bound": self.bound,
-        }
+        key, has_probability = KINDS[self.kind]
+        out = {"kind": self.kind, key: self.size}
+        if has_probability:
+            out["success-probability"] = self.success_probability
+        out["bound"] = self.bound
+        return out
 
 
-@dataclass(frozen=True)
-class Binomial:
+def Constant(value: int, bound: int = -1) -> BoundedDistribution:
+    """Degenerate law: always `value`."""
+    return BoundedDistribution("constant", value, 1.0, bound)
+
+
+def BernoulliScaled(
+    support_point: int, success_probability: float, bound: int = -1
+) -> BoundedDistribution:
+    """`support_point` with probability `success_probability`, else 0."""
+    return BoundedDistribution("bernoulli-scaled", support_point, success_probability, bound)
+
+
+def Binomial(
+    trial_count: int, success_probability: float, bound: int = -1
+) -> BoundedDistribution:
     """Binomial(`trial_count`, `success_probability`) on {0, ..., trial_count}."""
-
-    trial_count: int
-    success_probability: float
-    bound: int = -1
-
-    def __post_init__(self):
-        if self.bound < 0:
-            object.__setattr__(self, "bound", self.trial_count)
-
-    @property
-    def kind(self) -> str:
-        return "binomial"
-
-    @property
-    def mean(self) -> float:
-        return self.trial_count * self.success_probability
-
-    @property
-    def variance(self) -> float:
-        p = self.success_probability
-        return self.trial_count * p * (1.0 - p)
-
-    def sample(self, rng: np.random.Generator, size=None):
-        out = rng.binomial(self.trial_count, self.success_probability, size=size)
-        if size is None:
-            return int(out)
-        return out.astype(np.int64)
-
-    def pmf(self) -> np.ndarray:
-        from scipy.stats import binom
-
-        p = np.zeros(self.bound + 1)
-        p[: self.trial_count + 1] = binom.pmf(
-            np.arange(self.trial_count + 1), self.trial_count, self.success_probability
-        )
-        return p
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "binomial",
-            "trial-count": self.trial_count,
-            "success-probability": self.success_probability,
-            "bound": self.bound,
-        }
-
-
-BoundedDistribution = Union[Constant, BernoulliScaled, Binomial]
+    return BoundedDistribution("binomial", trial_count, success_probability, bound)
 
 
 def distribution_from_dict(obj: dict) -> BoundedDistribution:
@@ -175,52 +131,31 @@ def distribution_from_dict(obj: dict) -> BoundedDistribution:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError(f"distribution must be an object with a 'kind' key, got {obj!r}")
     kind = obj["kind"]
-    bound = int(obj.get("bound", -1))
-    try:
-        if kind == "constant":
-            return Constant(value=int(obj["value"]), bound=bound)
-        if kind == "bernoulli-scaled":
-            return BernoulliScaled(
-                support_point=int(obj["support-point"]),
-                success_probability=float(obj["success-probability"]),
-                bound=bound,
-            )
-        if kind == "binomial":
-            return Binomial(
-                trial_count=int(obj["trial-count"]),
-                success_probability=float(obj["success-probability"]),
-                bound=bound,
-            )
-    except KeyError as exc:
-        raise ConfigError(f"distribution of kind {kind!r} is missing field {exc}") from exc
-    raise ConfigError(f"unknown distribution kind {kind!r}")
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ConfigError(f"unknown distribution kind {kind!r}")
+    key, has_probability = KINDS[kind]
+    with parsing(f"distribution of kind {kind!r}"):
+        return BoundedDistribution(
+            kind,
+            int(obj[key]),
+            float(obj["success-probability"]) if has_probability else 1.0,
+            int(obj.get("bound", -1)),
+        )
 
 
 def _distribution_violations(dist: BoundedDistribution, label: str) -> list[str]:
+    if dist.kind not in KINDS:
+        return [f"{label}: unknown distribution kind {dist.kind!r}"]
+    key = KINDS[dist.kind][0]
     out = []
     if dist.bound < 0:
         out.append(f"{label}: bound must be a non-negative integer")
-    if isinstance(dist, Constant):
-        if dist.value < 0:
-            out.append(f"{label}: constant value must be >= 0")
-        elif dist.value > dist.bound:
-            out.append(f"{label}: constant value exceeds bound")
-    elif isinstance(dist, BernoulliScaled):
-        if dist.support_point < 0:
-            out.append(f"{label}: support-point must be >= 0")
-        elif dist.support_point > dist.bound:
-            out.append(f"{label}: support-point exceeds bound")
-        if not 0.0 <= dist.success_probability <= 1.0:
-            out.append(f"{label}: success-probability out of [0,1]")
-    elif isinstance(dist, Binomial):
-        if dist.trial_count < 0:
-            out.append(f"{label}: trial-count must be >= 0")
-        elif dist.trial_count > dist.bound:
-            out.append(f"{label}: trial-count exceeds bound")
-        if not 0.0 <= dist.success_probability <= 1.0:
-            out.append(f"{label}: success-probability out of [0,1]")
-    else:
-        out.append(f"{label}: unknown distribution type {type(dist).__name__}")
+    if dist.size < 0:
+        out.append(f"{label}: {key} must be >= 0")
+    elif dist.size > dist.bound:
+        out.append(f"{label}: {key} exceeds bound")
+    if not 0.0 <= dist.success_probability <= 1.0:
+        out.append(f"{label}: success-probability out of [0,1]")
     return out
 
 
@@ -273,12 +208,13 @@ def config_from_dict(obj: dict) -> SystemConfig:
     services = obj["services"]
     if not isinstance(services, list):
         raise ConfigError("'services' must be a list of distribution objects")
-    return SystemConfig(
-        n=int(obj["n"]),
-        gamma=float(obj["gamma"]),
-        arrivals=distribution_from_dict(obj["arrivals"]),
-        services=tuple(distribution_from_dict(s) for s in services),
-    )
+    with parsing("config"):
+        return SystemConfig(
+            n=int(obj["n"]),
+            gamma=float(obj["gamma"]),
+            arrivals=distribution_from_dict(obj["arrivals"]),
+            services=tuple(distribution_from_dict(s) for s in services),
+        )
 
 
 def config_from_json(text: str) -> SystemConfig:
@@ -303,8 +239,9 @@ class RngStream:
 
 
 def sample_many(dist: BoundedDistribution, gen: np.random.Generator, size) -> np.ndarray:
-    """Draw `size` values from `dist` as an int64 array, advancing `gen`."""
-    return dist.sample(gen, size)
+    """Draw `size` values from `dist` as an int64 array by inversion: one
+    uniform from `gen` per value, mapped through the inverse of `dist.cdf`."""
+    return dist.cdf.searchsorted(gen.random(size), side="right")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .counts import StateCounts
-from .errors import ConfigError
+from .errors import ConfigError, parsing
 from .model import Binomial, BoundedDistribution, SystemConfig, distribution_from_dict
 from .simulator import SampleSet
 
@@ -91,13 +91,14 @@ def regime_from_dict(obj: dict) -> RegimeSpec:
     for key in ("kind", "constant", "alpha", "base_services", "bound"):
         if key not in obj:
             raise ConfigError(f"regime spec is missing required key {key!r}")
-    return RegimeSpec(
-        kind=str(obj["kind"]),
-        constant=float(obj["constant"]),
-        alpha=float(obj["alpha"]),
-        base_services=tuple(distribution_from_dict(s) for s in obj["base_services"]),
-        bound=int(obj["bound"]),
-    )
+    with parsing("regime spec"):
+        return RegimeSpec(
+            kind=str(obj["kind"]),
+            constant=float(obj["constant"]),
+            alpha=float(obj["alpha"]),
+            base_services=tuple(distribution_from_dict(s) for s in obj["base_services"]),
+            bound=int(obj["bound"]),
+        )
 
 
 def regime_from_json(text: str) -> RegimeSpec:

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .counts import StateCounts, count_rows
-from .errors import ConfigError, ResourceLimitError
+from .errors import ConfigError, ResourceLimitError, parsing
 from .model import RngStream, SystemConfig, require_valid, sample_many
 
 __all__ = [
@@ -45,8 +45,8 @@ __all__ = [
 # Replicas are simulated in vectorized groups of GROUP_SIZE rows, one random
 # stream per group. Within a group the first draw is each cell's first
 # abandonment mark; then the draws that do not depend on the state (arrivals,
-# services, tie noise) come in blocks of BLOCK slots, one call per draw, and
-# only the fresh mark gaps of the cells that abandon are drawn slot by slot.
+# services, tie noise) come in blocks of BLOCK slots, one call per law and
+# one for the noise, and only the fresh mark gaps of the cells that abandon are drawn slot by slot.
 # Both sizes fix the order in which each stream is consumed, so they are
 # part of the (config, plan, seed) -> samples contract and are not options.
 GROUP_SIZE = 256
@@ -83,15 +83,13 @@ class SamplingPlan:
 
 
 def plan_from_dict(obj: dict) -> SamplingPlan:
-    try:
+    with parsing("sampling plan"):
         return SamplingPlan(
             warmup_slots=int(obj["warmup_slots"]),
             num_samples=int(obj["num_samples"]),
             thinning=int(obj["thinning"]),
             replicas=int(obj["replicas"]),
         )
-    except KeyError as exc:
-        raise ConfigError(f"sampling plan is missing field {exc}") from exc
 
 
 @dataclass
@@ -178,13 +176,10 @@ def _batches_for(counts: np.ndarray, thinning: int, relax: float) -> np.ndarray:
 
 def _draw_block(config: SystemConfig, gen: np.random.Generator, slots: int, rows: int):
     """The state-independent draws of `slots` consecutive slots for `rows`
-    replicas: arrivals (slots, rows), services and tie noise (slots, rows, n)."""
-    services = config.services
+    replicas: arrivals (slots, rows), then services queue by queue and tie
+    noise, both (slots, rows, n)."""
     a = sample_many(config.arrivals, gen, (slots, rows))
-    if all(svc == services[0] for svc in services):
-        s = sample_many(services[0], gen, (slots, rows, config.n))
-    else:
-        s = np.stack([sample_many(svc, gen, (slots, rows)) for svc in services], axis=2)
+    s = np.dstack([sample_many(svc, gen, (slots, rows)) for svc in config.services])
     noise = gen.random((slots, rows, config.n))
     return a, s, noise
 

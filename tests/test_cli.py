@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -265,3 +266,48 @@ def test_manifest_validation_catches_bad_plan(tmp_path):
     bad = dict(TINY_MANIFEST, plan={"warmup_slots": 0, "num_samples": 10, "thinning": 1, "replicas": 1})
     path = write_manifest(tmp_path, bad)
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("run", json.dumps(dict(TINY_MANIFEST, gammas=["abc"]))),
+        ("run", json.dumps(dict(TINY_MANIFEST, gammas=0.01))),
+        ("oracle-check", json.dumps(dict(SSQ.to_dict(), gamma="x"))),
+        ("oracle-check", json.dumps(dict(SSQ.to_dict(), arrivals=dict(
+            SSQ.arrivals.to_dict(), bound="big")))),
+        ("run", "{not json"),
+        ("oracle-check", None),
+        ("oracle-check", "5"),
+    ],
+    ids=["gammas-string", "gammas-scalar", "gamma-string", "bound-string", "not-json",
+         "missing-file", "not-an-object"],
+)
+def test_malformed_input_is_a_clean_error(tmp_path, capsys, command, text):
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    extra = ["--cap", "8"] if command == "oracle-check" else ["--out", str(tmp_path / "out")]
+    assert cli.main([command, str(path), *extra]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("oracle-check", replace(SSQ, gamma=-0.1)),
+        ("oracle-check", replace(SSQ, services=(Constant(-1),))),
+        ("oracle-check", replace(SSQ, services=(BernoulliScaled(1, 1.5),))),
+        ("domination", replace(SSQ, gamma=-0.1)),
+    ],
+    ids=["oracle-gamma", "oracle-negative-service", "oracle-probability", "domination-gamma"],
+)
+def test_invalid_config_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command, config):
+    def no_work(*args, **kwargs):
+        raise AssertionError("an invalid config reached the computation")
+
+    monkeypatch.setattr(cli.oracle, "build_chain", no_work)
+    monkeypatch.setattr(cli, "simulate_coupled_domination", no_work)
+    extra = ["--cap", "8"] if command == "oracle-check" else ["--horizon", "10"]
+    assert cli.main([command, str(write_config(tmp_path, config)), *extra]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom
 
 from jsqa.errors import ConfigError
 from jsqa.model import (
@@ -21,6 +22,17 @@ from jsqa.model import (
 
 def _gen(seed=0, stream=0):
     return RngStream(seed, stream).generator()
+
+
+class _EdgeUniforms:
+    """Generator stub: its first draw is all the largest double below 1, its
+    second all 0."""
+
+    def __init__(self):
+        self.values = [np.nextafter(1.0, 0.0), 0.0]
+
+    def random(self, size):
+        return np.full(size, self.values.pop(0))
 
 
 class TestDistributions:
@@ -73,6 +85,44 @@ class TestDistributions:
             assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
             assert (pmf @ support) == pytest.approx(dist.mean, abs=1e-12)
             assert (pmf @ support**2) - dist.mean**2 == pytest.approx(dist.variance, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "dist, top, bottom",
+        [
+            (Binomial(3, 0.3, bound=10), 3, 0),
+            (Constant(2, bound=5), 2, 2),
+            (Constant(0), 0, 0),
+            (BernoulliScaled(4, 0.5), 4, 0),
+            (BernoulliScaled(4, 0.0), 0, 0),
+        ],
+    )
+    def test_inversion_maps_edge_uniforms_to_support_ends(self, dist, top, bottom):
+        gen = _EdgeUniforms()
+        assert (sample_many(dist, gen, 8) == top).all()
+        assert (sample_many(dist, gen, 8) == bottom).all()
+
+    @pytest.mark.parametrize("trials", [2, 40, 2000])
+    def test_binomial_pmf_matches_scipy(self, trials):
+        expected = binom.pmf(np.arange(trials + 1), trials, 0.3)
+        np.testing.assert_allclose(Binomial(trials, 0.3).pmf(), expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "dist, expected",
+        [
+            (Constant(3), {"kind": "constant", "value": 3, "bound": 3}),
+            (
+                BernoulliScaled(2, 0.2, bound=5),
+                {"kind": "bernoulli-scaled", "support-point": 2,
+                 "success-probability": 0.2, "bound": 5},
+            ),
+            (
+                Binomial(4, 0.25),
+                {"kind": "binomial", "trial-count": 4, "success-probability": 0.25, "bound": 4},
+            ),
+        ],
+    )
+    def test_to_dict_format(self, dist, expected):
+        assert list(dist.to_dict().items()) == list(expected.items())
 
     @given(
         trials=st.integers(min_value=0, max_value=12),
@@ -130,8 +180,8 @@ class TestValidate:
             n=1, gamma=0.5, arrivals=Binomial(4, 1.5), services=(Constant(9, bound=2),)
         )
         report = validate(config)
-        assert any("success-probability" in v for v in report.violations)
-        assert any("exceeds bound" in v for v in report.violations)
+        assert "arrivals: success-probability out of [0,1]" in report.violations
+        assert "services[0]: value exceeds bound" in report.violations
 
     def test_ssc_condition_fails_deep_underload(self):
         config = SystemConfig(
