@@ -15,7 +15,6 @@ from .model import (
     RngStream,
     SystemConfig,
     config_from_dict,
-    config_from_json,
     distribution_from_dict,
     sample_many,
     validate,
@@ -34,7 +33,6 @@ from .regimes import (
     build_config,
     limit_sigma2,
     regime_from_dict,
-    regime_from_json,
     scale,
 )
 from .simulator import (

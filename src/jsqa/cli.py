@@ -71,9 +71,6 @@ class ExperimentManifest:
 
 
 def manifest_from_dict(obj: dict) -> ExperimentManifest:
-    for key in ("regime", "gammas", "plan", "seed"):
-        if key not in obj:
-            raise ConfigError(f"manifest is missing required key {key!r}")
     with parsing("manifest"):
         return ExperimentManifest(
             regime=regimes.regime_from_dict(obj["regime"]),
@@ -127,7 +124,7 @@ def _gamma_point(manifest: ExperimentManifest, gi: int, gamma: float, writer):
     plan = manifest.plan
     seed_offset = gi << 32
     samples = collect_steady_state(config, plan, manifest.seed + seed_offset)
-    scaled = regimes.scale(samples, spec, gamma)
+    scaled = regimes.scale(samples, spec)
     per_coord, _total_dist = limits.limit_for_regime(spec)
     kind = spec.kind
 
@@ -169,14 +166,14 @@ def _gamma_point(manifest: ExperimentManifest, gi: int, gamma: float, writer):
         out["perp_second_moment"] = ssc.perp_second_moment
         out["total_second_moment"] = ssc.total_second_moment
 
-    usage = transform.unused_service_rate(samples, gamma)
+    usage = transform.unused_service_rate(samples)
     writer.row(gamma, kind, "unused", "raw", usage.raw, usage.stderr_raw)
     writer.row(gamma, kind, "unused", "critical_scaled", usage.critical_scaled)
     out["unused_scaled"] = usage.critical_scaled
 
     exponent = regimes.scaling_exponent(spec)
     statistic = "centered-total" if kind == "overloaded" else "total"
-    mgf = transform.empirical_mgf(samples, gamma, manifest.phi_grid, statistic, exponent)
+    mgf = transform.empirical_mgf(samples, manifest.phi_grid, statistic, exponent)
     for phi, val, se in zip(mgf.phi_grid, mgf.values, mgf.stderr):
         writer.row(gamma, kind, "mgf", f"phi={phi:g}", val, se)
     if kind == "classic":
@@ -278,21 +275,21 @@ def oracle_check(
     plan: SamplingPlan,
     seed: int,
     phi_grid=(-1.0, -0.5, 0.25),
-    abandonment_hook=None,
     out=None,
 ) -> int:
     """Compare simulated moments and MGF against the exact truncated chain.
 
     Prints one line per statistic with its z-score; returns 0 iff every
-    |z| < 4. `abandonment_hook` deliberately corrupts the simulator and is
-    test instrumentation only.
+    |z| < 4. The config and plan are validated before the chain is built.
     """
     if out is None:
         out = sys.stdout
+    require_valid(config)
+    plan.check()
     chain = oracle.build_chain(config, cap)
     pi = oracle.stationary(chain)
     exact = oracle.oracle_moments(chain, pi, order=2)
-    samples = collect_steady_state(config, plan, seed, abandonment_hook=abandonment_hook)
+    samples = collect_steady_state(config, plan, seed)
     gamma = config.gamma
 
     counts = samples.counts

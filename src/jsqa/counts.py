@@ -5,10 +5,10 @@ Every estimator in jsqa is a batch mean of some function f of a sample row
 rows by value gives a (batches x distinct rows) count table that is a
 sufficient statistic for all of them: the per-batch means of f are
 `table @ f(rows) / sizes`, so f is evaluated once per distinct row instead of
-once per sample. Queue-length samples hold few distinct states (hundreds
-against a million rows); continuous samples may hold one per row. The table
-keeps only its nonzero counts, so memory is O(N + U) for U distinct rows,
-never O(bounding box of the rows).
+once per sample. jsqa counts integer queue-length rows, which hold few
+distinct states (hundreds against a million rows). The table keeps only its
+nonzero counts, so memory is O(N + U) for U distinct rows, never O(bounding
+box of the rows).
 """
 
 from __future__ import annotations

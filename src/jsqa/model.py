@@ -8,7 +8,6 @@ available in closed form.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,7 +28,6 @@ __all__ = [
     "sample_many",
     "distribution_from_dict",
     "config_from_dict",
-    "config_from_json",
 ]
 
 
@@ -202,23 +200,16 @@ class SystemConfig:
 
 
 def config_from_dict(obj: dict) -> SystemConfig:
-    for key in ("n", "gamma", "arrivals", "services"):
-        if key not in obj:
-            raise ConfigError(f"config is missing required key {key!r}")
-    services = obj["services"]
-    if not isinstance(services, list):
-        raise ConfigError("'services' must be a list of distribution objects")
     with parsing("config"):
+        services = obj["services"]
+        if not isinstance(services, list):
+            raise ConfigError("'services' must be a list of distribution objects")
         return SystemConfig(
             n=int(obj["n"]),
             gamma=float(obj["gamma"]),
             arrivals=distribution_from_dict(obj["arrivals"]),
             services=tuple(distribution_from_dict(s) for s in services),
         )
-
-
-def config_from_json(text: str) -> SystemConfig:
-    return config_from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ __all__ = [
     "stationary_leakage",
     "oracle_moments",
     "oracle_mgf",
-    "oracle_perp_second_moment",
 ]
 
 # Without the drop, Binomial(q, gamma) tails fill each table row and the
@@ -262,16 +261,10 @@ def oracle_moments(chain: TruncatedChain, pi: np.ndarray, order: int = 1) -> dic
         for i in range(chain.config.n):
             out[f"q{i}_m{m}"] = float(pi @ (states[:, i].astype(float) ** m))
     if chain.config.n == 2:
-        out["perp_second_moment"] = oracle_perp_second_moment(chain, pi)
+        sq = (states.astype(float) ** 2).sum(axis=1)
+        out["perp_second_moment"] = float(pi @ (sq - totals.astype(float) ** 2 / 2))
     out["unused_mean"] = float(pi @ chain.expected_unused)
     return out
-
-
-def oracle_perp_second_moment(chain: TruncatedChain, pi: np.ndarray) -> float:
-    states = chain.state_vectors().astype(float)
-    sq = (states**2).sum(axis=1)
-    tot = states.sum(axis=1)
-    return float(pi @ (sq - tot**2 / chain.config.n))
 
 
 def oracle_mgf(chain: TruncatedChain, pi: np.ndarray, gamma: float, phi: float) -> float:

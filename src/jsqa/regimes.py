@@ -18,7 +18,6 @@ so the scaled rows share the raw table and batch sizes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -34,7 +33,6 @@ __all__ = [
     "scale",
     "limit_sigma2",
     "regime_from_dict",
-    "regime_from_json",
 ]
 
 KINDS = ("classic", "critical", "overloaded")
@@ -88,9 +86,6 @@ class RegimeSpec:
 
 
 def regime_from_dict(obj: dict) -> RegimeSpec:
-    for key in ("kind", "constant", "alpha", "base_services", "bound"):
-        if key not in obj:
-            raise ConfigError(f"regime spec is missing required key {key!r}")
     with parsing("regime spec"):
         return RegimeSpec(
             kind=str(obj["kind"]),
@@ -99,10 +94,6 @@ def regime_from_dict(obj: dict) -> RegimeSpec:
             base_services=tuple(distribution_from_dict(s) for s in obj["base_services"]),
             bound=int(obj["bound"]),
         )
-
-
-def regime_from_json(text: str) -> RegimeSpec:
-    return regime_from_dict(json.loads(text))
 
 
 def regime_drift(spec: RegimeSpec, gamma: float) -> float:
@@ -139,10 +130,11 @@ def center_per_queue(spec: RegimeSpec, gamma: float) -> float:
     return regime_drift(spec, gamma) / (spec.n * gamma)
 
 
-def scale(samples: SampleSet, spec: RegimeSpec, gamma: float) -> StateCounts:
-    """The regime's scaling (and centering) applied to the count table of the
-    raw samples: the same table and batch sizes, with each distinct state
-    mapped to gamma^e * (q - center)."""
+def scale(samples: SampleSet, spec: RegimeSpec) -> StateCounts:
+    """The regime's scaling (and centering) at the samples' gamma applied to
+    the count table of the raw samples: the same table and batch sizes, with
+    each distinct state mapped to gamma^e * (q - center)."""
+    gamma = samples.gamma
     factor = gamma ** scaling_exponent(spec)
     counts = samples.counts
     return replace(counts, rows=factor * (counts.rows - center_per_queue(spec, gamma)))

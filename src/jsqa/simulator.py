@@ -211,7 +211,7 @@ def _abandon(q, marks, gamma, gen):
     return d
 
 
-def _slot(q, a, s, noise, offsets, marks, gamma, gen, hook):
+def _slot(q, a, s, noise, offsets, marks, gamma, gen):
     """Advance the (replicas, n) state q by one slot, given that slot's arrivals,
     services and tie noise and the cells' next abandonment marks (advanced in
     place); `offsets` is arange(replicas) * n.
@@ -220,8 +220,6 @@ def _slot(q, a, s, noise, offsets, marks, gamma, gen, hook):
     the unused service is q_next - pre.
     """
     d = _abandon(q, marks, gamma, gen)
-    if hook is not None:
-        d = hook(d, q)
     # adding U(0,1) noise keys the argmin on queue length first and breaks
     # integer ties uniformly
     dest = (q + noise).argmin(axis=1)
@@ -240,25 +238,23 @@ def _first_marks(gamma, gen, shape):
     return gen.geometric(gamma, shape)
 
 
-def step_many(q: np.ndarray, config: SystemConfig, gen: np.random.Generator, hook=None):
+def step_many(q: np.ndarray, config: SystemConfig, gen: np.random.Generator):
     """Advance every row of the (replicas, n) state matrix by one slot.
 
     Returns (q_next, arrivals, destinations, services, abandonments, unused),
-    all as arrays over replicas. `hook` may replace the abandonment matrix
-    (test instrumentation). Each call draws fresh abandonment marks, which is
-    exact for one slot; only `collect_steady_state` carries marks across slots.
+    all as arrays over replicas. Each call draws fresh abandonment marks, which
+    is exact for one slot; only `collect_steady_state` carries marks across
+    slots.
     """
     r = q.shape[0]
     a, s, noise = _draw_block(config, gen, 1, r)
     offsets = np.arange(r) * config.n
     marks = _first_marks(config.gamma, gen, q.shape)
-    q_next, pre, dest, d = _slot(
-        q, a[0], s[0], noise[0], offsets, marks, config.gamma, gen, hook
-    )
+    q_next, pre, dest, d = _slot(q, a[0], s[0], noise[0], offsets, marks, config.gamma, gen)
     return q_next, a[0], dest, s[0], d, q_next - pre
 
 
-def _run_group(config, counts, warmup, thinning, stream, hook=None):
+def _run_group(config, counts, warmup, thinning, stream):
     """Simulate one vectorized group of replicas; returns their retained
     samples (q, u_total) stacked in replica order."""
     gen = stream.generator()
@@ -275,9 +271,7 @@ def _run_group(config, counts, warmup, thinning, stream, hook=None):
     for b0 in range(0, total, BLOCK):
         a, s, noise = _draw_block(config, gen, min(BLOCK, total - b0), r)
         for j in range(a.shape[0]):
-            q, pre, _, _ = _slot(
-                q, a[j], s[j], noise[j], offsets, marks, config.gamma, gen, hook
-            )
+            q, pre, _, _ = _slot(q, a[j], s[j], noise[j], offsets, marks, config.gamma, gen)
             # b0 + j + 1 slots have run; sample k (from 1) is retained once
             # that reaches warmup + k * thinning
             k, rem = divmod(b0 + j + 1 - warmup, thinning)
@@ -296,7 +290,6 @@ def collect_steady_state(
     plan: SamplingPlan,
     seed: int,
     max_cells: int = MAX_SAMPLE_CELLS,
-    abandonment_hook=None,
 ) -> SampleSet:
     """Run independent replicas from the empty state and collect thinned
     steady-state samples.
@@ -307,9 +300,6 @@ def collect_steady_state(
     back, in replica order. Replicas run in groups of GROUP_SIZE, group g on
     RngStream(seed, g), so identical (config, plan, seed) always produce the
     identical sample set.
-
-    `abandonment_hook` is test instrumentation: it may replace the sampled
-    abandonment vector and deliberately corrupt the dynamics.
     """
     require_valid(config)
     plan.check()
@@ -327,7 +317,7 @@ def collect_steady_state(
     results = [
         _run_group(
             config, counts[g0 : g0 + GROUP_SIZE], plan.warmup_slots, plan.thinning,
-            RngStream(seed, g0 // GROUP_SIZE), hook=abandonment_hook,
+            RngStream(seed, g0 // GROUP_SIZE),
         )
         for g0 in range(0, len(counts), GROUP_SIZE)
     ]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import StateCounts, batch_stderr, count_rows
+from .counts import StateCounts, batch_stderr
 from .errors import RegimeMismatchError
 from .limits import LimitDistribution
 from .model import SystemConfig
@@ -33,7 +33,6 @@ __all__ = [
     "ResidualPoint",
     "MomentRow",
     "empirical_mgf",
-    "mgf_from_values",
     "ssc_estimate",
     "unused_service_rate",
     "classic_residual",
@@ -84,25 +83,37 @@ class MgfEstimate:
     statistic: str
     batch_values: np.ndarray
     batch_derivs: np.ndarray
-    batch_u_mean: np.ndarray | None = None
+    batch_u_mean: np.ndarray
 
 
-def _mgf(
-    counts: StateCounts,
-    x: np.ndarray,
-    gamma: float,
+def empirical_mgf(
+    samples: SampleSet,
     phi_grid,
-    exponent: float,
-    statistic: str,
-    batch_u_mean: np.ndarray | None,
+    statistic: str = "total",
+    exponent: float = 0.5,
 ) -> MgfEstimate:
-    """MGF estimate from a count table; `x` (U,) holds the statistic at each
-    distinct row."""
+    """Empirical MGF of a queue statistic from steady-state samples, at the
+    samples' gamma.
+
+    `statistic` picks the underlying variable: the total queue length
+    ("total") or the total centered at drift/gamma ("centered-total").
+
+    Overflow guard: a grid point whose largest exponent would exceed
+    MAX_EXPONENT is flagged unusable instead of returning infinity. A point
+    whose standard error is NaN (fewer than two batches) or zero is unusable
+    too, since no z-score can be formed from it.
+    """
+    if statistic not in STATISTICS:
+        raise ValueError(f"statistic must be one of {STATISTICS}")
     phi_grid = np.asarray(phi_grid, dtype=float)
     if phi_grid.size == 0:
         raise ValueError("phi grid must be nonempty")
     if np.any(np.abs(phi_grid) > 2.0):
         raise ValueError("phi grid must lie within [-2, 2]")
+    gamma = samples.gamma
+    counts = samples.counts
+    total = counts.rows.sum(axis=1)
+    x = total.astype(float) if statistic == "total" else total - samples.config.drift / gamma
     scaled = gamma**exponent * x
 
     lo, hi = scaled.min(), scaled.max()
@@ -140,53 +151,8 @@ def _mgf(
         statistic=statistic,
         batch_values=batch_values,
         batch_derivs=batch_derivs,
-        batch_u_mean=batch_u_mean,
+        batch_u_mean=_sample_batch_means(samples.u_total, samples.batch),
     )
-
-
-def mgf_from_values(
-    x: np.ndarray,
-    batch: np.ndarray,
-    gamma: float,
-    phi_grid,
-    exponent: float = 0.5,
-    statistic: str = "raw",
-    u_total: np.ndarray | None = None,
-) -> MgfEstimate:
-    """Empirical MGF of `gamma**exponent * x` over a phi grid.
-
-    `x` may take any real values; its distinct values are counted per batch
-    and exp is evaluated once per distinct value.
-
-    Overflow guard: a grid point whose largest exponent would exceed
-    MAX_EXPONENT is flagged unusable instead of returning infinity. A point
-    whose standard error is NaN (fewer than two batches) or zero is unusable
-    too, since no z-score can be formed from it.
-    """
-    counts = count_rows(np.asarray(x, dtype=float), batch)
-    u_mean = None if u_total is None else _sample_batch_means(u_total, batch)
-    return _mgf(counts, counts.rows[:, 0], gamma, phi_grid, exponent, statistic, u_mean)
-
-
-def empirical_mgf(
-    samples: SampleSet,
-    gamma: float,
-    phi_grid,
-    statistic: str = "total",
-    exponent: float = 0.5,
-) -> MgfEstimate:
-    """Empirical MGF of a queue statistic from steady-state samples.
-
-    `statistic` picks the underlying variable: the total queue length
-    ("total") or the total centered at drift/gamma ("centered-total").
-    """
-    if statistic not in STATISTICS:
-        raise ValueError(f"statistic must be one of {STATISTICS}")
-    counts = samples.counts
-    total = counts.rows.sum(axis=1)
-    x = total.astype(float) if statistic == "total" else total - samples.config.drift / gamma
-    u_mean = _sample_batch_means(samples.u_total, samples.batch)
-    return _mgf(counts, x, gamma, phi_grid, exponent, statistic, u_mean)
 
 
 @dataclass(frozen=True)
@@ -227,12 +193,12 @@ class UnusedServiceRate:
     stderr_raw: float
 
 
-def unused_service_rate(samples: SampleSet, gamma: float) -> UnusedServiceRate:
+def unused_service_rate(samples: SampleSet) -> UnusedServiceRate:
     bm = _sample_batch_means(samples.u_total, samples.batch)
     raw = float(bm.mean())
     return UnusedServiceRate(
         raw=raw,
-        critical_scaled=raw / math.sqrt(gamma),
+        critical_scaled=raw / math.sqrt(samples.gamma),
         stderr_raw=float(batch_stderr(bm)),
     )
 
@@ -302,8 +268,6 @@ def classic_residual(
         raise RegimeMismatchError(
             f"classic residual needs the total-queue MGF at exponent {scaling_exponent(spec)}"
         )
-    if mgf.batch_u_mean is None:
-        raise RegimeMismatchError("classic residual needs unused-service totals in the samples")
     scale = mgf.gamma**spec.alpha
     c2 = config.variance + config.drift**2
     rows = drift_relation_values(
@@ -323,8 +287,6 @@ def critical_ode_residual(mgf: MgfEstimate, config: SystemConfig) -> list[Residu
     """
     if mgf.exponent != 0.5 or mgf.statistic != "total":
         raise RegimeMismatchError("critical residual needs the sqrt-scaled total-queue MGF")
-    if mgf.batch_u_mean is None:
-        raise RegimeMismatchError("critical residual needs unused-service totals in the samples")
     gamma = mgf.gamma
     drift_scaled = config.drift / math.sqrt(gamma)
     c2 = config.variance + config.drift**2

@@ -1,3 +1,4 @@
+import io
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -6,8 +7,10 @@ import numpy as np
 import pytest
 
 import jsqa.cli as cli
+from jsqa import simulator
+from jsqa.errors import ConfigError
 from jsqa.model import BernoulliScaled, Constant, SystemConfig
-from jsqa.simulator import default_plan
+from jsqa.simulator import SamplingPlan, default_plan
 
 DATA = Path(__file__).parent / "data"
 
@@ -144,11 +147,11 @@ class TestRun:
         calls = {"n": 0}
         original = cli.transform.unused_service_rate
 
-        def explode_on_second(samples, gamma):
+        def explode_on_second(samples):
             calls["n"] += 1
             if calls["n"] >= 2:
                 raise RuntimeError("synthetic failure")
-            return original(samples, gamma)
+            return original(samples)
 
         monkeypatch.setattr(cli.transform, "unused_service_rate", explode_on_second)
         path = write_manifest(tmp_path)
@@ -162,7 +165,7 @@ class TestRun:
         assert "synthetic failure" in sidecar["error"]
 
     def test_failed_gamma_reported_on_stderr(self, tmp_path, monkeypatch, capsys):
-        def explode(samples, gamma):
+        def explode(samples):
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setattr(cli.transform, "unused_service_rate", explode)
@@ -217,22 +220,19 @@ class TestOracleCheck:
 
     def test_healthy_simulator_exits_zero(self):
         plan = default_plan(SSQ, num_samples=200_000, replicas=64)
-        import io
-
         status = cli.oracle_check(SSQ, cap=120, plan=plan, seed=3, out=io.StringIO())
         assert status == 0
 
-    def test_corrupted_abandonment_detected(self):
-        # off-by-one abandonment, injected through the test hook
-        def off_by_one(d, q):
-            return np.minimum(q, d + (q > 0))
+    def test_corrupted_abandonment_detected(self, monkeypatch):
+        # off-by-one abandonment, patched into the slot kernel
+        abandon = simulator._abandon
 
+        def off_by_one(q, marks, gamma, gen):
+            return np.minimum(q, abandon(q, marks, gamma, gen) + (q > 0))
+
+        monkeypatch.setattr(simulator, "_abandon", off_by_one)
         plan = default_plan(SSQ, num_samples=200_000, replicas=64)
-        import io
-
-        status = cli.oracle_check(
-            SSQ, cap=120, plan=plan, seed=3, abandonment_hook=off_by_one, out=io.StringIO()
-        )
+        status = cli.oracle_check(SSQ, cap=120, plan=plan, seed=3, out=io.StringIO())
         assert status == 1
 
 
@@ -311,3 +311,20 @@ def test_invalid_config_exits_2_before_any_work(tmp_path, capsys, monkeypatch, c
     extra = ["--cap", "8"] if command == "oracle-check" else ["--horizon", "10"]
     assert cli.main([command, str(write_config(tmp_path, config)), *extra]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "config, plan",
+    [
+        (replace(SSQ, gamma=-0.1), SamplingPlan(100, 1000, 1, 4)),
+        (SSQ, SamplingPlan(0, 1000, 1, 4)),
+    ],
+    ids=["gamma", "plan"],
+)
+def test_oracle_check_validates_before_building(monkeypatch, config, plan):
+    def no_work(*args, **kwargs):
+        raise AssertionError("an invalid input reached the chain build")
+
+    monkeypatch.setattr(cli.oracle, "build_chain", no_work)
+    with pytest.raises(ConfigError):
+        cli.oracle_check(config, cap=8, plan=plan, seed=0, out=io.StringIO())

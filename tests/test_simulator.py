@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jsqa import simulator
 from jsqa.errors import ConfigError, ResourceLimitError
 from jsqa.model import BernoulliScaled, Binomial, Constant, RngStream, SystemConfig
 from jsqa.oracle import build_chain, oracle_moments, stationary
@@ -179,7 +180,7 @@ class TestCollect:
         se = means.std(ddof=1) / math.sqrt(nb)
         assert abs(vals.mean() - SSQ.drift) < 4 * se
 
-    def test_marks_carried_across_slots_are_exact(self):
+    def test_marks_carried_across_slots_are_exact(self, monkeypatch):
         """Abandonments over a whole steady-state run, where each cell's next
         mark is carried from slot to slot: given the state, d is Binomial(q,
         gamma) in every slot, so the residuals d - gamma q of one cell form a
@@ -189,12 +190,15 @@ class TestCollect:
         config = build_config(spec, 1e-2)
         plan = SamplingPlan(warmup_slots=2000, num_samples=128 * 2000, thinning=1, replicas=128)
         seen = []
+        abandon = simulator._abandon
 
-        def record(d, q):
+        def record(q, marks, gamma, gen):
+            d = abandon(q, marks, gamma, gen)
             seen.append((d.copy(), q.copy()))
             return d
 
-        collect_steady_state(config, plan, seed=31, abandonment_hook=record)
+        monkeypatch.setattr(simulator, "_abandon", record)
+        collect_steady_state(config, plan, seed=31)
         d = np.array([x[0] for x in seen], dtype=float)  # (slots, replicas, n)
         q = np.array([x[1] for x in seen], dtype=float)
         assert d.shape == (4000, 128, 2)

@@ -7,7 +7,7 @@ from scipy import integrate
 from jsqa.counts import count_rows
 from jsqa.errors import RegimeMismatchError
 from jsqa.limits import critical_unused_limit, exponential, gaussian, truncated_gaussian
-from jsqa.model import BernoulliScaled, Binomial, RngStream, SystemConfig
+from jsqa.model import BernoulliScaled, Binomial, Constant, RngStream, SystemConfig
 from jsqa.oracle import build_chain, oracle_mgf, stationary
 from jsqa.regimes import RegimeSpec, build_config, center_per_queue, scale, scaling_exponent
 from jsqa.simulator import SampleSet, SamplingPlan
@@ -18,7 +18,6 @@ from jsqa.transform import (
     empirical_mgf,
     ks_statistic,
     ks_two_sample,
-    mgf_from_values,
     moment_report,
     overloaded_ode_residual,
     ssc_estimate,
@@ -43,18 +42,20 @@ def make_samples(q, u=None, gamma=0.1, batches=4, config=None):
 
 class TestEmpiricalMgf:
     def test_degenerate_samples_give_one(self):
-        est = mgf_from_values(np.zeros(10), np.zeros(10, dtype=int), 1.0, [-1.0, 0.7])
+        est = empirical_mgf(make_samples(np.zeros(10), batches=1), [-1.0, 0.7])
         assert np.allclose(est.values, 1.0)
 
     def test_two_point_example(self):
-        x = np.array([1.0, -1.0] * 50)
-        est = mgf_from_values(x, np.zeros(100, dtype=int), 1.0, [1.0])
+        # drift / gamma = (2 - 1) / 1, so the centered total q - 1 is -1 or +1
+        config = SystemConfig(n=1, gamma=1.0, arrivals=Constant(2), services=(Constant(1),))
+        samples = make_samples(np.array([2, 0] * 50), config=config, batches=1)
+        est = empirical_mgf(samples, [1.0], "centered-total")
         assert est.values[0] == pytest.approx((math.e + math.exp(-1)) / 2, rel=1e-12)
         assert est.derivatives[0] == pytest.approx((math.e - math.exp(-1)) / 2, rel=1e-12)
 
     def test_value_at_zero_exact(self):
-        x = RngStream(0).generator().exponential(3.0, 1000)
-        est = mgf_from_values(x, np.arange(1000) % 8, 0.25, [-1.0, 0.0, 1.0])
+        q = RngStream(0).generator().geometric(0.2, 1000)
+        est = empirical_mgf(make_samples(q, gamma=0.25, batches=8), [-1.0, 0.0, 1.0])
         assert est.values[1] == 1.0
 
     def test_matches_exact_stationary_mgf(self):
@@ -66,47 +67,46 @@ class TestEmpiricalMgf:
         pi = stationary(chain)
         gen = RngStream(5).generator()
         draws = gen.choice(chain.cap + 1, size=200_000, p=pi)
-        est = mgf_from_values(draws.astype(float), np.arange(draws.size) % 32, 0.1, [-0.5])
+        est = empirical_mgf(make_samples(draws, config=config, batches=32), [-0.5])
         exact = oracle_mgf(chain, pi, 0.1, -0.5)
         assert abs(est.values[0] - exact) < 4 * est.stderr[0]
 
     def test_analytic_derivative_matches_finite_difference(self):
-        x = RngStream(2).generator().gamma(2.0, 1.0, 5000)
+        samples = make_samples(RngStream(2).generator().poisson(2.0, 5000), gamma=0.5, batches=8)
         h = 1e-4
         for phi in (-0.8, -0.1, 0.3):
-            est = mgf_from_values(x, np.arange(5000) % 8, 0.5, [phi - h, phi, phi + h])
+            est = empirical_mgf(samples, [phi - h, phi, phi + h])
             fd = (est.values[2] - est.values[0]) / (2 * h)
             assert abs(est.derivatives[1] - fd) < 1e-6
 
     def test_single_batch_is_unusable(self):
         # one batch gives a NaN stderr; zero spread gives a zero stderr
-        x = RngStream(1).generator().exponential(1.0, 100)
-        est = mgf_from_values(x, np.zeros(100, dtype=int), 0.5, [-0.5, 0.5])
+        q = RngStream(1).generator().geometric(0.5, 100)
+        est = empirical_mgf(make_samples(q, gamma=0.5, batches=1), [-0.5, 0.5])
         assert np.isnan(est.stderr).all()
         assert not est.usable.any()
-        flat = mgf_from_values(np.ones(100), np.arange(100) % 4, 0.5, [-0.5])
+        flat = empirical_mgf(make_samples(np.ones(100), gamma=0.5, batches=4), [-0.5])
         assert flat.stderr[0] == 0.0
         assert not flat.usable[0]
 
     def test_overflow_guard_flags_point(self):
-        x = np.full(100, 5000.0)
-        est = mgf_from_values(x, np.zeros(100, dtype=int), 1.0, [0.5])
+        est = empirical_mgf(make_samples(np.full(100, 5000), gamma=1.0, batches=1), [0.5])
         assert not est.usable[0]
         assert np.isnan(est.values[0])
 
     def test_grid_domain_enforced(self):
         with pytest.raises(ValueError, match=r"\[-2, 2\]"):
-            mgf_from_values(np.ones(4), np.zeros(4, dtype=int), 0.1, [3.0])
+            empirical_mgf(make_samples(np.ones(4)), [3.0])
 
     def test_statistic_extraction(self):
         samples = make_samples(np.array([[1, 3], [2, 0], [4, 4], [0, 1]]), gamma=0.25)
         grid = [0.5]
-        total = empirical_mgf(samples, 0.25, grid, "total")
+        total = empirical_mgf(samples, grid, "total")
         expect = np.exp(0.5 * 0.5 * samples.q.sum(axis=1)).mean()
         assert total.values[0] == pytest.approx(expect, rel=1e-12)
         for statistic in ("median", "per-queue"):
             with pytest.raises(ValueError):
-                empirical_mgf(samples, 0.25, grid, statistic)
+                empirical_mgf(samples, grid, statistic)
 
 
 class TestSsc:
@@ -138,12 +138,12 @@ class TestSsc:
 
 class TestUnusedRate:
     def test_zeros(self):
-        est = unused_service_rate(make_samples(np.ones((20, 1), dtype=int)), 0.04)
+        est = unused_service_rate(make_samples(np.ones((20, 1), dtype=int), gamma=0.04))
         assert est.raw == 0.0 and est.critical_scaled == 0.0
 
     def test_scaling(self):
-        samples = make_samples(np.ones((20, 1), dtype=int), u=np.tile([0, 1], 10))
-        est = unused_service_rate(samples, 0.04)
+        samples = make_samples(np.ones((20, 1), dtype=int), u=np.tile([0, 1], 10), gamma=0.04)
+        est = unused_service_rate(samples)
         assert est.raw == pytest.approx(0.5)
         assert est.critical_scaled == pytest.approx(0.5 / 0.2)
 
@@ -202,7 +202,7 @@ class TestResidualOps:
         q = gen.integers(0, 30, size=(400, 2))
         u = gen.integers(0, 2, size=400)
         samples = make_samples(q, u=u, gamma=gamma, config=config)
-        mgf = empirical_mgf(samples, gamma, [-0.5, 0.0, 0.5], "total", exponent=alpha)
+        mgf = empirical_mgf(samples, [-0.5, 0.0, 0.5], "total", exponent=alpha)
         points = classic_residual(mgf, config, spec)
         expect = (config.drift - gamma * q.sum(1).mean() + u.mean()) / gamma**alpha
         assert points[1].residual == pytest.approx(expect, rel=1e-10)
@@ -216,7 +216,7 @@ class TestResidualOps:
         q = gen.integers(0, 12, size=(600, 1))
         u = gen.integers(0, 2, size=600)
         samples = make_samples(q, u=u, gamma=gamma, config=config)
-        mgf = empirical_mgf(samples, gamma, [-0.5, 0.0], "total")
+        mgf = empirical_mgf(samples, [-0.5, 0.0], "total")
         points = critical_ode_residual(mgf, config)
         expect = (gamma * q.sum(1).mean() - config.drift - u.mean()) / math.sqrt(gamma)
         assert points[1].residual == pytest.approx(expect, rel=1e-10)
@@ -225,10 +225,10 @@ class TestResidualOps:
         spec = RegimeSpec("critical", 0.0, 0.5, TWO_BINOMIAL, 4)
         config = SystemConfig(n=2, gamma=0.01, arrivals=Binomial(4, 0.25), services=TWO_BINOMIAL)
         samples = make_samples(np.ones((40, 2), dtype=int), gamma=0.01, config=config)
-        mgf = empirical_mgf(samples, 0.01, [0.0], "total")
+        mgf = empirical_mgf(samples, [0.0], "total")
         with pytest.raises(RegimeMismatchError):
             classic_residual(mgf, config, spec)
-        centered = empirical_mgf(samples, 0.01, [0.0], "centered-total")
+        centered = empirical_mgf(samples, [0.0], "centered-total")
         with pytest.raises(RegimeMismatchError):
             critical_ode_residual(centered, config)
         with pytest.raises(RegimeMismatchError):
@@ -342,7 +342,7 @@ class TestMatchesPerSampleReference:
     def test_empirical_mgf(self, n, statistic):
         samples = random_samples(n, batches=6, seed=10 + n)
         gamma = samples.gamma
-        est = empirical_mgf(samples, gamma, GRID, statistic, exponent=0.5)
+        est = empirical_mgf(samples, GRID, statistic, exponent=0.5)
         x = samples.q.sum(axis=1)
         if statistic == "centered-total":
             x = x - samples.config.drift / gamma
@@ -358,21 +358,10 @@ class TestMatchesPerSampleReference:
         samples = random_samples(2, batches=5, seed=3, hi=15, config=OVERLOADED_CONFIG)
         x = samples.q.sum(axis=1) - OVERLOADED_CONFIG.drift / 0.1
         assert x.min() < 0 < x.max()
-        est = empirical_mgf(samples, 0.1, GRID, "centered-total")
+        est = empirical_mgf(samples, GRID, "centered-total")
         bv, bd = ref_mgf(x, samples.batch, 0.1, GRID, 0.5)
         assert_close(est.batch_values, bv)
         assert_close(est.batch_derivs, bd)
-
-    def test_continuous_values(self):
-        gen = RngStream(8).generator()
-        x = gen.normal(0.0, 3.0, 2000)
-        batch = np.arange(2000) % 7
-        u = gen.integers(0, 2, 2000)
-        est = mgf_from_values(x, batch, 0.2, GRID, exponent=0.5, u_total=u)
-        bv, bd = ref_mgf(x, batch, 0.2, GRID, 0.5)
-        assert_close(est.batch_values, bv)
-        assert_close(est.batch_derivs, bd)
-        assert_close(est.batch_u_mean, ref_batch_means(u, batch))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_ssc(self, n):
@@ -396,7 +385,7 @@ class TestMatchesPerSampleReference:
         samples = random_samples(n, batches=6, seed=30 + n, hi=10, config=config)
         x = gamma ** scaling_exponent(spec) * (samples.q - center_per_queue(spec, gamma))
         assert x.min() < 0 < x.max()
-        rows = moment_report(scale(samples, spec, gamma), gaussian(1.0), 4)
+        rows = moment_report(scale(samples, spec), gaussian(1.0), 4)
         pooled, pooled_batch = x.reshape(-1), np.repeat(samples.batch, n)
         expected = [ref_batch_means(pooled**m, pooled_batch) for m in range(1, 5)]
         if n >= 2:
@@ -412,11 +401,11 @@ class TestMatchesPerSampleReference:
 
     def test_single_batch_stays_unusable(self):
         samples = random_samples(2, batches=1, seed=40)
-        est = empirical_mgf(samples, samples.gamma, GRID, "total")
+        est = empirical_mgf(samples, GRID, "total")
         assert np.isnan(est.stderr).all()
         assert not est.usable.any()
         assert math.isnan(ssc_estimate(samples).stderr)
-        assert math.isnan(unused_service_rate(samples, samples.gamma).stderr_raw)
+        assert math.isnan(unused_service_rate(samples).stderr_raw)
         scaled = count_rows(samples.q.astype(float), samples.batch)
         for row in moment_report(scaled, exponential(1.0), 2):
             assert math.isnan(row.stderr)
@@ -434,7 +423,7 @@ class TestMatchesPerSampleReference:
         spec = RegimeSpec("overloaded", 0.2, 0.0, TWO_BINOMIAL, 4)
         gamma = 0.05
         samples = random_samples(2, batches=4, seed=50, hi=10, config=build_config(spec, gamma))
-        scaled = scale(samples, spec, gamma)
+        scaled = scale(samples, spec)
         x0 = gamma ** scaling_exponent(spec) * (samples.q[:, 0] - center_per_queue(spec, gamma))
         dist = gaussian(0.8)
         assert ks_statistic(scaled.rows[:, 0], dist, scaled.pooled) == ref_ks(x0, dist)
