@@ -54,7 +54,6 @@ from .transform import (
     critical_ode_residual,
     empirical_mgf,
     ks_statistic,
-    ks_two_sample,
     moment_report,
     overloaded_ode_residual,
     ssc_estimate,

@@ -8,7 +8,7 @@ class ConfigError(ValueError):
 
 
 class RegimeMismatchError(ValueError):
-    """A residual check was applied to samples from the wrong regime."""
+    """A residual applied to the MGF of another regime."""
 
 
 class ResourceLimitError(RuntimeError):

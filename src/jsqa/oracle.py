@@ -267,7 +267,8 @@ def oracle_moments(chain: TruncatedChain, pi: np.ndarray, order: int = 1) -> dic
     return out
 
 
-def oracle_mgf(chain: TruncatedChain, pi: np.ndarray, gamma: float, phi: float) -> float:
-    """Exact E[exp(sqrt(gamma) * phi * total queue)] under pi."""
+def oracle_mgf(chain: TruncatedChain, pi: np.ndarray, phi: float) -> float:
+    """Exact E[exp(sqrt(gamma) * phi * total queue)] under pi, at the chain's
+    gamma."""
     totals = chain.state_vectors().sum(axis=1).astype(float)
-    return float(pi @ np.exp(math.sqrt(gamma) * phi * totals))
+    return float(pi @ np.exp(math.sqrt(chain.config.gamma) * phi * totals))

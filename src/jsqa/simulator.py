@@ -285,12 +285,7 @@ def _run_group(config, counts, warmup, thinning, stream):
     return out_q.transpose(1, 0, 2)[keep], out_u.T[keep]
 
 
-def collect_steady_state(
-    config: SystemConfig,
-    plan: SamplingPlan,
-    seed: int,
-    max_cells: int = MAX_SAMPLE_CELLS,
-) -> SampleSet:
+def collect_steady_state(config: SystemConfig, plan: SamplingPlan, seed: int) -> SampleSet:
     """Run independent replicas from the empty state and collect thinned
     steady-state samples.
 
@@ -303,10 +298,10 @@ def collect_steady_state(
     """
     require_valid(config)
     plan.check()
-    if plan.num_samples * (config.n + 1) > max_cells:
+    if plan.num_samples * (config.n + 1) > MAX_SAMPLE_CELLS:
         raise ResourceLimitError(
             f"plan retains {plan.num_samples} samples x {config.n + 1} cells, "
-            f"exceeding the cap of {max_cells} cells"
+            f"exceeding the cap of {MAX_SAMPLE_CELLS} cells"
         )
 
     base, rem = divmod(plan.num_samples, plan.replicas)

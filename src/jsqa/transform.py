@@ -40,7 +40,6 @@ __all__ = [
     "overloaded_ode_residual",
     "drift_relation_values",
     "ks_statistic",
-    "ks_two_sample",
     "moment_report",
 ]
 
@@ -50,8 +49,6 @@ MAX_EXPONENT = 700.0
 MAX_RELATIVE_STDERR = 0.10
 # bound on the exp() cells evaluated at once over (distinct rows x grid points)
 MGF_CHUNK_CELLS = 1 << 21
-
-STATISTICS = ("total", "centered-total")
 
 
 def _sample_batch_means(values, batch) -> np.ndarray:
@@ -63,14 +60,14 @@ def _sample_batch_means(values, batch) -> np.ndarray:
 
 @dataclass
 class MgfEstimate:
-    """Empirical MGF of a scaled statistic on a phi grid.
+    """Empirical MGF of the regime's scaled statistic on a phi grid.
 
-    `values[k]` estimates E[exp(phi_k * gamma^exponent * X)] and
-    `derivatives[k]` its exact analytic phi-derivative
-    E[gamma^exponent * X * exp(...)], not a finite difference. Per-batch
-    matrices back the standard errors and downstream residuals; `usable`
-    flags grid points that neither overflowed nor exceeded the relative
-    stderr threshold.
+    `values[k]` estimates E[exp(phi_k * gamma^e * X)] and `derivatives[k]` its
+    exact analytic phi-derivative E[gamma^e * X * exp(...)], not a finite
+    difference, where X and e are fixed by `spec` (see `empirical_mgf`) and
+    gamma is `config.gamma`, the samples' own. Per-batch matrices back the
+    standard errors and downstream residuals; `usable` flags grid points that
+    neither overflowed nor exceeded the relative stderr threshold.
     """
 
     phi_grid: np.ndarray
@@ -78,33 +75,26 @@ class MgfEstimate:
     derivatives: np.ndarray
     stderr: np.ndarray
     usable: np.ndarray
-    gamma: float
-    exponent: float
-    statistic: str
+    spec: RegimeSpec
+    config: SystemConfig
     batch_values: np.ndarray
     batch_derivs: np.ndarray
     batch_u_mean: np.ndarray
 
 
-def empirical_mgf(
-    samples: SampleSet,
-    phi_grid,
-    statistic: str = "total",
-    exponent: float = 0.5,
-) -> MgfEstimate:
-    """Empirical MGF of a queue statistic from steady-state samples, at the
-    samples' gamma.
+def empirical_mgf(samples: SampleSet, phi_grid, spec: RegimeSpec) -> MgfEstimate:
+    """Empirical MGF of the statistic whose limit the regime `spec` proves,
+    from steady-state samples at the samples' gamma.
 
-    `statistic` picks the underlying variable: the total queue length
-    ("total") or the total centered at drift/gamma ("centered-total").
+    The statistic is the total queue length X, centered at drift/gamma when
+    `spec.kind` is "overloaded", and scaled by gamma^e with e the regime's
+    `scaling_exponent` (alpha for classic, 1/2 otherwise).
 
     Overflow guard: a grid point whose largest exponent would exceed
     MAX_EXPONENT is flagged unusable instead of returning infinity. A point
     whose standard error is NaN (fewer than two batches) or zero is unusable
     too, since no z-score can be formed from it.
     """
-    if statistic not in STATISTICS:
-        raise ValueError(f"statistic must be one of {STATISTICS}")
     phi_grid = np.asarray(phi_grid, dtype=float)
     if phi_grid.size == 0:
         raise ValueError("phi grid must be nonempty")
@@ -113,8 +103,8 @@ def empirical_mgf(
     gamma = samples.gamma
     counts = samples.counts
     total = counts.rows.sum(axis=1)
-    x = total.astype(float) if statistic == "total" else total - samples.config.drift / gamma
-    scaled = gamma**exponent * x
+    x = total - samples.config.drift / gamma if spec.kind == "overloaded" else total.astype(float)
+    scaled = gamma ** scaling_exponent(spec) * x
 
     lo, hi = scaled.min(), scaled.max()
     extremes = np.maximum(phi_grid * lo, phi_grid * hi)
@@ -146,9 +136,8 @@ def empirical_mgf(
         derivatives=derivatives,
         stderr=stderr,
         usable=usable,
-        gamma=gamma,
-        exponent=exponent,
-        statistic=statistic,
+        spec=spec,
+        config=samples.config,
         batch_values=batch_values,
         batch_derivs=batch_derivs,
         batch_u_mean=_sample_batch_means(samples.u_total, samples.batch),
@@ -250,44 +239,46 @@ def _points(phi_grid, batch_rows: np.ndarray, usable) -> list[ResidualPoint]:
     ]
 
 
-def classic_residual(
-    mgf: MgfEstimate, config: SystemConfig, spec: RegimeSpec
-) -> list[ResidualPoint]:
+def _require_kind(mgf: MgfEstimate, kind: str) -> None:
+    if mgf.spec.kind != kind:
+        raise RegimeMismatchError(
+            f"{kind} residual applied to the MGF of the {mgf.spec.kind} regime"
+        )
+
+
+def classic_residual(mgf: MgfEstimate) -> list[ResidualPoint]:
     """Residuals of the classic-regime MGF relation over the grid.
 
-    Expects the MGF of the total queue length scaled with the classic
-    exponent alpha, with per-batch unused-service means. Keeps the
-    abandonment term gamma^(1 - 2 alpha) M'(phi) and the measured unused
+    Needs the MGF of a classic regime: the total queue length scaled with
+    the classic exponent alpha, with per-batch unused-service means. Keeps
+    the abandonment term gamma^(1 - 2 alpha) M'(phi) and the measured unused
     service, both of which the gamma -> 0 limit relation
     (drift_scaled + phi c2 / 2) M(phi) = drift_scaled drops; at finite gamma
     dropping them biases the residual by several standard errors.
     """
-    if spec.kind != "classic":
-        raise RegimeMismatchError("classic residual needs a classic regime spec")
-    if mgf.exponent != scaling_exponent(spec) or mgf.statistic != "total":
-        raise RegimeMismatchError(
-            f"classic residual needs the total-queue MGF at exponent {scaling_exponent(spec)}"
-        )
-    scale = mgf.gamma**spec.alpha
+    _require_kind(mgf, "classic")
+    config, alpha = mgf.config, mgf.spec.alpha
+    gamma = config.gamma
+    scale = gamma**alpha
     c2 = config.variance + config.drift**2
     rows = drift_relation_values(
         mgf.batch_values, mgf.batch_derivs, mgf.phi_grid, config.drift / scale, c2,
-        mgf.batch_u_mean[:, None] / scale, mgf.gamma ** (1.0 - 2.0 * spec.alpha),
+        mgf.batch_u_mean[:, None] / scale, gamma ** (1.0 - 2.0 * alpha),
     )
     return _points(mgf.phi_grid, rows, mgf.usable)
 
 
-def critical_ode_residual(mgf: MgfEstimate, config: SystemConfig) -> list[ResidualPoint]:
+def critical_ode_residual(mgf: MgfEstimate) -> list[ResidualPoint]:
     """Residuals of the critical-regime MGF differential relation.
 
-    Needs the total-queue MGF at exponent 1/2 together with analytic
-    derivatives and per-batch unused-service means. The relation is
-    -M(phi) * (phi * c2 / 2 + drift_scaled) + M'(phi) - u_scaled, the drift
-    relation at e = 1/2 with its sign flipped.
+    Needs the MGF of a critical regime: the total queue length scaled by
+    gamma^(1/2), with analytic derivatives and per-batch unused-service
+    means. The relation is -M(phi) * (phi * c2 / 2 + drift_scaled) + M'(phi)
+    - u_scaled, the drift relation at e = 1/2 with its sign flipped.
     """
-    if mgf.exponent != 0.5 or mgf.statistic != "total":
-        raise RegimeMismatchError("critical residual needs the sqrt-scaled total-queue MGF")
-    gamma = mgf.gamma
+    _require_kind(mgf, "critical")
+    config = mgf.config
+    gamma = config.gamma
     drift_scaled = config.drift / math.sqrt(gamma)
     c2 = config.variance + config.drift**2
     u_scaled = mgf.batch_u_mean[:, None] / math.sqrt(gamma)
@@ -297,14 +288,14 @@ def critical_ode_residual(mgf: MgfEstimate, config: SystemConfig) -> list[Residu
     return _points(mgf.phi_grid, rows, mgf.usable)
 
 
-def overloaded_ode_residual(mgf: MgfEstimate, config: SystemConfig) -> list[ResidualPoint]:
+def overloaded_ode_residual(mgf: MgfEstimate) -> list[ResidualPoint]:
     """Residuals of the overloaded-regime MGF differential relation
-    (phi * bar_c2 / 2) * M(phi) - M'(phi), on the centered-total statistic:
-    the drift relation at e = 1/2 with no drift and no unused service."""
-    if mgf.exponent != 0.5 or mgf.statistic != "centered-total":
-        raise RegimeMismatchError("overloaded residual needs the centered-total MGF")
-    gamma = mgf.gamma
-    bar_c2 = config.variance + config.drift * (1.0 - gamma)
+    (phi * bar_c2 / 2) * M(phi) - M'(phi), on the MGF of an overloaded
+    regime (the total centered at drift/gamma, scaled by gamma^(1/2)): the
+    drift relation at e = 1/2 with no drift and no unused service."""
+    _require_kind(mgf, "overloaded")
+    config = mgf.config
+    bar_c2 = config.variance + config.drift * (1.0 - config.gamma)
     rows = drift_relation_values(
         mgf.batch_values, mgf.batch_derivs, mgf.phi_grid, 0.0, bar_c2, 0.0, 1.0
     )
@@ -330,16 +321,6 @@ def ks_statistic(samples, dist: LimitDistribution, counts=None) -> float:
     upper = end / n - cdf
     lower = cdf - (end - weights) / n
     return float(max(upper.max(), lower.max()))
-
-
-def ks_two_sample(x, y) -> float:
-    """Sup distance between two empirical CDFs."""
-    x = np.sort(np.asarray(x, dtype=float))
-    y = np.sort(np.asarray(y, dtype=float))
-    grid = np.concatenate([x, y])
-    fx = np.searchsorted(x, grid, side="right") / x.size
-    fy = np.searchsorted(y, grid, side="right") / y.size
-    return float(np.abs(fx - fy).max())
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,18 @@ TINY_MANIFEST = {
     "seed": 99,
     "outputs": ".",
 }
+CLASSIC_MANIFEST = dict(
+    TINY_MANIFEST, regime=dict(TINY_MANIFEST["regime"], kind="classic", constant=0.2, alpha=0.25)
+)
+CRITICAL_MANIFEST = dict(
+    TINY_MANIFEST, regime=dict(TINY_MANIFEST["regime"], kind="critical", constant=-0.5, alpha=0.5)
+)
+# regime kind -> (golden results.csv, tiny manifest of that kind)
+GOLDEN = {
+    "overloaded": ("golden_results.csv", TINY_MANIFEST),
+    "classic": ("golden_classic_results.csv", CLASSIC_MANIFEST),
+    "critical": ("golden_critical_results.csv", CRITICAL_MANIFEST),
+}
 
 
 def write_manifest(tmp_path, obj=TINY_MANIFEST, name="manifest.json"):
@@ -135,12 +147,14 @@ class TestRun:
         assert usable and all(r["value"] == 0.0 for r in usable)
         assert np.isnan(sidecar["summary"]["max_residual_z"])
 
-    def test_golden_file(self, tmp_path):
+    @pytest.mark.parametrize("kind", GOLDEN)
+    def test_golden_file(self, tmp_path, kind):
         # regenerate with: python -m tests.make_golden (after intentional changes)
-        path = write_manifest(tmp_path)
+        name, manifest = GOLDEN[kind]
+        path = write_manifest(tmp_path, manifest)
         out = tmp_path / "out"
         assert cli.main(["run", str(path), "--out", str(out)]) == 0
-        golden = (DATA / "golden_results.csv").read_text()
+        golden = (DATA / name).read_text()
         assert (out / "results.csv").read_text() == golden
 
     def test_crash_safety_partial_results(self, tmp_path, monkeypatch):

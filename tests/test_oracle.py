@@ -195,7 +195,7 @@ class TestMoments:
         pi = stationary(chain)
         moments = oracle_moments(chain, pi, order=2)
         assert moments["total_m1"] == pytest.approx(0.0, abs=1e-12)
-        assert oracle_mgf(chain, pi, 1.0, 0.7) == pytest.approx(1.0, abs=1e-12)
+        assert oracle_mgf(chain, pi, 0.7) == pytest.approx(1.0, abs=1e-12)
 
     def test_frozen_ssq_values(self):
         chain = build_chain(SSQ, 200)
@@ -264,6 +264,6 @@ class TestAutoChain:
     def test_mgf_consistency_with_moments(self):
         chain, pi = auto_chain(SSQ)
         h = 1e-6
-        fd = (oracle_mgf(chain, pi, 0.1, h) - oracle_mgf(chain, pi, 0.1, -h)) / (2 * h)
+        fd = (oracle_mgf(chain, pi, h) - oracle_mgf(chain, pi, -h)) / (2 * h)
         mean_scaled = np.sqrt(0.1) * oracle_moments(chain, pi, 1)["total_m1"]
         assert fd == pytest.approx(mean_scaled, abs=1e-6)

@@ -213,10 +213,11 @@ class TestCollect:
         assert abs(z_sum) < 4.0, f"z_sum={z_sum:+.2f}"
         assert abs(z_lag) < 4.0, f"lag-1 corr={corr:+.4f}, z={z_lag:+.2f}"
 
-    def test_memory_cap(self):
+    def test_memory_cap(self, monkeypatch):
+        monkeypatch.setattr(simulator, "MAX_SAMPLE_CELLS", 1000)
         plan = SamplingPlan(warmup_slots=10, num_samples=10_000, thinning=1, replicas=2)
         with pytest.raises(ResourceLimitError):
-            collect_steady_state(SSQ, plan, seed=0, max_cells=1000)
+            collect_steady_state(SSQ, plan, seed=0)
 
     def test_invalid_plan_rejected(self):
         with pytest.raises(ConfigError):

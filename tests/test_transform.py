@@ -17,7 +17,6 @@ from jsqa.transform import (
     drift_relation_values,
     empirical_mgf,
     ks_statistic,
-    ks_two_sample,
     moment_report,
     overloaded_ode_residual,
     ssc_estimate,
@@ -25,6 +24,11 @@ from jsqa.transform import (
 )
 
 PLAN = SamplingPlan(warmup_slots=10, num_samples=10, thinning=1, replicas=1)
+TWO_BINOMIAL = (Binomial(2, 0.25), Binomial(2, 0.25))
+# empirical_mgf reads only the kind and alpha of a spec: the total scaled by
+# gamma^(1/2), and the total centered at drift/gamma scaled by gamma^(1/2)
+CRITICAL = RegimeSpec("critical", 0.0, 0.5, TWO_BINOMIAL, 4)
+OVERLOADED = RegimeSpec("overloaded", 0.2, 0.0, TWO_BINOMIAL, 4)
 
 
 def make_samples(q, u=None, gamma=0.1, batches=4, config=None):
@@ -42,20 +46,20 @@ def make_samples(q, u=None, gamma=0.1, batches=4, config=None):
 
 class TestEmpiricalMgf:
     def test_degenerate_samples_give_one(self):
-        est = empirical_mgf(make_samples(np.zeros(10), batches=1), [-1.0, 0.7])
+        est = empirical_mgf(make_samples(np.zeros(10), batches=1), [-1.0, 0.7], CRITICAL)
         assert np.allclose(est.values, 1.0)
 
     def test_two_point_example(self):
         # drift / gamma = (2 - 1) / 1, so the centered total q - 1 is -1 or +1
         config = SystemConfig(n=1, gamma=1.0, arrivals=Constant(2), services=(Constant(1),))
         samples = make_samples(np.array([2, 0] * 50), config=config, batches=1)
-        est = empirical_mgf(samples, [1.0], "centered-total")
+        est = empirical_mgf(samples, [1.0], OVERLOADED)
         assert est.values[0] == pytest.approx((math.e + math.exp(-1)) / 2, rel=1e-12)
         assert est.derivatives[0] == pytest.approx((math.e - math.exp(-1)) / 2, rel=1e-12)
 
     def test_value_at_zero_exact(self):
         q = RngStream(0).generator().geometric(0.2, 1000)
-        est = empirical_mgf(make_samples(q, gamma=0.25, batches=8), [-1.0, 0.0, 1.0])
+        est = empirical_mgf(make_samples(q, gamma=0.25, batches=8), [-1.0, 0.0, 1.0], CRITICAL)
         assert est.values[1] == 1.0
 
     def test_matches_exact_stationary_mgf(self):
@@ -67,46 +71,44 @@ class TestEmpiricalMgf:
         pi = stationary(chain)
         gen = RngStream(5).generator()
         draws = gen.choice(chain.cap + 1, size=200_000, p=pi)
-        est = empirical_mgf(make_samples(draws, config=config, batches=32), [-0.5])
-        exact = oracle_mgf(chain, pi, 0.1, -0.5)
+        est = empirical_mgf(make_samples(draws, config=config, batches=32), [-0.5], CRITICAL)
+        exact = oracle_mgf(chain, pi, -0.5)
         assert abs(est.values[0] - exact) < 4 * est.stderr[0]
 
     def test_analytic_derivative_matches_finite_difference(self):
         samples = make_samples(RngStream(2).generator().poisson(2.0, 5000), gamma=0.5, batches=8)
         h = 1e-4
         for phi in (-0.8, -0.1, 0.3):
-            est = empirical_mgf(samples, [phi - h, phi, phi + h])
+            est = empirical_mgf(samples, [phi - h, phi, phi + h], CRITICAL)
             fd = (est.values[2] - est.values[0]) / (2 * h)
             assert abs(est.derivatives[1] - fd) < 1e-6
 
     def test_single_batch_is_unusable(self):
         # one batch gives a NaN stderr; zero spread gives a zero stderr
         q = RngStream(1).generator().geometric(0.5, 100)
-        est = empirical_mgf(make_samples(q, gamma=0.5, batches=1), [-0.5, 0.5])
+        est = empirical_mgf(make_samples(q, gamma=0.5, batches=1), [-0.5, 0.5], CRITICAL)
         assert np.isnan(est.stderr).all()
         assert not est.usable.any()
-        flat = empirical_mgf(make_samples(np.ones(100), gamma=0.5, batches=4), [-0.5])
+        flat = empirical_mgf(make_samples(np.ones(100), gamma=0.5, batches=4), [-0.5], CRITICAL)
         assert flat.stderr[0] == 0.0
         assert not flat.usable[0]
 
     def test_overflow_guard_flags_point(self):
-        est = empirical_mgf(make_samples(np.full(100, 5000), gamma=1.0, batches=1), [0.5])
+        samples = make_samples(np.full(100, 5000), gamma=1.0, batches=1)
+        est = empirical_mgf(samples, [0.5], CRITICAL)
         assert not est.usable[0]
         assert np.isnan(est.values[0])
 
     def test_grid_domain_enforced(self):
         with pytest.raises(ValueError, match=r"\[-2, 2\]"):
-            empirical_mgf(make_samples(np.ones(4)), [3.0])
+            empirical_mgf(make_samples(np.ones(4)), [3.0], CRITICAL)
 
     def test_statistic_extraction(self):
         samples = make_samples(np.array([[1, 3], [2, 0], [4, 4], [0, 1]]), gamma=0.25)
         grid = [0.5]
-        total = empirical_mgf(samples, grid, "total")
+        total = empirical_mgf(samples, grid, CRITICAL)
         expect = np.exp(0.5 * 0.5 * samples.q.sum(axis=1)).mean()
         assert total.values[0] == pytest.approx(expect, rel=1e-12)
-        for statistic in ("median", "per-queue"):
-            with pytest.raises(ValueError):
-                empirical_mgf(samples, grid, statistic)
 
 
 class TestSsc:
@@ -146,9 +148,6 @@ class TestUnusedRate:
         est = unused_service_rate(samples)
         assert est.raw == pytest.approx(0.5)
         assert est.critical_scaled == pytest.approx(0.5 / 0.2)
-
-
-TWO_BINOMIAL = (Binomial(2, 0.25), Binomial(2, 0.25))
 
 
 class TestResidualFixedPoints:
@@ -202,8 +201,8 @@ class TestResidualOps:
         q = gen.integers(0, 30, size=(400, 2))
         u = gen.integers(0, 2, size=400)
         samples = make_samples(q, u=u, gamma=gamma, config=config)
-        mgf = empirical_mgf(samples, [-0.5, 0.0, 0.5], "total", exponent=alpha)
-        points = classic_residual(mgf, config, spec)
+        mgf = empirical_mgf(samples, [-0.5, 0.0, 0.5], spec)
+        points = classic_residual(mgf)
         expect = (config.drift - gamma * q.sum(1).mean() + u.mean()) / gamma**alpha
         assert points[1].residual == pytest.approx(expect, rel=1e-10)
 
@@ -216,23 +215,25 @@ class TestResidualOps:
         q = gen.integers(0, 12, size=(600, 1))
         u = gen.integers(0, 2, size=600)
         samples = make_samples(q, u=u, gamma=gamma, config=config)
-        mgf = empirical_mgf(samples, [-0.5, 0.0], "total")
-        points = critical_ode_residual(mgf, config)
+        mgf = empirical_mgf(samples, [-0.5, 0.0], CRITICAL)
+        points = critical_ode_residual(mgf)
         expect = (gamma * q.sum(1).mean() - config.drift - u.mean()) / math.sqrt(gamma)
         assert points[1].residual == pytest.approx(expect, rel=1e-10)
 
     def test_regime_mismatch_errors(self):
-        spec = RegimeSpec("critical", 0.0, 0.5, TWO_BINOMIAL, 4)
         config = SystemConfig(n=2, gamma=0.01, arrivals=Binomial(4, 0.25), services=TWO_BINOMIAL)
         samples = make_samples(np.ones((40, 2), dtype=int), gamma=0.01, config=config)
-        mgf = empirical_mgf(samples, [0.0], "total")
-        with pytest.raises(RegimeMismatchError):
-            classic_residual(mgf, config, spec)
-        centered = empirical_mgf(samples, [0.0], "centered-total")
-        with pytest.raises(RegimeMismatchError):
-            critical_ode_residual(centered, config)
-        with pytest.raises(RegimeMismatchError):
-            overloaded_ode_residual(mgf, config)
+        specs = {"classic": RegimeSpec("classic", 0.5, 0.25, TWO_BINOMIAL, 4),
+                 "critical": CRITICAL, "overloaded": OVERLOADED}
+        residuals = {"classic": classic_residual, "critical": critical_ode_residual,
+                     "overloaded": overloaded_ode_residual}
+        for kind, spec in specs.items():
+            mgf = empirical_mgf(samples, [0.0], spec)
+            residuals[kind](mgf)
+            for other, residual in residuals.items():
+                if other != kind:
+                    with pytest.raises(RegimeMismatchError, match=f"MGF of the {kind} regime"):
+                        residual(mgf)
 
 
 class TestKs:
@@ -255,13 +256,6 @@ class TestKs:
         gen = RngStream(5).generator()
         draws = gen.normal(10.0, 1.0, 1000)
         assert 0.0 <= ks_statistic(draws, exponential(0.1)) <= 1.0
-
-    def test_two_sample_identical(self):
-        x = np.arange(10.0)
-        assert ks_two_sample(x, x) == 0.0
-
-    def test_two_sample_disjoint(self):
-        assert ks_two_sample([1.0, 2.0], [5.0, 6.0]) == pytest.approx(1.0)
 
 
 class TestMomentReport:
@@ -338,13 +332,13 @@ GRID = np.linspace(-1.0, 0.5, 7)
 
 class TestMatchesPerSampleReference:
     @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("statistic", ["total", "centered-total"])
-    def test_empirical_mgf(self, n, statistic):
+    @pytest.mark.parametrize("spec", [CRITICAL, OVERLOADED], ids=["total", "centered-total"])
+    def test_empirical_mgf(self, n, spec):
         samples = random_samples(n, batches=6, seed=10 + n)
         gamma = samples.gamma
-        est = empirical_mgf(samples, GRID, statistic, exponent=0.5)
+        est = empirical_mgf(samples, GRID, spec)
         x = samples.q.sum(axis=1)
-        if statistic == "centered-total":
+        if spec is OVERLOADED:
             x = x - samples.config.drift / gamma
         bv, bd = ref_mgf(x, samples.batch, gamma, GRID, 0.5)
         assert_close(est.batch_values, bv)
@@ -358,7 +352,7 @@ class TestMatchesPerSampleReference:
         samples = random_samples(2, batches=5, seed=3, hi=15, config=OVERLOADED_CONFIG)
         x = samples.q.sum(axis=1) - OVERLOADED_CONFIG.drift / 0.1
         assert x.min() < 0 < x.max()
-        est = empirical_mgf(samples, GRID, "centered-total")
+        est = empirical_mgf(samples, GRID, OVERLOADED)
         bv, bd = ref_mgf(x, samples.batch, 0.1, GRID, 0.5)
         assert_close(est.batch_values, bv)
         assert_close(est.batch_derivs, bd)
@@ -401,7 +395,7 @@ class TestMatchesPerSampleReference:
 
     def test_single_batch_stays_unusable(self):
         samples = random_samples(2, batches=1, seed=40)
-        est = empirical_mgf(samples, GRID, "total")
+        est = empirical_mgf(samples, GRID, CRITICAL)
         assert np.isnan(est.stderr).all()
         assert not est.usable.any()
         assert math.isnan(ssc_estimate(samples).stderr)
@@ -420,7 +414,7 @@ class TestMatchesPerSampleReference:
         assert ks_statistic(points, dist, counts.astype(float)) == ref_ks(x, dist)
 
     def test_ks_of_scaled_coordinate_is_exact(self):
-        spec = RegimeSpec("overloaded", 0.2, 0.0, TWO_BINOMIAL, 4)
+        spec = OVERLOADED
         gamma = 0.05
         samples = random_samples(2, batches=4, seed=50, hi=10, config=build_config(spec, gamma))
         scaled = scale(samples, spec)
