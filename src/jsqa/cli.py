@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import limits, oracle, regimes, transform
-from .errors import ConfigError, ResourceLimitError, StateBudgetError, parsing
+from .errors import ConfigError, ResourceLimitError, StateBudgetError, as_int, parsing
 from .model import config_from_dict, require_valid
 from .simulator import (
     SamplingPlan,
@@ -79,8 +79,8 @@ def manifest_from_dict(obj: dict) -> ExperimentManifest:
             gammas=tuple(float(g) for g in obj["gammas"]),
             plan=plan_from_dict(obj["plan"]),
             phi_grid=tuple(float(p) for p in obj.get("phi_grid", _default_phi_grid())),
-            moment_orders=tuple(int(m) for m in obj.get("moment_orders", (1, 2))),
-            seed=int(obj["seed"]),
+            moment_orders=tuple(as_int(m) for m in obj.get("moment_orders", (1, 2))),
+            seed=as_int(obj["seed"]),
             outputs=str(obj.get("outputs", ".")),
         )
 

@@ -19,6 +19,15 @@ class StateBudgetError(ValueError):
     """A truncated chain would exceed the exact oracle's memory budget."""
 
 
+def as_int(value) -> int:
+    """The integer field `value` of a JSON input as an int. A bool or a
+    number with a fractional part raises ValueError, so that, read inside
+    `parsing`, it is reported instead of truncated."""
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 @contextmanager
 def parsing(what: str):
     """Report a missing or malformed field of the JSON input `what` as a

@@ -8,13 +8,13 @@ available in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
 
-from .errors import ConfigError, parsing
+from .errors import ConfigError, as_int, parsing
 
 __all__ = [
     "Constant",
@@ -42,23 +42,23 @@ KINDS = {
 
 @dataclass(frozen=True)
 class BoundedDistribution:
-    """An integer law on {0, ..., bound}.
+    """An integer law on {0, ..., size}.
 
     `size` is the constant value (kind "constant"), the one nonzero support
     point, taken with probability `success_probability` (kind
     "bernoulli-scaled", which models a batch that joins one queue whole), or
     the trial count of a Binomial(size, success_probability) (kind
-    "binomial"). `bound` defaults to `size`.
+    "binomial").
     """
 
     kind: str
     size: int
     success_probability: float = 1.0
-    bound: int = -1
 
-    def __post_init__(self):
-        if self.bound < 0:
-            object.__setattr__(self, "bound", self.size)
+    @property
+    def bound(self) -> int:
+        """The largest value the law can take."""
+        return self.size
 
     @property
     def mean(self) -> float:
@@ -71,20 +71,19 @@ class BoundedDistribution:
         return spread * p * (1.0 - p)
 
     def pmf(self) -> np.ndarray:
-        """Probabilities of 0, ..., bound."""
+        """Probabilities of 0, ..., size."""
         m, prob = self.size, self.success_probability
-        out = np.zeros(self.bound + 1)
         if self.kind == "binomial":
             # in logs: the binomial coefficients overflow a double from 1030
             # trials on
             k = np.arange(m + 1)
-            out[: m + 1] = np.exp(
+            return np.exp(
                 gammaln(m + 1) - gammaln(k + 1) - gammaln(m - k + 1)
                 + xlogy(k, prob) + xlog1py(m - k, -prob)
             )
-        else:
-            out[0] = 1.0 - prob
-            out[m] += prob
+        out = np.zeros(m + 1)
+        out[0] = 1.0 - prob
+        out[m] += prob
         return out
 
     @cached_property
@@ -101,27 +100,22 @@ class BoundedDistribution:
         out = {"kind": self.kind, key: self.size}
         if has_probability:
             out["success-probability"] = self.success_probability
-        out["bound"] = self.bound
         return out
 
 
-def Constant(value: int, bound: int = -1) -> BoundedDistribution:
+def Constant(value: int) -> BoundedDistribution:
     """Degenerate law: always `value`."""
-    return BoundedDistribution("constant", value, 1.0, bound)
+    return BoundedDistribution("constant", value)
 
 
-def BernoulliScaled(
-    support_point: int, success_probability: float, bound: int = -1
-) -> BoundedDistribution:
+def BernoulliScaled(support_point: int, success_probability: float) -> BoundedDistribution:
     """`support_point` with probability `success_probability`, else 0."""
-    return BoundedDistribution("bernoulli-scaled", support_point, success_probability, bound)
+    return BoundedDistribution("bernoulli-scaled", support_point, success_probability)
 
 
-def Binomial(
-    trial_count: int, success_probability: float, bound: int = -1
-) -> BoundedDistribution:
+def Binomial(trial_count: int, success_probability: float) -> BoundedDistribution:
     """Binomial(`trial_count`, `success_probability`) on {0, ..., trial_count}."""
-    return BoundedDistribution("binomial", trial_count, success_probability, bound)
+    return BoundedDistribution("binomial", trial_count, success_probability)
 
 
 def distribution_from_dict(obj: dict) -> BoundedDistribution:
@@ -135,9 +129,8 @@ def distribution_from_dict(obj: dict) -> BoundedDistribution:
     with parsing(f"distribution of kind {kind!r}"):
         return BoundedDistribution(
             kind,
-            int(obj[key]),
+            as_int(obj[key]),
             float(obj["success-probability"]) if has_probability else 1.0,
-            int(obj.get("bound", -1)),
         )
 
 
@@ -146,12 +139,8 @@ def _distribution_violations(dist: BoundedDistribution, label: str) -> list[str]
         return [f"{label}: unknown distribution kind {dist.kind!r}"]
     key = KINDS[dist.kind][0]
     out = []
-    if dist.bound < 0:
-        out.append(f"{label}: bound must be a non-negative integer")
     if dist.size < 0:
         out.append(f"{label}: {key} must be >= 0")
-    elif dist.size > dist.bound:
-        out.append(f"{label}: {key} exceeds bound")
     if not 0.0 <= dist.success_probability <= 1.0:
         out.append(f"{label}: success-probability out of [0,1]")
     return out
@@ -159,21 +148,25 @@ def _distribution_violations(dist: BoundedDistribution, label: str) -> list[str]
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Full parameterization of one system: queue count, per-slot abandonment
-    probability, arrival law, and one service law per queue.
+    """Full parameterization of one system: per-slot abandonment probability,
+    arrival law, and one service law per queue.
 
     `gamma` is the probability that each waiting job independently leaves
     during a slot; abandonment totals are Binomial(q_i, gamma) and are sampled
     inside the simulator because they depend on the state.
     """
 
-    n: int
     gamma: float
     arrivals: BoundedDistribution
     services: tuple[BoundedDistribution, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "services", tuple(self.services))
+
+    @property
+    def n(self) -> int:
+        """Number of queues: one per service law."""
+        return len(self.services)
 
     @property
     def drift(self) -> float:
@@ -200,12 +193,16 @@ class SystemConfig:
 
 
 def config_from_dict(obj: dict) -> SystemConfig:
+    """Build a config from its JSON object form, whose `n` must equal the
+    number of service laws."""
     with parsing("config"):
+        n = as_int(obj["n"])
         services = obj["services"]
         if not isinstance(services, list):
             raise ConfigError("'services' must be a list of distribution objects")
+        if n != len(services):
+            raise ConfigError(f"config has n={n} but {len(services)} service laws")
         return SystemConfig(
-            n=int(obj["n"]),
             gamma=float(obj["gamma"]),
             arrivals=distribution_from_dict(obj["arrivals"]),
             services=tuple(distribution_from_dict(s) for s in services),
@@ -237,56 +234,35 @@ def sample_many(dist: BoundedDistribution, gen: np.random.Generator, size) -> np
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of config validation plus the derived drift quantities."""
+    """Outcome of config validation: the violated invariants, if any."""
 
-    ok: bool
     violations: tuple[str, ...]
-    drift: float
-    variance: float
-    ssc_condition: bool = field(default=False)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
     def __bool__(self) -> bool:
         return self.ok
 
 
 def validate(config: SystemConfig) -> ValidationReport:
-    """Check every config invariant and report derived quantities.
-
-    Never raises: returns the list of violated invariants, the derived drift
-    and variance, and whether the state-space-collapse condition
-    drift >= -(1/2) * n * min service mean holds.
-    """
+    """Check every config invariant. Never raises: returns the list of
+    violated invariants."""
     violations: list[str] = []
-    if config.n < 1:
-        violations.append("n must be >= 1")
+    if not config.services:
+        violations.append("at least one service law is needed")
     if not 0.0 < config.gamma <= 1.0:
         violations.append("gamma out of (0,1]")
-    if config.n >= 1 and len(config.services) != config.n:
-        violations.append(
-            f"length mismatch: {len(config.services)} service distributions for n={config.n}"
-        )
     violations.extend(_distribution_violations(config.arrivals, "arrivals"))
     for i, svc in enumerate(config.services):
         violations.extend(_distribution_violations(svc, f"services[{i}]"))
 
-    drift = config.drift
-    variance = config.variance
-    if not np.isfinite(drift):
+    if not np.isfinite(config.drift):
         violations.append("derived drift is not finite")
-    if variance < 0:
+    if config.variance < 0:
         violations.append("derived variance is negative")
-
-    ssc_condition = False
-    if config.services:
-        mu_min = min(s.mean for s in config.services)
-        ssc_condition = drift >= -0.5 * config.n * mu_min
-    return ValidationReport(
-        ok=not violations,
-        violations=tuple(violations),
-        drift=drift,
-        variance=variance,
-        ssc_condition=ssc_condition,
-    )
+    return ValidationReport(tuple(violations))
 
 
 def require_valid(config: SystemConfig) -> ValidationReport:

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .counts import StateCounts
-from .errors import ConfigError, parsing
+from .errors import ConfigError, as_int, parsing
 from .model import Binomial, BoundedDistribution, SystemConfig, distribution_from_dict
 from .simulator import SampleSet
 
@@ -92,7 +92,7 @@ def regime_from_dict(obj: dict) -> RegimeSpec:
             constant=float(obj["constant"]),
             alpha=float(obj["alpha"]),
             base_services=tuple(distribution_from_dict(s) for s in obj["base_services"]),
-            bound=int(obj["bound"]),
+            bound=as_int(obj["bound"]),
         )
 
 
@@ -115,7 +115,7 @@ def build_config(spec: RegimeSpec, gamma: float) -> SystemConfig:
             f"arrival mean {lam:.6g} falls outside (0, {spec.bound}] at gamma={gamma:g}"
         )
     arrivals = Binomial(trial_count=spec.bound, success_probability=lam / spec.bound)
-    return SystemConfig(n=spec.n, gamma=gamma, arrivals=arrivals, services=spec.base_services)
+    return SystemConfig(gamma=gamma, arrivals=arrivals, services=spec.base_services)
 
 
 def scaling_exponent(spec: RegimeSpec) -> float:

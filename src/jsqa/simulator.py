@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .counts import StateCounts, count_rows
-from .errors import ConfigError, ResourceLimitError, parsing
+from .errors import ConfigError, ResourceLimitError, as_int, parsing
 from .model import RngStream, SystemConfig, require_valid, sample_many
 
 __all__ = [
@@ -85,10 +85,10 @@ class SamplingPlan:
 def plan_from_dict(obj: dict) -> SamplingPlan:
     with parsing("sampling plan"):
         return SamplingPlan(
-            warmup_slots=int(obj["warmup_slots"]),
-            num_samples=int(obj["num_samples"]),
-            thinning=int(obj["thinning"]),
-            replicas=int(obj["replicas"]),
+            warmup_slots=as_int(obj["warmup_slots"]),
+            num_samples=as_int(obj["num_samples"]),
+            thinning=as_int(obj["thinning"]),
+            replicas=as_int(obj["replicas"]),
         )
 
 
@@ -108,8 +108,6 @@ class SampleSet:
     u_total: np.ndarray
     batch: np.ndarray
     config: SystemConfig
-    plan: SamplingPlan
-    seed: int
 
     def __len__(self) -> int:
         return self.q.shape[0]
@@ -319,7 +317,7 @@ def collect_steady_state(config: SystemConfig, plan: SamplingPlan, seed: int) ->
     q = np.concatenate([r[0] for r in results])
     u = np.concatenate([r[1] for r in results])
     batch = _batches_for(counts, plan.thinning, relaxation_slots(config))
-    return SampleSet(q=q, u_total=u, batch=batch, config=config, plan=plan, seed=seed)
+    return SampleSet(q=q, u_total=u, batch=batch, config=config)
 
 
 @dataclass(frozen=True)

@@ -98,8 +98,8 @@ def empirical_mgf(samples: SampleSet, phi_grid, spec: RegimeSpec) -> MgfEstimate
     phi_grid = np.asarray(phi_grid, dtype=float)
     if phi_grid.size == 0:
         raise ValueError("phi grid must be nonempty")
-    if np.any(np.abs(phi_grid) > 2.0):
-        raise ValueError("phi grid must lie within [-2, 2]")
+    if not np.all(np.abs(phi_grid) <= 2.0):
+        raise ValueError("phi grid must be finite and lie within [-2, 2]")
     gamma = samples.gamma
     counts = samples.counts
     total = counts.rows.sum(axis=1)

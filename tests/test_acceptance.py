@@ -67,7 +67,7 @@ OVERLOADED_MANIFEST = {
 }
 
 SSQ = SystemConfig(
-    n=1, gamma=0.1, arrivals=BernoulliScaled(1, 0.3), services=(BernoulliScaled(1, 0.4),)
+    gamma=0.1, arrivals=BernoulliScaled(1, 0.3), services=(BernoulliScaled(1, 0.4),)
 )
 
 
@@ -182,7 +182,6 @@ def test_criterion_01_ssq_oracle_equivalence():
 def test_criterion_02_jsq_oracle_equivalence():
     t0 = time.time()
     config = SystemConfig(
-        n=2,
         gamma=0.1,
         arrivals=BernoulliScaled(2, 0.2),
         services=(BernoulliScaled(1, 0.25), BernoulliScaled(1, 0.25)),
@@ -346,7 +345,7 @@ def test_criterion_09_pathwise_domination():
     total = 0
     for gamma in (0.05, 0.2):
         config = SystemConfig(
-            n=1, gamma=gamma, arrivals=BernoulliScaled(1, 0.3), services=(BernoulliScaled(1, 0.4),)
+            gamma=gamma, arrivals=BernoulliScaled(1, 0.3), services=(BernoulliScaled(1, 0.4),)
         )
         c_tilde = config.drift + config.bound * math.sqrt(gamma)
         for seed in range(10):
@@ -384,7 +383,6 @@ def test_criterion_10a_slot_properties_bulk():
     while slots_checked < 10_000_000:
         n = int(gen.integers(1, 5))
         config = SystemConfig(
-            n=n,
             gamma=float(gen.uniform(0.005, 1.0)),
             arrivals=distribution_from_dict(_random_distribution(gen)),
             services=tuple(distribution_from_dict(_random_distribution(gen)) for _ in range(n)),

@@ -191,7 +191,7 @@ class TestRun:
 
 
 SSQ = SystemConfig(
-    n=1, gamma=0.1, arrivals=BernoulliScaled(1, 0.3), services=(BernoulliScaled(1, 0.4),)
+    gamma=0.1, arrivals=BernoulliScaled(1, 0.3), services=(BernoulliScaled(1, 0.4),)
 )
 
 
@@ -204,7 +204,7 @@ def write_config(tmp_path, config):
 class TestOracleCheck:
     def test_state_budget_is_a_clean_error(self, tmp_path, capsys):
         config = SystemConfig(
-            n=2, gamma=0.1, arrivals=BernoulliScaled(2, 0.2),
+            gamma=0.1, arrivals=BernoulliScaled(2, 0.2),
             services=(BernoulliScaled(1, 0.25), BernoulliScaled(1, 0.25)),
         )
         path = write_config(tmp_path, config)
@@ -223,7 +223,7 @@ class TestOracleCheck:
         assert "exceeding the cap" in capsys.readouterr().err
 
     def test_absorbing_system_exits_zero(self, tmp_path, capsys):
-        config = SystemConfig(n=1, gamma=1.0, arrivals=Constant(0), services=(Constant(0),))
+        config = SystemConfig(gamma=1.0, arrivals=Constant(0), services=(Constant(0),))
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(config.to_dict()))
         status = cli.main(
@@ -269,11 +269,19 @@ class TestDomination:
 
     def test_multi_queue_config_rejected(self, tmp_path):
         config = SystemConfig(
-            n=2, gamma=0.1, arrivals=Constant(1), services=(Constant(1), Constant(1))
+            gamma=0.1, arrivals=Constant(1), services=(Constant(1), Constant(1))
         )
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(config.to_dict()))
         assert cli.main(["domination", str(cfg_path), "--horizon", "10"]) == 2
+
+
+@pytest.mark.parametrize("value", [2.7, True])
+@pytest.mark.parametrize("field", ["seed", "moment_orders"])
+def test_fractional_or_bool_manifest_integer_rejected(field, value):
+    obj = dict(TINY_MANIFEST, **{field: [1, value] if field == "moment_orders" else value})
+    with pytest.raises(ConfigError, match="expected an integer"):
+        cli.manifest_from_dict(obj)
 
 
 def test_manifest_validation_catches_bad_plan(tmp_path):
@@ -289,13 +297,15 @@ def test_manifest_validation_catches_bad_plan(tmp_path):
         ("run", json.dumps(dict(TINY_MANIFEST, gammas=0.01))),
         ("oracle-check", json.dumps(dict(SSQ.to_dict(), gamma="x"))),
         ("oracle-check", json.dumps(dict(SSQ.to_dict(), arrivals=dict(
-            SSQ.arrivals.to_dict(), bound="big")))),
+            SSQ.arrivals.to_dict(), **{"support-point": "big"})))),
         ("run", "{not json"),
         ("oracle-check", None),
         ("oracle-check", "5"),
+        ("run", json.dumps(dict(TINY_MANIFEST, plan=dict(TINY_MANIFEST["plan"], replicas=2.5)))),
+        ("oracle-check", json.dumps(dict(SSQ.to_dict(), n=2))),
     ],
-    ids=["gammas-string", "gammas-scalar", "gamma-string", "bound-string", "not-json",
-         "missing-file", "not-an-object"],
+    ids=["gammas-string", "gammas-scalar", "gamma-string", "support-point-string", "not-json",
+         "missing-file", "not-an-object", "replicas-fractional", "n-mismatch"],
 )
 def test_malformed_input_is_a_clean_error(tmp_path, capsys, command, text):
     path = tmp_path / "input.json"

@@ -20,6 +20,14 @@ from jsqa.model import (
 )
 
 
+CONFIG_DOC = {
+    "n": 2,
+    "gamma": 0.1,
+    "arrivals": {"kind": "binomial", "trial-count": 4, "success-probability": 0.25},
+    "services": [{"kind": "constant", "value": 1}, {"kind": "constant", "value": 1}],
+}
+
+
 def _gen(seed=0, stream=0):
     return RngStream(seed, stream).generator()
 
@@ -73,7 +81,7 @@ class TestDistributions:
             assert abs(draws.var() - dist.variance) < 4 * se_var
 
     def test_samples_respect_bound_and_integrality(self):
-        for dist in (Constant(2, bound=5), BernoulliScaled(4, 0.5), Binomial(6, 0.7)):
+        for dist in (Constant(2), BernoulliScaled(4, 0.5), Binomial(6, 0.7)):
             draws = sample_many(dist, _gen(3), 10_000)
             assert draws.dtype == np.int64
             assert draws.min() >= 0 and draws.max() <= dist.bound
@@ -89,11 +97,13 @@ class TestDistributions:
     @pytest.mark.parametrize(
         "dist, top, bottom",
         [
-            (Binomial(3, 0.3, bound=10), 3, 0),
-            (Constant(2, bound=5), 2, 2),
+            (Binomial(3, 0.3), 3, 0),
+            (Constant(2), 2, 2),
             (Constant(0), 0, 0),
             (BernoulliScaled(4, 0.5), 4, 0),
             (BernoulliScaled(4, 0.0), 0, 0),
+            # pmf entries 1..3 carry no mass
+            (Binomial(3, 0.0), 0, 0),
         ],
     )
     def test_inversion_maps_edge_uniforms_to_support_ends(self, dist, top, bottom):
@@ -109,20 +119,24 @@ class TestDistributions:
     @pytest.mark.parametrize(
         "dist, expected",
         [
-            (Constant(3), {"kind": "constant", "value": 3, "bound": 3}),
+            (Constant(3), {"kind": "constant", "value": 3}),
             (
-                BernoulliScaled(2, 0.2, bound=5),
-                {"kind": "bernoulli-scaled", "support-point": 2,
-                 "success-probability": 0.2, "bound": 5},
+                BernoulliScaled(2, 0.2),
+                {"kind": "bernoulli-scaled", "support-point": 2, "success-probability": 0.2},
             ),
             (
                 Binomial(4, 0.25),
-                {"kind": "binomial", "trial-count": 4, "success-probability": 0.25, "bound": 4},
+                {"kind": "binomial", "trial-count": 4, "success-probability": 0.25},
             ),
         ],
     )
     def test_to_dict_format(self, dist, expected):
         assert list(dist.to_dict().items()) == list(expected.items())
+
+    @pytest.mark.parametrize("dist", [Constant(3), BernoulliScaled(2, 0.2), Binomial(4, 0.0)])
+    def test_bound_is_size(self, dist):
+        assert dist.bound == dist.size == dist.pmf().size - 1
+        assert "bound" not in dist.to_dict()
 
     @given(
         trials=st.integers(min_value=0, max_value=12),
@@ -150,50 +164,40 @@ class TestRngStream:
 class TestValidate:
     def test_valid_config_reports_derived_values(self):
         config = SystemConfig(
-            n=2,
             gamma=0.01,
             arrivals=Binomial(4, 0.2),
             services=(Binomial(4, 0.125), Binomial(4, 0.125)),
         )
         report = validate(config)
-        assert report.ok and bool(report)
-        assert report.drift == pytest.approx(-0.2)
-        assert report.variance == pytest.approx(0.64 + 0.4375 + 0.4375)
-        assert report.ssc_condition  # -0.2 >= -0.5 * 2 * 0.5
+        assert report.ok and bool(report) and report.violations == ()
+        assert config.n == 2
+        assert config.drift == pytest.approx(-0.2)
+        assert config.variance == pytest.approx(0.64 + 0.4375 + 0.4375)
 
     def test_gamma_boundary_violation(self):
         for gamma in (0.0, 1.5):
-            config = SystemConfig(n=1, gamma=gamma, arrivals=Constant(1), services=(Constant(1),))
+            config = SystemConfig(gamma=gamma, arrivals=Constant(1), services=(Constant(1),))
             report = validate(config)
             assert not report.ok
             assert any("gamma out of (0,1]" in v for v in report.violations)
 
-    def test_services_length_mismatch(self):
-        config = SystemConfig(
-            n=2, gamma=0.5, arrivals=Constant(1), services=(Constant(1),) * 3
-        )
+    def test_no_service_law_reported(self):
+        config = SystemConfig(gamma=0.5, arrivals=Constant(1), services=())
         report = validate(config)
-        assert any("length mismatch" in v for v in report.violations)
+        assert not report and "at least one service law is needed" in report.violations
 
     def test_bad_distribution_params_reported(self):
         config = SystemConfig(
-            n=1, gamma=0.5, arrivals=Binomial(4, 1.5), services=(Constant(9, bound=2),)
+            gamma=0.5, arrivals=Binomial(4, 1.5), services=(Constant(-1),)
         )
         report = validate(config)
         assert "arrivals: success-probability out of [0,1]" in report.violations
-        assert "services[0]: value exceeds bound" in report.violations
-
-    def test_ssc_condition_fails_deep_underload(self):
-        config = SystemConfig(
-            n=1, gamma=0.5, arrivals=BernoulliScaled(1, 0.05), services=(Constant(1),)
-        )
-        assert not validate(config).ssc_condition
+        assert "services[0]: value must be >= 0" in report.violations
 
 
 class TestJson:
     def test_config_round_trip(self):
         config = SystemConfig(
-            n=2,
             gamma=0.1,
             arrivals=BernoulliScaled(2, 0.2),
             services=(Binomial(2, 0.25), Constant(1)),
@@ -212,3 +216,26 @@ class TestJson:
     def test_missing_config_key_rejected(self):
         with pytest.raises(ConfigError, match="missing field"):
             config_from_dict({"n": 1, "gamma": 0.1})
+
+    def test_n_differing_from_service_count_rejected(self):
+        for n in (1, 3):
+            with pytest.raises(ConfigError, match=f"n={n} but 2 service laws"):
+                config_from_dict(dict(CONFIG_DOC, n=n))
+
+    @pytest.mark.parametrize("value", [2.7, True])
+    def test_fractional_or_bool_n_rejected(self, value):
+        with pytest.raises(ConfigError, match="expected an integer"):
+            config_from_dict(dict(CONFIG_DOC, n=value))
+
+    @pytest.mark.parametrize("value", [2.7, True])
+    @pytest.mark.parametrize("key", ["value", "support-point", "trial-count"])
+    def test_fractional_or_bool_size_rejected(self, key, value):
+        kind = {"value": "constant", "support-point": "bernoulli-scaled"}.get(key, "binomial")
+        obj = {"kind": kind, key: value, "success-probability": 0.5}
+        with pytest.raises(ConfigError, match="expected an integer"):
+            distribution_from_dict(obj)
+
+    def test_integral_float_accepted(self):
+        obj = json.loads(json.dumps(CONFIG_DOC))
+        obj["n"], obj["arrivals"]["trial-count"] = 2.0, 4.0
+        assert config_from_dict(obj) == config_from_dict(CONFIG_DOC)

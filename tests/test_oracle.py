@@ -21,17 +21,16 @@ from jsqa.oracle import (
 )
 
 SSQ = SystemConfig(
-    n=1, gamma=0.1, arrivals=BernoulliScaled(1, 0.3), services=(BernoulliScaled(1, 0.4),)
+    gamma=0.1, arrivals=BernoulliScaled(1, 0.3), services=(BernoulliScaled(1, 0.4),)
 )
 # the two-queue config of acceptance criterion 2
 JSQ2 = SystemConfig(
-    n=2,
     gamma=0.1,
     arrivals=BernoulliScaled(2, 0.2),
     services=(BernoulliScaled(1, 0.25), BernoulliScaled(1, 0.25)),
 )
 UNEQUAL = SystemConfig(
-    n=2, gamma=0.3, arrivals=Binomial(3, 0.4), services=(BernoulliScaled(1, 0.5), Binomial(2, 0.3))
+    gamma=0.3, arrivals=Binomial(3, 0.4), services=(BernoulliScaled(1, 0.5), Binomial(2, 0.3))
 )
 
 # frozen exact values for SSQ at cap=200 (produced by this module at build
@@ -72,7 +71,7 @@ def reference_chain(config, cap):
 
 class TestBuildChain:
     def test_total_abandonment_resets_to_empty(self):
-        config = SystemConfig(n=1, gamma=1.0, arrivals=Constant(0), services=(Constant(1),))
+        config = SystemConfig(gamma=1.0, arrivals=Constant(0), services=(Constant(1),))
         chain = build_chain(config, 10)
         assert np.allclose(chain.matrix.toarray()[:, 0], 1.0)
 
@@ -80,7 +79,7 @@ class TestBuildChain:
         # no services, no abandonment: q -> q+1 w.p. p else stay
         p = 0.3
         config = SystemConfig(
-            n=1, gamma=0.0, arrivals=BernoulliScaled(1, p), services=(Constant(0),)
+            gamma=0.0, arrivals=BernoulliScaled(1, p), services=(Constant(0),)
         )
         P = build_chain(config, 6).matrix.toarray()
         for q in range(6):
@@ -96,7 +95,7 @@ class TestBuildChain:
     def test_state_budget(self):
         with pytest.raises(StateBudgetError):
             build_chain(SSQ, 2_000_000)
-        config3 = SystemConfig(n=3, gamma=0.5, arrivals=Constant(1), services=(Constant(1),) * 3)
+        config3 = SystemConfig(gamma=0.5, arrivals=Constant(1), services=(Constant(1),) * 3)
         with pytest.raises(StateBudgetError):
             build_chain(config3, 10)
 
@@ -172,7 +171,7 @@ class TestStationary:
         # births w.p. p(1-r), deaths w.p. r(1-p): geometric stationary law
         p, r, cap = 0.3, 0.4, 60
         config = SystemConfig(
-            n=1, gamma=0.0, arrivals=BernoulliScaled(1, p), services=(BernoulliScaled(1, r),)
+            gamma=0.0, arrivals=BernoulliScaled(1, p), services=(BernoulliScaled(1, r),)
         )
         chain = build_chain(config, cap)
         pi = stationary(chain)
@@ -190,7 +189,7 @@ class TestStationary:
 
 class TestMoments:
     def test_absorbing_empty_chain(self):
-        config = SystemConfig(n=1, gamma=1.0, arrivals=Constant(0), services=(Constant(0),))
+        config = SystemConfig(gamma=1.0, arrivals=Constant(0), services=(Constant(0),))
         chain = build_chain(config, 5)
         pi = stationary(chain)
         moments = oracle_moments(chain, pi, order=2)
@@ -210,7 +209,6 @@ class TestMoments:
         values = {}
         for gamma in (0.05, 0.1, 0.2):
             config = SystemConfig(
-                n=1,
                 gamma=gamma,
                 arrivals=BernoulliScaled(1, 0.3),
                 services=(BernoulliScaled(1, 0.4),),
@@ -224,7 +222,6 @@ class TestMoments:
     def test_detailed_conservation(self):
         for config, cap in [(SSQ, 120), (
             SystemConfig(
-                n=2,
                 gamma=0.1,
                 arrivals=BernoulliScaled(2, 0.2),
                 services=(BernoulliScaled(1, 0.25), BernoulliScaled(1, 0.25)),
@@ -246,7 +243,6 @@ class TestMoments:
 
     def test_symmetric_two_queue_stationary_exchangeable(self):
         config = SystemConfig(
-            n=2,
             gamma=0.1,
             arrivals=BernoulliScaled(2, 0.2),
             services=(BernoulliScaled(1, 0.25), BernoulliScaled(1, 0.25)),

@@ -177,6 +177,12 @@ class TestRegimeJson:
         with pytest.raises(ConfigError, match="missing field"):
             regime_from_dict({"kind": "classic"})
 
+    @pytest.mark.parametrize("value", [2.7, True])
+    def test_fractional_or_bool_bound_rejected(self, value):
+        obj = dict(overloaded_spec().to_dict(), bound=value)
+        with pytest.raises(ConfigError, match="expected an integer"):
+            regime_from_dict(obj)
+
     def test_service_dialect_shared_with_config(self):
         text = json.dumps(
             {

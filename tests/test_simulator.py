@@ -16,12 +16,13 @@ from jsqa.simulator import (
     SamplingPlan,
     collect_steady_state,
     default_plan,
+    plan_from_dict,
     simulate_coupled_domination,
     step_many,
 )
 
 SSQ = SystemConfig(
-    n=1, gamma=0.1, arrivals=BernoulliScaled(1, 0.3), services=(BernoulliScaled(1, 0.4),)
+    gamma=0.1, arrivals=BernoulliScaled(1, 0.3), services=(BernoulliScaled(1, 0.4),)
 )
 
 
@@ -30,7 +31,7 @@ def _gen(seed=0):
 
 
 def _config(n, gamma=0.1, arrivals=Constant(1), service=Constant(1)):
-    return SystemConfig(n=n, gamma=gamma, arrivals=arrivals, services=(service,) * n)
+    return SystemConfig(gamma=gamma, arrivals=arrivals, services=(service,) * n)
 
 
 def _trials(q, trials):
@@ -89,7 +90,7 @@ class TestStep:
         # from (0,0) no abandonments are possible; the batch of 2 lands on a
         # tied queue, and only queue 0 serves
         config = SystemConfig(
-            n=2, gamma=0.5, arrivals=Constant(2), services=(Constant(1), Constant(0))
+            gamma=0.5, arrivals=Constant(2), services=(Constant(1), Constant(0))
         )
         q_next, _, dest, _, _, u = step_many(_trials((0, 0), 20), config, _gen())
         to0, to1 = dest == 0, dest == 1
@@ -98,14 +99,14 @@ class TestStep:
         assert (q_next[to1] == (0, 2)).all() and (u[to1] == (1, 0)).all()
 
     def test_unused_service_is_shortfall(self):
-        config = SystemConfig(n=1, gamma=0.5, arrivals=Constant(0), services=(Constant(1),))
+        config = SystemConfig(gamma=0.5, arrivals=Constant(0), services=(Constant(1),))
         q_next, _, _, _, _, u = step_many(_trials((0,), 1), config, _gen())
         assert q_next.tolist() == [[0]]
         assert u.tolist() == [[1]]
 
     def test_full_abandonment_keeps_only_new_batch(self):
         config = SystemConfig(
-            n=2, gamma=1.0, arrivals=Constant(1), services=(Constant(0), Constant(0))
+            gamma=1.0, arrivals=Constant(1), services=(Constant(0), Constant(0))
         )
         q_next, _, dest, _, d, u = step_many(_trials((4, 4), 1), config, _gen(5))
         assert d.tolist() == [[4, 4]]
@@ -122,7 +123,7 @@ class TestStep:
     def test_slot_invariants_property(self, q, gamma, seed):
         n = len(q)
         config = SystemConfig(
-            n=n, gamma=gamma, arrivals=Binomial(3, 0.4), services=(Binomial(2, 0.5),) * n
+            gamma=gamma, arrivals=Binomial(3, 0.4), services=(Binomial(2, 0.5),) * n
         )
         state = _trials(q, 1)
         q_next, a, dest, s, d, u = step_many(state, config, RngStream(seed).generator())
@@ -136,7 +137,7 @@ class TestStep:
 
 class TestCollect:
     def test_absorbing_empty_state(self):
-        config = SystemConfig(n=1, gamma=1.0, arrivals=Constant(0), services=(Constant(0),))
+        config = SystemConfig(gamma=1.0, arrivals=Constant(0), services=(Constant(0),))
         plan = SamplingPlan(warmup_slots=10, num_samples=500, thinning=1, replicas=4)
         samples = collect_steady_state(config, plan, seed=0)
         assert not samples.q.any()
@@ -225,8 +226,15 @@ class TestCollect:
         with pytest.raises(ConfigError):
             SamplingPlan(warmup_slots=2, num_samples=10, thinning=5, replicas=1).check()
 
+    @pytest.mark.parametrize("value", [2.7, True])
+    @pytest.mark.parametrize("field", ["warmup_slots", "num_samples", "thinning", "replicas"])
+    def test_fractional_or_bool_plan_field_rejected(self, field, value):
+        obj = dict(SamplingPlan(10, 10, 1, 2).to_dict(), **{field: value})
+        with pytest.raises(ConfigError, match="expected an integer"):
+            plan_from_dict(obj)
+
     def test_invalid_config_rejected(self):
-        bad = SystemConfig(n=1, gamma=0.0, arrivals=Constant(1), services=(Constant(1),))
+        bad = SystemConfig(gamma=0.0, arrivals=Constant(1), services=(Constant(1),))
         plan = SamplingPlan(warmup_slots=10, num_samples=10, thinning=1, replicas=1)
         with pytest.raises(ConfigError):
             collect_steady_state(bad, plan, seed=0)
@@ -235,7 +243,7 @@ class TestCollect:
 class TestStepMany:
     def test_matches_scalar_semantics(self):
         config = SystemConfig(
-            n=2, gamma=0.3, arrivals=Binomial(2, 0.5), services=(Binomial(2, 0.3),) * 2
+            gamma=0.3, arrivals=Binomial(2, 0.5), services=(Binomial(2, 0.3),) * 2
         )
         gen = _gen(17)
         q = np.array([[0, 5], [3, 3], [10, 0]], dtype=np.int64)
@@ -254,7 +262,7 @@ def _domination_runs(gamma, arrival_p):
     """10 seeds x 100k slots of the coupled chains at the default constant,
     shared by the law and ordering tests."""
     config = SystemConfig(
-        n=1, gamma=gamma, arrivals=BernoulliScaled(1, arrival_p),
+        gamma=gamma, arrivals=BernoulliScaled(1, arrival_p),
         services=(BernoulliScaled(1, 0.4),),
     )
     c_tilde = config.drift + config.bound * math.sqrt(gamma)
@@ -266,7 +274,7 @@ class TestDomination:
     def test_no_abandonment_cap_dominates(self):
         # cap 0 exposes no jobs for the upper chain while gamma=1 drains q
         config = SystemConfig(
-            n=1, gamma=1.0, arrivals=BernoulliScaled(1, 0.3), services=(BernoulliScaled(1, 0.4),)
+            gamma=1.0, arrivals=BernoulliScaled(1, 0.3), services=(BernoulliScaled(1, 0.4),)
         )
         report = simulate_coupled_domination(config, c_tilde=0.5, horizon=20_000, seed=2)
         assert report.holds
@@ -308,7 +316,7 @@ class TestDomination:
 
     def test_requires_single_queue(self):
         config = SystemConfig(
-            n=2, gamma=0.1, arrivals=Constant(1), services=(Constant(1), Constant(1))
+            gamma=0.1, arrivals=Constant(1), services=(Constant(1), Constant(1))
         )
         with pytest.raises(ConfigError):
             simulate_coupled_domination(config, 0.3, horizon=10, seed=0)

@@ -10,7 +10,7 @@ from jsqa.limits import critical_unused_limit, exponential, gaussian, truncated_
 from jsqa.model import BernoulliScaled, Binomial, Constant, RngStream, SystemConfig
 from jsqa.oracle import build_chain, oracle_mgf, stationary
 from jsqa.regimes import RegimeSpec, build_config, center_per_queue, scale, scaling_exponent
-from jsqa.simulator import SampleSet, SamplingPlan
+from jsqa.simulator import SampleSet
 from jsqa.transform import (
     classic_residual,
     critical_ode_residual,
@@ -23,7 +23,6 @@ from jsqa.transform import (
     unused_service_rate,
 )
 
-PLAN = SamplingPlan(warmup_slots=10, num_samples=10, thinning=1, replicas=1)
 TWO_BINOMIAL = (Binomial(2, 0.25), Binomial(2, 0.25))
 # empirical_mgf reads only the kind and alpha of a spec: the total scaled by
 # gamma^(1/2), and the total centered at drift/gamma scaled by gamma^(1/2)
@@ -36,12 +35,12 @@ def make_samples(q, u=None, gamma=0.1, batches=4, config=None):
     n = q.shape[1]
     if config is None:
         config = SystemConfig(
-            n=n, gamma=gamma, arrivals=Binomial(2, 0.3), services=(Binomial(2, 0.3),) * n
+            gamma=gamma, arrivals=Binomial(2, 0.3), services=(Binomial(2, 0.3),) * n
         )
     size = q.shape[0]
     u = np.zeros(size, dtype=np.int64) if u is None else np.asarray(u, dtype=np.int64)
     batch = (np.arange(size) * batches // size).astype(np.int64)
-    return SampleSet(q=q, u_total=u, batch=batch, config=config, plan=PLAN, seed=0)
+    return SampleSet(q=q, u_total=u, batch=batch, config=config)
 
 
 class TestEmpiricalMgf:
@@ -51,7 +50,7 @@ class TestEmpiricalMgf:
 
     def test_two_point_example(self):
         # drift / gamma = (2 - 1) / 1, so the centered total q - 1 is -1 or +1
-        config = SystemConfig(n=1, gamma=1.0, arrivals=Constant(2), services=(Constant(1),))
+        config = SystemConfig(gamma=1.0, arrivals=Constant(2), services=(Constant(1),))
         samples = make_samples(np.array([2, 0] * 50), config=config, batches=1)
         est = empirical_mgf(samples, [1.0], OVERLOADED)
         assert est.values[0] == pytest.approx((math.e + math.exp(-1)) / 2, rel=1e-12)
@@ -65,7 +64,7 @@ class TestEmpiricalMgf:
     def test_matches_exact_stationary_mgf(self):
         # iid draws from the exact stationary law vs the exact transform
         config = SystemConfig(
-            n=1, gamma=0.1, arrivals=BernoulliScaled(1, 0.3), services=(BernoulliScaled(1, 0.4),)
+            gamma=0.1, arrivals=BernoulliScaled(1, 0.3), services=(BernoulliScaled(1, 0.4),)
         )
         chain = build_chain(config, 100)
         pi = stationary(chain)
@@ -100,8 +99,9 @@ class TestEmpiricalMgf:
         assert np.isnan(est.values[0])
 
     def test_grid_domain_enforced(self):
-        with pytest.raises(ValueError, match=r"\[-2, 2\]"):
-            empirical_mgf(make_samples(np.ones(4)), [3.0], CRITICAL)
+        for grid in ([3.0], [np.nan, 0.5], [np.inf]):
+            with pytest.raises(ValueError, match=r"finite and lie within \[-2, 2\]"):
+                empirical_mgf(make_samples(np.ones(4)), grid, CRITICAL)
 
     def test_statistic_extraction(self):
         samples = make_samples(np.array([[1, 3], [2, 0], [4, 4], [0, 1]]), gamma=0.25)
@@ -196,7 +196,7 @@ class TestResidualOps:
     def test_classic_phi_zero_is_drift_identity(self):
         gamma, alpha = 1e-3, 0.25
         spec = RegimeSpec("classic", 0.5, alpha, TWO_BINOMIAL, 4)
-        config = SystemConfig(n=2, gamma=gamma, arrivals=Binomial(4, 0.25), services=TWO_BINOMIAL)
+        config = SystemConfig(gamma=gamma, arrivals=Binomial(4, 0.25), services=TWO_BINOMIAL)
         gen = RngStream(1).generator()
         q = gen.integers(0, 30, size=(400, 2))
         u = gen.integers(0, 2, size=400)
@@ -209,7 +209,7 @@ class TestResidualOps:
     def test_critical_phi_zero_is_drift_identity(self):
         gamma = 0.04
         config = SystemConfig(
-            n=1, gamma=gamma, arrivals=BernoulliScaled(1, 0.3), services=(BernoulliScaled(1, 0.4),)
+            gamma=gamma, arrivals=BernoulliScaled(1, 0.3), services=(BernoulliScaled(1, 0.4),)
         )
         gen = RngStream(2).generator()
         q = gen.integers(0, 12, size=(600, 1))
@@ -221,7 +221,7 @@ class TestResidualOps:
         assert points[1].residual == pytest.approx(expect, rel=1e-10)
 
     def test_regime_mismatch_errors(self):
-        config = SystemConfig(n=2, gamma=0.01, arrivals=Binomial(4, 0.25), services=TWO_BINOMIAL)
+        config = SystemConfig(gamma=0.01, arrivals=Binomial(4, 0.25), services=TWO_BINOMIAL)
         samples = make_samples(np.ones((40, 2), dtype=int), gamma=0.01, config=config)
         specs = {"classic": RegimeSpec("classic", 0.5, 0.25, TWO_BINOMIAL, 4),
                  "critical": CRITICAL, "overloaded": OVERLOADED}
@@ -325,7 +325,7 @@ def random_samples(n, batches, seed, lo=0, hi=15, size=3000, config=None):
 # drift 2 - 2 * 0.5 = 1 at gamma 0.1, so the centered total q1 + q2 - 10 of
 # totals in [0, 28] takes both signs
 OVERLOADED_CONFIG = SystemConfig(
-    n=2, gamma=0.1, arrivals=Binomial(4, 0.5), services=(Binomial(2, 0.25),) * 2
+    gamma=0.1, arrivals=Binomial(4, 0.5), services=(Binomial(2, 0.25),) * 2
 )
 GRID = np.linspace(-1.0, 0.5, 7)
 
