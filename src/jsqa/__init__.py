@@ -45,9 +45,8 @@ from .simulator import (
     step_many,
 )
 from .transform import (
+    Comparison,
     MgfEstimate,
-    MomentRow,
-    ResidualPoint,
     SscEstimate,
     UnusedServiceRate,
     classic_residual,

@@ -65,7 +65,7 @@ class ExperimentManifest:
             raise ConfigError("gammas must be strictly decreasing")
         self.plan.check()
         for g in self.gammas:
-            regimes.build_config(self.regime, g)
+            require_valid(regimes.build_config(self.regime, g))
         if not self.moment_orders or any(not 1 <= m <= 4 for m in self.moment_orders):
             raise ConfigError("moment_orders must be nonempty with every order in 1..4")
         if not self.phi_grid or any(not -2.0 <= p <= 2.0 for p in self.phi_grid):
@@ -73,6 +73,10 @@ class ExperimentManifest:
 
 
 def manifest_from_dict(obj: dict) -> ExperimentManifest:
+    # a string would otherwise be iterated character by character
+    for key in ("gammas", "phi_grid", "moment_orders"):
+        if not isinstance(obj.get(key, []), list):
+            raise ConfigError(f"manifest field {key!r} must be a list")
     with parsing("manifest"):
         return ExperimentManifest(
             regime=regimes.regime_from_dict(obj["regime"]),
@@ -150,12 +154,11 @@ def _gamma_point(manifest: ExperimentManifest, gi: int, gamma: float, writer):
     out["scaled_variance"] = var
     out["scaled_skewness"] = skew
 
-    rows = transform.moment_report(scaled, per_coord, max_order=max(manifest.moment_orders))
-    for r in rows:
-        key = r.label.replace(" ", "_")
-        writer.row(gamma, kind, "moment", key, r.empirical, r.stderr)
-        writer.row(gamma, kind, "moment_limit", key, r.limit)
-    out["max_moment_z"] = _max_abs([r.zscore for r in rows])
+    moments = transform.moment_report(scaled, per_coord, max_order=max(manifest.moment_orders))
+    for c in moments:
+        writer.row(gamma, kind, "moment", c.key, c.estimate, c.stderr)
+        writer.row(gamma, kind, "moment_limit", c.key, c.target)
+    out["max_moment_z"] = _max_abs([c.zscore for c in moments])
 
     ks = transform.ks_statistic(scaled.rows[:, 0], per_coord, scaled.pooled)
     writer.row(gamma, kind, "ks", "coordinate0", ks)
@@ -177,15 +180,17 @@ def _gamma_point(manifest: ExperimentManifest, gi: int, gamma: float, writer):
     for phi, val, se in zip(mgf.phi_grid, mgf.values, mgf.stderr):
         writer.row(gamma, kind, "mgf", f"phi={phi:g}", val, se)
     if kind == "classic":
-        points = transform.classic_residual(mgf)
+        residuals = transform.classic_residual(mgf)
     elif kind == "critical":
-        points = transform.critical_ode_residual(mgf)
+        residuals = transform.critical_ode_residual(mgf)
     else:
-        points = transform.overloaded_ode_residual(mgf)
-    for p in points:
-        writer.row(gamma, kind, "residual", f"phi={p.phi:g}", p.residual, p.stderr)
-        writer.row(gamma, kind, "residual_usable", f"phi={p.phi:g}", 1.0 if p.usable else 0.0)
-    out["max_residual_z"] = _max_abs([p.zscore for p in points if p.usable and p.phi != 0.0])
+        residuals = transform.overloaded_ode_residual(mgf)
+    for c in residuals:
+        writer.row(gamma, kind, "residual", c.key, c.estimate, c.stderr)
+        writer.row(gamma, kind, "residual_usable", c.key, 1.0 if c.usable else 0.0)
+    out["max_residual_z"] = _max_abs(
+        [c.zscore for c, phi in zip(residuals, mgf.phi_grid) if c.usable and phi != 0.0]
+    )
     return out
 
 
@@ -274,7 +279,8 @@ def oracle_check(config, cap: int, plan: SamplingPlan, seed: int, out=None) -> i
     exact truncated chain.
 
     Prints one line per statistic with its z-score; returns 0 iff every
-    |z| < 4. The config and plan are validated before the chain is built.
+    |z| < 4, so a statistic without a standard error (one batch) fails. The
+    config and plan are validated before the chain is built.
     """
     if out is None:
         out = sys.stdout
@@ -288,24 +294,18 @@ def oracle_check(config, cap: int, plan: SamplingPlan, seed: int, out=None) -> i
 
     counts = samples.counts
     totals = counts.rows.sum(axis=1).astype(float)
-    checks = []
-
-    def add(name, values, target):
-        est, se = counts.estimate(values)
-        z = (est - target) / se if se > 0 else (0.0 if est == target else math.inf)
-        checks.append((name, est, target, se, z))
-
-    add("total_mean", totals, exact["total_m1"])
-    add("total_second_moment", totals**2, exact["total_m2"])
+    stats = [("total_mean", totals, exact["total_m1"]),
+             ("total_second_moment", totals**2, exact["total_m2"])]
     for phi in ORACLE_PHI_GRID:
         vals = np.exp(math.sqrt(gamma) * phi * totals)
-        add(f"mgf_phi={phi:g}", vals, oracle.oracle_mgf(chain, pi, phi))
+        stats.append((f"mgf_phi={phi:g}", vals, oracle.oracle_mgf(chain, pi, phi)))
+    checks = [transform.Comparison(key, *counts.estimate(v), t) for key, v, t in stats]
 
-    worst = 0.0
-    for name, est, target, se, z in checks:
-        worst = max(worst, abs(z))
-        print(f"{name}: simulated={est:.6g} exact={target:.6g} stderr={se:.3g} z={z:+.2f}",
-              file=out)
+    for c in checks:
+        print(f"{c.key}: simulated={c.estimate:.6g} exact={c.target:.6g} stderr={c.stderr:.3g} "
+              f"z={c.zscore:+.2f}", file=out)
+    # a NaN z makes `worst` NaN, which fails the gate below
+    worst = _max_abs(c.zscore for c in checks)
     print(f"leakage={oracle.stationary_leakage(chain, pi):.3g} max|z|={worst:.2f}", file=out)
     return 0 if worst < 4.0 else 1
 

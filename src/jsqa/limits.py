@@ -45,7 +45,8 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 class LimitDistribution:
     """One limiting law. `kind` selects the family; `mean` is the exponential
     mean, (`mu0`, `var`) the underlying Gaussian parameters (truncation at 0
-    from below applies only to the truncated kind)."""
+    from below applies only to the truncated kind, and the plain Gaussian is
+    centered). A parameter its kind does not use must be 0."""
 
     kind: str
     mean: float = 0.0
@@ -56,9 +57,13 @@ class LimitDistribution:
         if self.kind == "exponential":
             if self.mean <= 0:
                 raise ValueError("exponential mean must be positive")
+            if self.mu0 or self.var:
+                raise ValueError("an exponential law takes no mu0 or var")
         elif self.kind in ("truncated-gaussian", "gaussian"):
             if self.var <= 0:
                 raise ValueError("gaussian variance must be positive")
+            if self.mean or (self.kind == "gaussian" and self.mu0):
+                raise ValueError("gaussian laws take no mean, and the centered kind no mu0")
         else:
             raise ValueError(f"unknown limit kind {self.kind!r}")
 

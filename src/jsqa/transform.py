@@ -30,8 +30,7 @@ __all__ = [
     "MgfEstimate",
     "SscEstimate",
     "UnusedServiceRate",
-    "ResidualPoint",
-    "MomentRow",
+    "Comparison",
     "empirical_mgf",
     "ssc_estimate",
     "unused_service_rate",
@@ -193,17 +192,37 @@ def unused_service_rate(samples: SampleSet) -> UnusedServiceRate:
 
 
 @dataclass(frozen=True)
-class ResidualPoint:
-    """One phi grid point of a transform-identity residual."""
+class Comparison:
+    """One batch-means estimate against its target (a moment against its
+    limit, a residual against 0, a simulated statistic against the exact
+    chain), keyed as in results.csv; `usable` is False at an unusable MGF
+    grid point, whose z-score no summary may read."""
 
-    phi: float
-    residual: float
+    key: str
+    estimate: float
     stderr: float
-    usable: bool
+    target: float = 0.0
+    usable: bool = True
 
     @property
     def zscore(self) -> float:
-        return self.residual / self.stderr if self.stderr > 0 else math.inf
+        """(estimate - target) / stderr. NaN when the standard error is NaN
+        (fewer than two batches); with a zero standard error, 0 if the
+        estimate equals the target and inf otherwise."""
+        if self.stderr == 0:
+            return 0.0 if self.estimate == self.target else math.inf
+        return (self.estimate - self.target) / self.stderr
+
+
+def _comparisons(keys, rows: np.ndarray, targets=0.0, usable=True) -> list[Comparison]:
+    """One comparison per column of the per-batch rows (B, K): its mean and
+    batch-means stderr against `targets`, flagged by `usable` (each a scalar
+    or one value per column)."""
+    columns = np.broadcast_arrays(rows.mean(axis=0), batch_stderr(rows), targets, usable)
+    return [
+        Comparison(key, float(e), float(s), float(t), bool(u))
+        for key, e, s, t, u in zip(keys, *columns)
+    ]
 
 
 def drift_relation_values(
@@ -230,13 +249,9 @@ def drift_relation_values(
     )
 
 
-def _points(phi_grid, batch_rows: np.ndarray, usable) -> list[ResidualPoint]:
-    res = batch_rows.mean(axis=0)
-    se = batch_stderr(batch_rows)
-    return [
-        ResidualPoint(phi=float(p), residual=float(r), stderr=float(s), usable=bool(u))
-        for p, r, s, u in zip(phi_grid, res, se, usable)
-    ]
+def _residuals(mgf: MgfEstimate, rows: np.ndarray) -> list[Comparison]:
+    """Residuals against 0 per grid point of `mgf`, keyed `phi=<g>`."""
+    return _comparisons([f"phi={phi:g}" for phi in mgf.phi_grid], rows, usable=mgf.usable)
 
 
 def _require_kind(mgf: MgfEstimate, kind: str) -> None:
@@ -246,7 +261,7 @@ def _require_kind(mgf: MgfEstimate, kind: str) -> None:
         )
 
 
-def classic_residual(mgf: MgfEstimate) -> list[ResidualPoint]:
+def classic_residual(mgf: MgfEstimate) -> list[Comparison]:
     """Residuals of the classic-regime MGF relation over the grid.
 
     Needs the MGF of a classic regime: the total queue length scaled with
@@ -265,10 +280,10 @@ def classic_residual(mgf: MgfEstimate) -> list[ResidualPoint]:
         mgf.batch_values, mgf.batch_derivs, mgf.phi_grid, config.drift / scale, c2,
         mgf.batch_u_mean[:, None] / scale, gamma ** (1.0 - 2.0 * alpha),
     )
-    return _points(mgf.phi_grid, rows, mgf.usable)
+    return _residuals(mgf, rows)
 
 
-def critical_ode_residual(mgf: MgfEstimate) -> list[ResidualPoint]:
+def critical_ode_residual(mgf: MgfEstimate) -> list[Comparison]:
     """Residuals of the critical-regime MGF differential relation.
 
     Needs the MGF of a critical regime: the total queue length scaled by
@@ -285,10 +300,10 @@ def critical_ode_residual(mgf: MgfEstimate) -> list[ResidualPoint]:
     rows = -drift_relation_values(
         mgf.batch_values, mgf.batch_derivs, mgf.phi_grid, drift_scaled, c2, u_scaled, 1.0
     )
-    return _points(mgf.phi_grid, rows, mgf.usable)
+    return _residuals(mgf, rows)
 
 
-def overloaded_ode_residual(mgf: MgfEstimate) -> list[ResidualPoint]:
+def overloaded_ode_residual(mgf: MgfEstimate) -> list[Comparison]:
     """Residuals of the overloaded-regime MGF differential relation
     (phi * bar_c2 / 2) * M(phi) - M'(phi), on the MGF of an overloaded
     regime (the total centered at drift/gamma, scaled by gamma^(1/2)): the
@@ -299,7 +314,7 @@ def overloaded_ode_residual(mgf: MgfEstimate) -> list[ResidualPoint]:
     rows = drift_relation_values(
         mgf.batch_values, mgf.batch_derivs, mgf.phi_grid, 0.0, bar_c2, 0.0, 1.0
     )
-    return _points(mgf.phi_grid, rows, mgf.usable)
+    return _residuals(mgf, rows)
 
 
 def ks_statistic(samples, dist: LimitDistribution, counts=None) -> float:
@@ -323,25 +338,9 @@ def ks_statistic(samples, dist: LimitDistribution, counts=None) -> float:
     return float(max(upper.max(), lower.max()))
 
 
-@dataclass(frozen=True)
-class MomentRow:
-    """One empirical-vs-limit moment comparison."""
-
-    label: str
-    empirical: float
-    stderr: float
-    limit: float
-
-    @property
-    def zscore(self) -> float:
-        if self.stderr == 0:
-            return 0.0 if self.empirical == self.limit else math.inf
-        return (self.empirical - self.limit) / self.stderr
-
-
 def moment_report(
     scaled: StateCounts, dist: LimitDistribution, max_order: int = 2
-) -> list[MomentRow]:
+) -> list[Comparison]:
     """Compare pooled per-coordinate moments (and, for n >= 2, cross-coordinate
     product moments of the first two coordinates) against the limit law.
     `scaled` is the count table of the scaled coordinates (`regimes.scale`).
@@ -353,19 +352,15 @@ def moment_report(
     if not 1 <= max_order <= 4:
         raise ValueError("moment orders must lie in 1..4")
     x = scaled.rows
-    labels, targets, columns = [], [], []
+    keys, targets, columns = [], [], []
     for m in range(1, max_order + 1):
-        labels.append(f"coordinate m={m}")
+        keys.append(f"coordinate_m={m}")
         targets.append(dist.moment(m))
         columns.append((x**m).mean(axis=1))
     if x.shape[1] >= 2:
         for m1 in range(1, max_order):
             for m2 in range(1, max_order - m1 + 1):
-                labels.append(f"cross m1={m1} m2={m2}")
+                keys.append(f"cross_m1={m1}_m2={m2}")
                 targets.append(dist.moment(m1 + m2))
                 columns.append(x[:, 0] ** m1 * x[:, 1] ** m2)
-    bm = scaled.batch_means(np.column_stack(columns))
-    return [
-        MomentRow(label=label, empirical=float(emp), stderr=float(se), limit=target)
-        for label, emp, se, target in zip(labels, bm.mean(axis=0), batch_stderr(bm), targets)
-    ]
+    return _comparisons(keys, scaled.batch_means(np.column_stack(columns)), targets)

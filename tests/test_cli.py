@@ -91,8 +91,9 @@ class TestRun:
             ("phi_grid", [3.0]),
             ("phi_grid", [float("nan")]),
             ("phi_grid", [float("inf")]),
+            ("phi_grid", "12"),
         ],
-        ids=["order-0", "order-neg", "phi-empty", "phi-3", "phi-nan", "phi-inf"],
+        ids=["order-0", "order-neg", "phi-empty", "phi-3", "phi-nan", "phi-inf", "phi-string"],
     )
     def test_invalid_input_exits_2_before_simulating(self, tmp_path, key, value):
         path = write_manifest(tmp_path, dict(TINY_MANIFEST, **{key: value}))
@@ -249,6 +250,13 @@ class TestOracleCheck:
         status = cli.oracle_check(SSQ, cap=120, plan=plan, seed=3, out=io.StringIO())
         assert status == 1
 
+    def test_single_batch_fails(self):
+        # one batch leaves every z without a standard error: NaN, not a pass
+        plan = default_plan(SSQ, num_samples=1, replicas=1)
+        out = io.StringIO()
+        assert cli.oracle_check(SSQ, cap=120, plan=plan, seed=3, out=out) == 1
+        assert out.getvalue().rstrip().endswith("max|z|=nan")
+
 
 class TestDomination:
     def test_subcommand_reports_ordering(self, tmp_path, capsys):
@@ -290,6 +298,13 @@ def test_manifest_validation_catches_bad_plan(tmp_path):
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
 
 
+def _with_base_service(**fields):
+    """TINY_MANIFEST with `fields` set on its first base service."""
+    regime = TINY_MANIFEST["regime"]
+    first, *rest = regime["base_services"]
+    return dict(TINY_MANIFEST, regime=dict(regime, base_services=[dict(first, **fields), *rest]))
+
+
 @pytest.mark.parametrize(
     "command, text",
     [
@@ -303,9 +318,12 @@ def test_manifest_validation_catches_bad_plan(tmp_path):
         ("oracle-check", "5"),
         ("run", json.dumps(dict(TINY_MANIFEST, plan=dict(TINY_MANIFEST["plan"], replicas=2.5)))),
         ("oracle-check", json.dumps(dict(SSQ.to_dict(), n=2))),
+        ("run", json.dumps(_with_base_service(**{"success-probability": 1.5}))),
+        ("run", json.dumps(_with_base_service(**{"trial-count": -2}))),
     ],
     ids=["gammas-string", "gammas-scalar", "gamma-string", "support-point-string", "not-json",
-         "missing-file", "not-an-object", "replicas-fractional", "n-mismatch"],
+         "missing-file", "not-an-object", "replicas-fractional", "n-mismatch",
+         "service-probability", "service-negative-trials"],
 )
 def test_malformed_input_is_a_clean_error(tmp_path, capsys, command, text):
     path = tmp_path / "input.json"
@@ -314,6 +332,7 @@ def test_malformed_input_is_a_clean_error(tmp_path, capsys, command, text):
     extra = ["--cap", "8"] if command == "oracle-check" else ["--out", str(tmp_path / "out")]
     assert cli.main([command, str(path), *extra]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from scipy import integrate
 from scipy.stats import truncnorm
 
 from jsqa.limits import (
+    LimitDistribution,
     critical_unused_limit,
     exponential,
     gaussian,
@@ -234,3 +235,13 @@ def test_invalid_parameters_rejected():
         gaussian(-1.0)
     with pytest.raises(ValueError):
         truncated_gaussian(0.0, 0.0)
+    # a parameter the kind does not read would be silently ignored
+    for params in (
+        dict(kind="gaussian", mean=1.0, var=1.0),
+        dict(kind="truncated-gaussian", mean=1.0, mu0=0.5, var=1.0),
+        dict(kind="gaussian", mu0=3.0, var=1.0),
+        dict(kind="exponential", mean=1.0, mu0=1.0),
+        dict(kind="exponential", mean=1.0, var=1.0),
+    ):
+        with pytest.raises(ValueError):
+            LimitDistribution(**params)

@@ -12,6 +12,7 @@ from jsqa.oracle import build_chain, oracle_mgf, stationary
 from jsqa.regimes import RegimeSpec, build_config, center_per_queue, scale, scaling_exponent
 from jsqa.simulator import SampleSet
 from jsqa.transform import (
+    Comparison,
     classic_residual,
     critical_ode_residual,
     drift_relation_values,
@@ -204,7 +205,7 @@ class TestResidualOps:
         mgf = empirical_mgf(samples, [-0.5, 0.0, 0.5], spec)
         points = classic_residual(mgf)
         expect = (config.drift - gamma * q.sum(1).mean() + u.mean()) / gamma**alpha
-        assert points[1].residual == pytest.approx(expect, rel=1e-10)
+        assert points[1].estimate == pytest.approx(expect, rel=1e-10)
 
     def test_critical_phi_zero_is_drift_identity(self):
         gamma = 0.04
@@ -218,7 +219,7 @@ class TestResidualOps:
         mgf = empirical_mgf(samples, [-0.5, 0.0], CRITICAL)
         points = critical_ode_residual(mgf)
         expect = (gamma * q.sum(1).mean() - config.drift - u.mean()) / math.sqrt(gamma)
-        assert points[1].residual == pytest.approx(expect, rel=1e-10)
+        assert points[1].estimate == pytest.approx(expect, rel=1e-10)
 
     def test_regime_mismatch_errors(self):
         config = SystemConfig(gamma=0.01, arrivals=Binomial(4, 0.25), services=TWO_BINOMIAL)
@@ -258,11 +259,28 @@ class TestKs:
         assert 0.0 <= ks_statistic(draws, exponential(0.1)) <= 1.0
 
 
+@pytest.mark.parametrize(
+    "comparison, z",
+    [
+        (Comparison("k", 1.0, math.nan, 1.0), math.nan),
+        (Comparison("k", 2.0, 0.0, 2.0), 0.0),
+        (Comparison("k", 2.0, 0.0, 1.0), math.inf),
+        (Comparison("k", 0.0, 0.0, 1.0), math.inf),
+        (Comparison("k", 3.0, 0.5), 6.0),
+        (Comparison("k", 1.0, 0.5, 2.0), -2.0),
+    ],
+    ids=["nan-stderr", "zero-stderr-equal", "zero-stderr-above", "zero-stderr-below",
+         "default-target", "target"],
+)
+def test_zscore_rule(comparison, z):
+    assert comparison.zscore == pytest.approx(z, nan_ok=True)
+
+
 class TestMomentReport:
     def test_degenerate_first_moment(self):
         scaled = count_rows(np.full((100, 1), 3.0), np.arange(100) // 25)
         rows = moment_report(scaled, exponential(1.0), 1)
-        assert rows[0].empirical == pytest.approx(3.0)
+        assert rows[0].estimate == pytest.approx(3.0)
         assert rows[0].stderr == 0.0
 
     def test_cross_rows_present_for_two_queues(self):
@@ -270,10 +288,10 @@ class TestMomentReport:
         x = gen.exponential(1.0, size=(4000, 2))
         scaled = count_rows(x, np.arange(4000) // 500)
         rows = moment_report(scaled, exponential(1.0), 2)
-        labels = [r.label for r in rows]
-        assert "cross m1=1 m2=1" in labels
+        keys = [r.key for r in rows]
+        assert "cross_m1=1_m2=1" in keys
         # independent coordinates: E[x1 x2] = 1, far from E[Y^2] = 2
-        cross = next(r for r in rows if r.label == "cross m1=1 m2=1")
+        cross = next(r for r in rows if r.key == "cross_m1=1_m2=1")
         assert cross.zscore < -4
 
     def test_order_cap(self):
@@ -390,7 +408,7 @@ class TestMatchesPerSampleReference:
             ]
         assert len(rows) == len(expected)
         for row, bm in zip(rows, expected):
-            assert_close(row.empirical, bm.mean())
+            assert_close(row.estimate, bm.mean())
             assert_close(row.stderr, ref_stderr(bm))
 
     def test_single_batch_stays_unusable(self):
