@@ -1,16 +1,17 @@
 """Batch experiment runner.
 
 Subcommands:
-  jsqa run <manifest.json> [--out DIR]                 sweep a regime over gamma
-  jsqa oracle-check <config.json> --cap K --seed S     simulator vs exact chain
-  jsqa domination <config.json> --horizon T --seed S   coupled-chain ordering
+  jsqa run <manifest.json> [--out DIR]
+  jsqa oracle-check <config.json> --cap K [--seed S] [--samples N] [--replicas R]
+  jsqa domination <config.json> --horizon T [--seed S] [--c-tilde X]
 
 `run` writes results.csv with columns gamma,regime,statistic,key,value,stderr
-(one row per computed number, flushed after each gamma so completed points
-survive a later failure) and run.json carrying the manifest, the derived
-constants per gamma, and the cross-gamma trend summary. If a gamma point
-fails, its error goes to stderr as well as to run.json, and the exit status
-is 1. Identical manifests give byte-identical outputs.
+(one row per computed number) and run.json carrying the manifest, the derived
+constants per gamma, and the cross-gamma trend summary. A gamma point's rows
+are written, flushed and fsynced only once the whole point is computed, so
+completed points survive a later failure and a failed point leaves no row.
+If a gamma point fails, its error goes to stderr as well as to run.json, and
+the exit status is 1. Identical manifests give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ class ExperimentManifest:
             raise ConfigError("every gamma must lie in (0, 1)")
         if any(b >= a for a, b in zip(self.gammas, self.gammas[1:])):
             raise ConfigError("gammas must be strictly decreasing")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         self.plan.check()
         for g in self.gammas:
             require_valid(regimes.build_config(self.regime, g))
@@ -103,45 +106,35 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-class _CsvWriter:
-    def __init__(self, path: Path):
-        self.fh = path.open("w")
-        self.fh.write(CSV_HEADER + "\n")
-        self.fh.flush()
-
-    def row(self, gamma, regime, statistic, key, value, stderr=None):
-        self.fh.write(
-            f"{_fmt(gamma)},{regime},{statistic},{key},{_fmt(value)},{_fmt(stderr)}\n"
-        )
-
-    def flush(self):
-        self.fh.flush()
-        os.fsync(self.fh.fileno())
-
-    def close(self):
-        self.fh.close()
+def _append_rows(fh, gamma: float, kind: str, rows) -> None:
+    """Write rows (statistic, key, value[, stderr]) of one gamma to the open
+    results.csv, then flush and fsync them."""
+    for statistic, key, value, *stderr in rows:
+        se = stderr[0] if stderr else None
+        fh.write(f"{_fmt(gamma)},{kind},{statistic},{key},{_fmt(value)},{_fmt(se)}\n")
+    fh.flush()
+    os.fsync(fh.fileno())
 
 
-def _gamma_point(manifest: ExperimentManifest, gi: int, gamma: float, writer):
-    """Simulate one gamma point and emit all its statistics; returns the
-    numbers the cross-gamma summary needs."""
+def _gamma_point(manifest: ExperimentManifest, gi: int, gamma: float) -> tuple[list, dict]:
+    """Simulate one gamma point and compute all its statistics, with no I/O.
+
+    Returns the point's results.csv rows, each (statistic, key, value[,
+    stderr]), and the numbers of the point that the cross-gamma summary reads.
+    """
     spec = manifest.regime
     config = regimes.build_config(spec, gamma)
-    plan = manifest.plan
     seed_offset = gi << 32
-    samples = collect_steady_state(config, plan, manifest.seed + seed_offset)
+    samples = collect_steady_state(config, manifest.plan, manifest.seed + seed_offset)
     scaled = regimes.scale(samples, spec)
     per_coord, _total_dist = limits.limit_for_regime(spec)
-    kind = spec.kind
-
-    out = {"gamma": gamma}
-    writer.row(gamma, kind, "config", "drift", config.drift)
-    writer.row(gamma, kind, "config", "variance", config.variance)
 
     counts = samples.counts
-    total_mean, total_se = counts.estimate(counts.rows.sum(axis=1).astype(float))
-    writer.row(gamma, kind, "raw", "total_mean", total_mean, total_se)
-    out["total_mean"] = total_mean
+    rows = [
+        ("config", "drift", config.drift),
+        ("config", "variance", config.variance),
+        ("raw", "total_mean", *counts.estimate(counts.rows.sum(axis=1).astype(float))),
+    ]
 
     # pooled over all samples, not batch means
     weights = scaled.pooled / len(samples)
@@ -149,49 +142,43 @@ def _gamma_point(manifest: ExperimentManifest, gi: int, gamma: float, writer):
     centered = xt - weights @ xt
     var = float(weights @ centered**2)
     skew = float(weights @ centered**3 / var**1.5) if var > 0 else 0.0
-    writer.row(gamma, kind, "scaled_total", "variance", var)
-    writer.row(gamma, kind, "scaled_total", "skewness", skew)
-    out["scaled_variance"] = var
-    out["scaled_skewness"] = skew
+    rows += [("scaled_total", "variance", var), ("scaled_total", "skewness", skew)]
 
     moments = transform.moment_report(scaled, per_coord, max_order=max(manifest.moment_orders))
     for c in moments:
-        writer.row(gamma, kind, "moment", c.key, c.estimate, c.stderr)
-        writer.row(gamma, kind, "moment_limit", c.key, c.target)
-    out["max_moment_z"] = _max_abs([c.zscore for c in moments])
+        rows += [("moment", c.key, c.estimate, c.stderr), ("moment_limit", c.key, c.target)]
 
     ks = transform.ks_statistic(scaled.rows[:, 0], per_coord, scaled.pooled)
-    writer.row(gamma, kind, "ks", "coordinate0", ks)
-    out["ks"] = ks
+    rows.append(("ks", "coordinate0", ks))
+    point = {"ks": ks, "max_moment_z": _max_abs([c.zscore for c in moments])}
 
     if config.n >= 2:
         ssc = transform.ssc_estimate(samples)
-        writer.row(gamma, kind, "ssc", "perp_second_moment", ssc.perp_second_moment, ssc.stderr)
-        writer.row(gamma, kind, "ssc", "total_second_moment", ssc.total_second_moment)
-        out["perp_second_moment"] = ssc.perp_second_moment
-        out["total_second_moment"] = ssc.total_second_moment
+        rows += [("ssc", "perp_second_moment", ssc.perp_second_moment, ssc.stderr),
+                 ("ssc", "total_second_moment", ssc.total_second_moment)]
+        point["perp_second_moment"] = ssc.perp_second_moment
+        point["total_second_moment"] = ssc.total_second_moment
 
     usage = transform.unused_service_rate(samples)
-    writer.row(gamma, kind, "unused", "raw", usage.raw, usage.stderr_raw)
-    writer.row(gamma, kind, "unused", "critical_scaled", usage.critical_scaled)
-    out["unused_scaled"] = usage.critical_scaled
+    rows += [("unused", "raw", usage.raw, usage.stderr_raw),
+             ("unused", "critical_scaled", usage.critical_scaled)]
 
     mgf = transform.empirical_mgf(samples, manifest.phi_grid, spec)
-    for phi, val, se in zip(mgf.phi_grid, mgf.values, mgf.stderr):
-        writer.row(gamma, kind, "mgf", f"phi={phi:g}", val, se)
-    if kind == "classic":
+    rows += [("mgf", f"phi={phi:g}", val, se)
+             for phi, val, se in zip(mgf.phi_grid, mgf.values, mgf.stderr)]
+    if spec.kind == "classic":
         residuals = transform.classic_residual(mgf)
-    elif kind == "critical":
+    elif spec.kind == "critical":
         residuals = transform.critical_ode_residual(mgf)
     else:
         residuals = transform.overloaded_ode_residual(mgf)
     for c in residuals:
-        writer.row(gamma, kind, "residual", c.key, c.estimate, c.stderr)
-        writer.row(gamma, kind, "residual_usable", c.key, 1.0 if c.usable else 0.0)
-    out["max_residual_z"] = _max_abs(
+        rows += [("residual", c.key, c.estimate, c.stderr),
+                 ("residual_usable", c.key, 1.0 if c.usable else 0.0)]
+    point["max_residual_z"] = _max_abs(
         [c.zscore for c, phi in zip(residuals, mgf.phi_grid) if c.usable and phi != 0.0]
     )
-    return out
+    return rows, point
 
 
 def _max_abs(values) -> float:
@@ -225,7 +212,6 @@ def run(manifest: ExperimentManifest, out_dir: str | None = None) -> int:
     manifest.check()
     out = Path(out_dir if out_dir is not None else manifest.outputs)
     out.mkdir(parents=True, exist_ok=True)
-    writer = _CsvWriter(out / "results.csv")
     sigma2, bar_sigma2 = regimes.limit_sigma2(manifest.regime)
     per_coord, total_dist = limits.limit_for_regime(manifest.regime)
     sidecar = {
@@ -249,27 +235,31 @@ def run(manifest: ExperimentManifest, out_dir: str | None = None) -> int:
         },
         "completed_gammas": [],
     }
+    kind = manifest.regime.kind
     points = []
     status = 0
-    try:
-        for gi, gamma in enumerate(manifest.gammas):
-            points.append(_gamma_point(manifest, gi, gamma, writer))
-            writer.flush()
-            sidecar["completed_gammas"].append(gamma)
-    except Exception as exc:  # propagate the failure after flushing partial rows
-        sidecar["error"] = f"{type(exc).__name__}: {exc}"
-        print(f"error: gamma={gamma:g}: {sidecar['error']}", file=sys.stderr)
-        status = 1
-    if points and status == 0:
-        summary = _summary(points)
-        sidecar["summary"] = summary
-        writer.row(manifest.gammas[-1], manifest.regime.kind, "summary", "ks_decreasing",
-                   1.0 if summary["ks_trend"] == "decreasing" else 0.0)
-        if "perp_ratio_decreasing" in summary:
-            writer.row(manifest.gammas[-1], manifest.regime.kind, "summary",
-                       "perp_ratio_decreasing", 1.0 if summary["perp_ratio_decreasing"] else 0.0)
-        writer.flush()
-    writer.close()
+    with (out / "results.csv").open("w") as fh:
+        fh.write(CSV_HEADER + "\n")
+        fh.flush()
+        try:
+            for gi, gamma in enumerate(manifest.gammas):
+                # a point's rows are written only once all of them are computed
+                rows, point = _gamma_point(manifest, gi, gamma)
+                _append_rows(fh, gamma, kind, rows)
+                points.append(point)
+                sidecar["completed_gammas"].append(gamma)
+        except Exception as exc:  # report the failed point; earlier points' rows stay
+            sidecar["error"] = f"{type(exc).__name__}: {exc}"
+            print(f"error: gamma={gamma:g}: {sidecar['error']}", file=sys.stderr)
+            status = 1
+        else:
+            summary = _summary(points)
+            sidecar["summary"] = summary
+            rows = [("summary", "ks_decreasing", float(summary["ks_trend"] == "decreasing"))]
+            if "perp_ratio_decreasing" in summary:
+                rows.append(("summary", "perp_ratio_decreasing",
+                             float(summary["perp_ratio_decreasing"])))
+            _append_rows(fh, manifest.gammas[-1], kind, rows)
     (out / "run.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     return status
 
@@ -280,12 +270,14 @@ def oracle_check(config, cap: int, plan: SamplingPlan, seed: int, out=None) -> i
 
     Prints one line per statistic with its z-score; returns 0 iff every
     |z| < 4, so a statistic without a standard error (one batch) fails. The
-    config and plan are validated before the chain is built.
+    config, plan and seed are validated before the chain is built.
     """
     if out is None:
         out = sys.stdout
     require_valid(config)
     plan.check()
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     chain = oracle.build_chain(config, cap)
     pi = oracle.stationary(chain)
     exact = oracle.oracle_moments(chain, pi, order=2)
@@ -352,6 +344,8 @@ def main(argv=None) -> int:
         if args.command == "oracle-check":
             plan = default_plan(config, num_samples=args.samples, replicas=args.replicas)
             return oracle_check(config, args.cap, plan, args.seed)
+        if args.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {args.seed}")
         c_tilde = args.c_tilde
         if c_tilde is None:
             c_tilde = config.drift + config.bound * math.sqrt(config.gamma)

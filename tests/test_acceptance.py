@@ -24,6 +24,7 @@ from jsqa.simulator import (
     simulate_coupled_domination,
     step_many,
 )
+from jsqa.transform import Comparison
 
 SERVICES = [
     {"kind": "binomial", "trial-count": 2, "success-probability": 0.25},
@@ -128,10 +129,10 @@ def overloaded_run(tmp_path_factory):
 
 
 def _zscore(counts, values, target):
-    """z-score of the batch-means estimate of a function given by its
-    `values` at the distinct states of the count table `counts`."""
-    est, se = counts.estimate(values)
-    return (est - target) / se, se
+    """z-score, by `Comparison.zscore`, of the batch-means estimate of a
+    function given by its `values` at the distinct states of the count table
+    `counts` against `target`."""
+    return Comparison("", *counts.estimate(values), target).zscore
 
 
 def _ks_two_sample(x, y) -> float:
@@ -164,11 +165,11 @@ def test_criterion_01_ssq_oracle_equivalence():
     totals = counts.rows.sum(axis=1).astype(float)
 
     zs = {}
-    zs["mean"], _ = _zscore(counts, totals, exact["total_m1"])
-    zs["second"], _ = _zscore(counts, totals**2, exact["total_m2"])
+    zs["mean"] = _zscore(counts, totals, exact["total_m1"])
+    zs["second"] = _zscore(counts, totals**2, exact["total_m2"])
     for phi in (-1.0, -0.5, 0.25):
         vals = np.exp(math.sqrt(SSQ.gamma) * phi * totals)
-        zs[f"mgf({phi:g})"], _ = _zscore(counts, vals, oracle_mgf(chain, pi, phi))
+        zs[f"mgf({phi:g})"] = _zscore(counts, vals, oracle_mgf(chain, pi, phi))
     elapsed = time.time() - t0
 
     assert stationary_leakage(chain, pi) < 1e-8
@@ -195,9 +196,9 @@ def test_criterion_02_jsq_oracle_equivalence():
     counts = samples.counts
     q = counts.rows.astype(float)
     totals = q.sum(1)
-    z_mean, _ = _zscore(counts, totals, exact["total_m1"])
+    z_mean = _zscore(counts, totals, exact["total_m1"])
     perp = (q**2).sum(1) - totals**2 / 2
-    z_perp, _ = _zscore(counts, perp, exact["perp_second_moment"])
+    z_perp = _zscore(counts, perp, exact["perp_second_moment"])
     ks_sym = _ks_two_sample(samples.q[:, 0], samples.q[:, 1])
     elapsed = time.time() - t0
 
@@ -242,7 +243,7 @@ def test_criterion_04_critical_regime(critical_run):
 
     cross, cross_se = _value(rows, 1e-4, "moment", "cross_m1=1_m2=1")
     cross_limit, _ = _value(rows, 1e-4, "moment_limit", "cross_m1=1_m2=1")
-    z_cross = (cross - cross_limit) / cross_se
+    z_cross = Comparison("cross_m1=1_m2=1", cross, cross_se, cross_limit).zscore
 
     assert rel_err < 0.10, f"scaled mean off by {rel_err:.1%}"
     assert decreasing, f"ks not decreasing: {ks_values}"
@@ -332,7 +333,7 @@ def test_criterion_08_transform_residuals(classic_run, critical_run, overloaded_
             if flag != 1.0 or phi == 0.0:
                 continue
             usable_count += 1
-            z = abs(r["value"]) / r["stderr"]
+            z = abs(Comparison(r["key"], r["value"], r["stderr"]).zscore)
             worst = max(worst, z)
             assert z < 5.0, f"{name} phi={phi}: |residual|={abs(r['value']):.4g} vs 5se={5 * r['stderr']:.4g}"
         assert usable_count > 0

@@ -92,8 +92,10 @@ class TestRun:
             ("phi_grid", [float("nan")]),
             ("phi_grid", [float("inf")]),
             ("phi_grid", "12"),
+            ("seed", -5),
         ],
-        ids=["order-0", "order-neg", "phi-empty", "phi-3", "phi-nan", "phi-inf", "phi-string"],
+        ids=["order-0", "order-neg", "phi-empty", "phi-3", "phi-nan", "phi-inf", "phi-string",
+             "seed-neg"],
     )
     def test_invalid_input_exits_2_before_simulating(self, tmp_path, key, value):
         path = write_manifest(tmp_path, dict(TINY_MANIFEST, **{key: value}))
@@ -175,6 +177,8 @@ class TestRun:
         rows = read_rows(out)
         first_gamma_rows = [r for r in rows if r["gamma"] == repr(0.3)]
         assert first_gamma_rows
+        # no row of the failed point, not even those computed before the failure
+        assert not [r for r in rows if r["gamma"] == repr(0.2)]
         sidecar = json.loads((out / "run.json").read_text())
         assert sidecar["completed_gammas"] == [0.3]
         assert "synthetic failure" in sidecar["error"]
@@ -185,10 +189,12 @@ class TestRun:
 
         monkeypatch.setattr(cli.transform, "unused_service_rate", explode)
         path = write_manifest(tmp_path)
-        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "gamma=0.3" in err
         assert "RuntimeError: synthetic failure" in err
+        assert (out / "results.csv").read_text() == cli.CSV_HEADER + "\n"
 
 
 SSQ = SystemConfig(
@@ -336,38 +342,44 @@ def test_malformed_input_is_a_clean_error(tmp_path, capsys, command, text):
 
 
 @pytest.mark.parametrize(
-    "command, config",
+    "command, config, flags",
     [
-        ("oracle-check", replace(SSQ, gamma=-0.1)),
-        ("oracle-check", replace(SSQ, services=(Constant(-1),))),
-        ("oracle-check", replace(SSQ, services=(BernoulliScaled(1, 1.5),))),
-        ("domination", replace(SSQ, gamma=-0.1)),
+        ("oracle-check", replace(SSQ, gamma=-0.1), []),
+        ("oracle-check", replace(SSQ, services=(Constant(-1),)), []),
+        ("oracle-check", replace(SSQ, services=(BernoulliScaled(1, 1.5),)), []),
+        ("oracle-check", SSQ, ["--seed", "-1"]),
+        ("domination", replace(SSQ, gamma=-0.1), []),
+        ("domination", SSQ, ["--seed", "-1"]),
     ],
-    ids=["oracle-gamma", "oracle-negative-service", "oracle-probability", "domination-gamma"],
+    ids=["oracle-gamma", "oracle-negative-service", "oracle-probability", "oracle-seed",
+         "domination-gamma", "domination-seed"],
 )
-def test_invalid_config_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command, config):
+def test_invalid_config_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, command, config, flags
+):
     def no_work(*args, **kwargs):
-        raise AssertionError("an invalid config reached the computation")
+        raise AssertionError("an invalid input reached the computation")
 
     monkeypatch.setattr(cli.oracle, "build_chain", no_work)
     monkeypatch.setattr(cli, "simulate_coupled_domination", no_work)
     extra = ["--cap", "8"] if command == "oracle-check" else ["--horizon", "10"]
-    assert cli.main([command, str(write_config(tmp_path, config)), *extra]) == 2
+    assert cli.main([command, str(write_config(tmp_path, config)), *extra, *flags]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize(
-    "config, plan",
+    "config, plan, seed",
     [
-        (replace(SSQ, gamma=-0.1), SamplingPlan(100, 1000, 1, 4)),
-        (SSQ, SamplingPlan(0, 1000, 1, 4)),
+        (replace(SSQ, gamma=-0.1), SamplingPlan(100, 1000, 1, 4), 0),
+        (SSQ, SamplingPlan(0, 1000, 1, 4), 0),
+        (SSQ, SamplingPlan(100, 1000, 1, 4), -1),
     ],
-    ids=["gamma", "plan"],
+    ids=["gamma", "plan", "seed"],
 )
-def test_oracle_check_validates_before_building(monkeypatch, config, plan):
+def test_oracle_check_validates_before_building(monkeypatch, config, plan, seed):
     def no_work(*args, **kwargs):
         raise AssertionError("an invalid input reached the chain build")
 
     monkeypatch.setattr(cli.oracle, "build_chain", no_work)
     with pytest.raises(ConfigError):
-        cli.oracle_check(config, cap=8, plan=plan, seed=0, out=io.StringIO())
+        cli.oracle_check(config, cap=8, plan=plan, seed=seed, out=io.StringIO())

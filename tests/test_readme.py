@@ -1,5 +1,6 @@
 """Every JSON document in README.md must parse and validate, and every
-subcommand's usage line must list its options, so the documented inputs
+subcommand's usage line, in README.md and in `jsqa --help`, must list its
+options, bracketing exactly the optional ones, so the documented inputs
 cannot drift from the parsers."""
 
 import json
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from jsqa import cli
 from jsqa.cli import main, manifest_from_dict
 from jsqa.model import config_from_dict, validate
 
@@ -15,7 +17,11 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 BLOCKS = re.findall(r"```json\n(.*?)```", README.read_text(), flags=re.DOTALL)
 USAGE = re.search(r"## Command line\n\n```\n(.*?)```", README.read_text(), flags=re.DOTALL)
 COMMANDS = dict(line.split(" ", 2)[1:] for line in USAGE.group(1).splitlines())
-FLAG = r"--[a-z][a-z-]*"
+# the usage lines of the cli module docstring, which `jsqa --help` prints
+HELP_COMMANDS = dict(
+    line.split(" ", 2)[1:] for line in map(str.strip, cli.__doc__.splitlines())
+    if line.startswith("jsqa ")
+)
 
 
 def test_readme_has_a_config_and_a_manifest():
@@ -33,13 +39,28 @@ def test_readme_json_block_parses(block):
         assert report.ok, report.violations
 
 
+def _flags(usage: str) -> dict[str, bool]:
+    """Each option of a usage line, mapped to whether it is bracketed."""
+    return {flag: bool(bracket) for bracket, flag in re.findall(r"(\[?)(--[a-z][a-z-]*)", usage)}
+
+
+def _parser_flags(command: str, capsys) -> dict[str, bool]:
+    """The options of `jsqa <command>`, each mapped to whether argparse
+    leaves it optional, read from the usage paragraph of its --help."""
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    return _flags(capsys.readouterr().out.split("\n\n")[0])
+
+
 def test_readme_usage_names_every_command():
-    assert set(COMMANDS) == {"run", "oracle-check", "domination"}
+    assert set(COMMANDS) == set(HELP_COMMANDS) == {"run", "oracle-check", "domination"}
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_readme_usage_lists_each_option(command, capsys):
-    with pytest.raises(SystemExit):
-        main([command, "--help"])
-    options = set(re.findall(FLAG, capsys.readouterr().out)) - {"--help"}
-    assert set(re.findall(FLAG, COMMANDS[command])) == options
+    assert _flags(COMMANDS[command]) == _parser_flags(command, capsys)
+
+
+@pytest.mark.parametrize("command", sorted(HELP_COMMANDS))
+def test_help_usage_lists_each_option(command, capsys):
+    assert _flags(HELP_COMMANDS[command]) == _parser_flags(command, capsys)
