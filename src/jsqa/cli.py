@@ -11,16 +11,24 @@ constants per gamma, and the cross-gamma trend summary. A gamma point's rows
 are written, flushed and fsynced only once the whole point is computed, so
 completed points survive a later failure and a failed point leaves no row.
 If a gamma point fails, its error goes to stderr as well as to run.json, and
-the exit status is 1. Identical manifests give byte-identical outputs.
+the exit status is 1. Identical manifests give byte-identical outputs, on any
+number of CPUs.
+
+Up to two gamma points are computed at once: with two or more usable CPUs,
+every other point runs in one forked child process, so a sweep may hold two
+points' samples in memory. Rows are still written in gamma order.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import multiprocessing
 import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -238,13 +246,24 @@ def run(manifest: ExperimentManifest, out_dir: str | None = None) -> int:
     kind = manifest.regime.kind
     points = []
     status = 0
-    with (out / "results.csv").open("w") as fh:
+    # point gi runs here when gi % workers == 0 and in the pool otherwise; a
+    # forked child skips the import that a fresh interpreter would repeat
+    workers = min(2, len(manifest.gammas), len(os.sched_getaffinity(0)))
+    pool = (ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork"))
+            if workers > 1 else contextlib.nullcontext())
+    with (out / "results.csv").open("w") as fh, pool:
         fh.write(CSV_HEADER + "\n")
         fh.flush()
+        # submitted first, so the child computes while this process does its own
+        futures = {gi: pool.submit(_gamma_point, manifest, gi, gamma)
+                   for gi, gamma in enumerate(manifest.gammas) if gi % workers}
         try:
             for gi, gamma in enumerate(manifest.gammas):
                 # a point's rows are written only once all of them are computed
-                rows, point = _gamma_point(manifest, gi, gamma)
+                if gi in futures:
+                    rows, point = futures[gi].result()
+                else:
+                    rows, point = _gamma_point(manifest, gi, gamma)
                 _append_rows(fh, gamma, kind, rows)
                 points.append(point)
                 sidecar["completed_gammas"].append(gamma)
@@ -260,6 +279,12 @@ def run(manifest: ExperimentManifest, out_dir: str | None = None) -> int:
                 rows.append(("summary", "perp_ratio_decreasing",
                              float(summary["perp_ratio_decreasing"])))
             _append_rows(fh, manifest.gammas[-1], kind, rows)
+        finally:
+            # after a failure or an interrupt, drop the child's points; the one
+            # it computes and the one queued to it cannot be cancelled, and
+            # leaving the pool waits for both
+            for future in futures.values():
+                future.cancel()
     (out / "run.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     return status
 
@@ -346,6 +371,9 @@ def main(argv=None) -> int:
             return oracle_check(config, args.cap, plan, args.seed)
         if args.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {args.seed}")
+        if args.horizon < 1:
+            # a horizon of 0 checks no slot and would read as a pass
+            raise ConfigError(f"--horizon must be at least 1, got {args.horizon}")
         c_tilde = args.c_tilde
         if c_tilde is None:
             c_tilde = config.drift + config.bound * math.sqrt(config.gamma)

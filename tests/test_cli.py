@@ -1,5 +1,7 @@
 import io
 import json
+import multiprocessing
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -161,19 +163,20 @@ class TestRun:
         assert (out / "results.csv").read_text() == golden
 
     def test_crash_safety_partial_results(self, tmp_path, monkeypatch):
-        calls = {"n": 0}
         original = cli.transform.unused_service_rate
 
-        def explode_on_second(samples):
-            calls["n"] += 1
-            if calls["n"] >= 2:
+        # keyed on the point, not on a call count: the point of gamma 0.2 may
+        # run in a child process, which counts in its own copy of a counter
+        def explode_at_second_gamma(samples):
+            if samples.gamma == 0.2:
                 raise RuntimeError("synthetic failure")
             return original(samples)
 
-        monkeypatch.setattr(cli.transform, "unused_service_rate", explode_on_second)
+        monkeypatch.setattr(cli.transform, "unused_service_rate", explode_at_second_gamma)
         path = write_manifest(tmp_path)
         out = tmp_path / "out"
         assert cli.main(["run", str(path), "--out", str(out)]) == 1
+        assert not multiprocessing.active_children()
         rows = read_rows(out)
         first_gamma_rows = [r for r in rows if r["gamma"] == repr(0.3)]
         assert first_gamma_rows
@@ -191,10 +194,72 @@ class TestRun:
         path = write_manifest(tmp_path)
         out = tmp_path / "out"
         assert cli.main(["run", str(path), "--out", str(out)]) == 1
+        assert not multiprocessing.active_children()
         err = capsys.readouterr().err
         assert "gamma=0.3" in err
         assert "RuntimeError: synthetic failure" in err
         assert (out / "results.csv").read_text() == cli.CSV_HEADER + "\n"
+
+
+def usable_cpus(monkeypatch, count):
+    """Make `run` see `count` usable CPUs, which fixes how many points it
+    computes at once."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+class TestPool:
+    @pytest.mark.parametrize("kind", GOLDEN)
+    def test_one_cpu_is_byte_identical(self, tmp_path, monkeypatch, kind):
+        name, manifest = GOLDEN[kind]
+        path = write_manifest(tmp_path, manifest)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "default")]) == 0
+        assert not multiprocessing.active_children()
+        usable_cpus(monkeypatch, 1)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "one")]) == 0
+        assert not multiprocessing.active_children()
+        for output in ("results.csv", "run.json"):
+            assert (tmp_path / "one" / output).read_bytes() == (
+                tmp_path / "default" / output
+            ).read_bytes()
+        assert (tmp_path / "one" / "results.csv").read_text() == (DATA / name).read_text()
+
+    def test_every_other_point_runs_in_a_child(self, tmp_path, monkeypatch):
+        original = cli.transform.unused_service_rate
+
+        def record_pid(samples):
+            # a child's memory is its own, so the pid goes through a file
+            (tmp_path / f"pid-{samples.gamma!r}").write_text(str(os.getpid()))
+            return original(samples)
+
+        monkeypatch.setattr(cli.transform, "unused_service_rate", record_pid)
+        usable_cpus(monkeypatch, 2)
+        path = write_manifest(tmp_path, dict(TINY_MANIFEST, gammas=[0.3, 0.2, 0.15]))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert not multiprocessing.active_children()
+        pids = {g: int((tmp_path / f"pid-{g!r}").read_text()) for g in (0.3, 0.2, 0.15)}
+        assert pids[0.3] == pids[0.15] == os.getpid()
+        assert pids[0.2] != os.getpid()
+
+    def test_dead_child_is_a_failed_point(self, tmp_path, monkeypatch, capsys):
+        original = cli.transform.unused_service_rate
+        parent = os.getpid()
+
+        def die_in_child(samples):
+            if samples.gamma == 0.2:
+                if os.getpid() == parent:
+                    raise AssertionError("gamma 0.2 ran in the test's own process")
+                os._exit(1)
+            return original(samples)
+
+        monkeypatch.setattr(cli.transform, "unused_service_rate", die_in_child)
+        usable_cpus(monkeypatch, 2)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(write_manifest(tmp_path)), "--out", str(out)]) == 1
+        assert not multiprocessing.active_children()
+        assert "error: gamma=0.2: BrokenProcessPool" in capsys.readouterr().err
+        rows = read_rows(out)
+        assert [r for r in rows if r["gamma"] == repr(0.3)]
+        assert not [r for r in rows if r["gamma"] == repr(0.2)]
 
 
 SSQ = SystemConfig(
@@ -350,9 +415,10 @@ def test_malformed_input_is_a_clean_error(tmp_path, capsys, command, text):
         ("oracle-check", SSQ, ["--seed", "-1"]),
         ("domination", replace(SSQ, gamma=-0.1), []),
         ("domination", SSQ, ["--seed", "-1"]),
+        ("domination", SSQ, ["--horizon", "0"]),
     ],
     ids=["oracle-gamma", "oracle-negative-service", "oracle-probability", "oracle-seed",
-         "domination-gamma", "domination-seed"],
+         "domination-gamma", "domination-seed", "domination-horizon"],
 )
 def test_invalid_config_exits_2_before_any_work(
     tmp_path, capsys, monkeypatch, command, config, flags
