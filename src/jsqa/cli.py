@@ -254,14 +254,17 @@ def run(manifest: ExperimentManifest, out_dir: str | None = None) -> int:
     with (out / "results.csv").open("w") as fh, pool:
         fh.write(CSV_HEADER + "\n")
         fh.flush()
-        # submitted first, so the child computes while this process does its own
-        futures = {gi: pool.submit(_gamma_point, manifest, gi, gamma)
-                   for gi, gamma in enumerate(manifest.gammas) if gi % workers}
+        # next() submits the child's next point once its last one is collected:
+        # after a failure, leaving the pool waits for at most the one it computes
+        child = (pool.submit(_gamma_point, manifest, gi, manifest.gammas[gi])
+                 for gi in range(1, len(manifest.gammas), workers) if workers > 1)
+        future = next(child, None)  # first, so the child computes alongside
         try:
             for gi, gamma in enumerate(manifest.gammas):
                 # a point's rows are written only once all of them are computed
-                if gi in futures:
-                    rows, point = futures[gi].result()
+                if gi % workers:
+                    rows, point = future.result()
+                    future = next(child, None)
                 else:
                     rows, point = _gamma_point(manifest, gi, gamma)
                 _append_rows(fh, gamma, kind, rows)
@@ -280,10 +283,7 @@ def run(manifest: ExperimentManifest, out_dir: str | None = None) -> int:
                              float(summary["perp_ratio_decreasing"])))
             _append_rows(fh, manifest.gammas[-1], kind, rows)
         finally:
-            # after a failure or an interrupt, drop the child's points; the one
-            # it computes and the one queued to it cannot be cancelled, and
-            # leaving the pool waits for both
-            for future in futures.values():
+            if future is not None:  # dropped unless the child has started it
                 future.cancel()
     (out / "run.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     return status
@@ -305,18 +305,18 @@ def oracle_check(config, cap: int, plan: SamplingPlan, seed: int, out=None) -> i
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     chain = oracle.build_chain(config, cap)
     pi = oracle.stationary(chain)
-    exact = oracle.oracle_moments(chain, pi, order=2)
+    law = oracle.exact_law(chain, pi)
     samples = collect_steady_state(config, plan, seed)
-    gamma = config.gamma
 
-    counts = samples.counts
-    totals = counts.rows.sum(axis=1).astype(float)
-    stats = [("total_mean", totals, exact["total_m1"]),
-             ("total_second_moment", totals**2, exact["total_m2"])]
-    for phi in ORACLE_PHI_GRID:
-        vals = np.exp(math.sqrt(gamma) * phi * totals)
-        stats.append((f"mgf_phi={phi:g}", vals, oracle.oracle_mgf(chain, pi, phi)))
-    checks = [transform.Comparison(key, *counts.estimate(v), t) for key, v, t in stats]
+    def statistics(table):
+        """Each checked statistic at the table's rows, one column each."""
+        totals = table.rows.sum(axis=1).astype(float)
+        mgfs = [np.exp(math.sqrt(config.gamma) * phi * totals) for phi in ORACLE_PHI_GRID]
+        return np.column_stack([totals, totals**2, *mgfs])
+
+    keys = ["total_mean", "total_second_moment", *(f"mgf_phi={phi:g}" for phi in ORACLE_PHI_GRID)]
+    stats = zip(keys, statistics(samples.counts).T, law.batch_means(statistics(law))[0])
+    checks = [transform.Comparison(key, *samples.counts.estimate(v), t) for key, v, t in stats]
 
     for c in checks:
         print(f"{c.key}: simulated={c.estimate:.6g} exact={c.target:.6g} stderr={c.stderr:.3g} "

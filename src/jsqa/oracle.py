@@ -1,16 +1,17 @@
-"""Exact stationary distribution of the queue chain on a truncated state
-space, for one or two queues. Serves as ground truth for simulator and
-estimator validation.
+"""Exact stationary law of the queue chain truncated at a cap, for one or
+two queues: the ground truth for simulator and estimator validation.
 
-The one-slot kernel is a scipy.sparse CSR array built from per-queue
-next-state tables over 0..cap: row q of H_i is the law of
-max(0, q - d + a - s_i), where queue i gets the arrival batch a, and row q of
-M_i that of max(0, q - d - s_i), with d ~ Binomial(q, gamma). One queue gives
-P = H_1; two give P = D_0 (H_1 kron M_2) + D_1 (M_1 kron H_2), where the
-diagonal dispatch weights D_i are 1, 1/2 or 0 as queue i is shorter, tied or
-longer. Table entries below DROP_BELOW, like the mass above the cap, fold
-into the cap state, so rows stay exactly stochastic and `row_clamp` reports
-all truncation error.
+The states are the queue vectors of {0..cap}^n in row-major order. The
+one-slot kernel is a CSR array built row by row from per-queue next-state
+tables over 0..cap: row q of H_i is the law of max(0, q - d + a - s_i), where
+queue i gets the arrival batch a, and row q of M_i that of max(0, q - d - s_i),
+with d ~ Binomial(q, gamma). One queue gives P = H_1; two give row (q1, q2) =
+w_0 H_1[q1] x M_2[q2] + w_1 M_1[q1] x H_2[q2] (outer products), where the
+dispatch weight w_i is 1, 1/2 or 0 as queue i is shorter, tied or longer.
+Table entries below DROP_BELOW, like the mass above the cap, fold into the
+cap state, so rows stay exactly stochastic and `row_clamp` reports all
+truncation error. `exact_law` gives the stationary law as a count table, on
+which the simulator's estimators return exact values.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
+from .counts import StateCounts
 from .errors import ConfigError, StateBudgetError
 from .model import SystemConfig
 
@@ -33,6 +34,7 @@ __all__ = [
     "auto_chain",
     "stationary",
     "stationary_leakage",
+    "exact_law",
     "oracle_moments",
     "oracle_mgf",
 ]
@@ -40,15 +42,16 @@ __all__ = [
 # Without the drop, Binomial(q, gamma) tails fill each table row and the
 # two-queue kernel holds about twice the nonzeros.
 DROP_BELOW = 1e-14
-# 2^24 nonzeros are 200 MB of CSR; the Kronecker products that build the
-# kernel and the LU of the solve take several times that (criterion 2's
-# config at cap 100: 8.1 M nonzeros, 0.7 GB peak).
+# 2^24 nonzeros are 200 MB of CSR; building the kernel takes about twice
+# that and the LU of the solve several times (criterion 2's config at cap
+# 100: 8.1 M nonzeros, 0.7 GB peak).
 MAX_KERNEL_NONZEROS = 1 << 24
 
 
 @dataclass
 class TruncatedChain:
-    """Row-stochastic one-slot kernel over {0..cap}^n plus bookkeeping.
+    """Row-stochastic one-slot kernel over the queue vectors `states` (U, n)
+    plus bookkeeping.
 
     `row_clamp[s]` is the probability mass that state s would have pushed
     beyond the cap or below DROP_BELOW (folded into the cap state). Its
@@ -60,6 +63,7 @@ class TruncatedChain:
 
     config: SystemConfig
     cap: int
+    states: np.ndarray
     matrix: sp.csr_array
     expected_unused: np.ndarray
     row_clamp: np.ndarray
@@ -68,15 +72,6 @@ class TruncatedChain:
     def num_states(self) -> int:
         return self.matrix.shape[0]
 
-    def state_vectors(self) -> np.ndarray:
-        """(num_states, n) integer array mapping state index -> queue vector."""
-        return _states(self.cap + 1, self.config.n)
-
-
-def _states(side: int, n: int) -> np.ndarray:
-    """(side**n, n) queue vectors in state-index order (row-major over queues)."""
-    return np.indices((side,) * n, dtype=np.int64).reshape(n, -1).T
-
 
 def _next_pmf(q: int, abandon_pmf: np.ndarray, kernel: np.ndarray, kernel_lo: int, cap: int):
     """Distribution of max(0, q - d + w): pmf over 0..cap, clamped mass above
@@ -84,8 +79,7 @@ def _next_pmf(q: int, abandon_pmf: np.ndarray, kernel: np.ndarray, kernel_lo: in
     # pmf of j = q - d over j = 0..q is the reversed abandonment pmf
     surv = abandon_pmf[::-1]
     full = np.convolve(surv, kernel)  # over v = kernel_lo .. q + kernel_lo + len - 1
-    lo = kernel_lo
-    vals = np.arange(lo, lo + full.size)
+    vals = np.arange(kernel_lo, kernel_lo + full.size)
     neg = vals < 0
     unused = float((-vals[neg] * full[neg]).sum())
     out = np.zeros(cap + 1)
@@ -120,21 +114,22 @@ def _queue_table(abandon: list, kernel: np.ndarray, kernel_lo: int, cap: int):
     return table, clamp_unused
 
 
-def _kernel_nonzeros(hit: list, miss: list) -> int:
-    """Exact nonzero count of the kernel, from the table row supports."""
-    if len(hit) == 1:
-        return hit[0].nnz
-    (h1, h2), (m1, m2) = hit, miss
-    # the count passes 2^31 at large caps, and index arrays may be int32
-    sh1, sh2, sm1, sm2 = (np.diff(t.indptr).astype(np.int64) for t in (h1, h2, m1, m2))
-    # rows with q1 < q2 hold supp H_1[q1] x supp M_2[q2]; sum over q1 < q2 by
-    # exclusive prefix sums
-    below1, below2 = np.cumsum(sh1) - sh1, np.cumsum(sh2) - sh2
-    # tied rows hold the union of both products, which overlap in the cells
-    # that H and M of the same queue both reach
-    shared1 = h1.astype(bool).multiply(m1.astype(bool)).sum(axis=1, dtype=np.int64)
-    shared2 = h2.astype(bool).multiply(m2.astype(bool)).sum(axis=1, dtype=np.int64)
-    return int(sm2 @ below1 + sm1 @ below2 + sh1 @ sm2 + sm1 @ sh2 - shared1 @ shared2)
+def _product_rows(first, second, weight, states, sizes) -> sp.csr_array:
+    """Kernel rows weight[s] * (first[q1] outer second[q2]) of the states
+    (q1, q2), each holding `sizes[s]` entries in sorted column order; rows of
+    zero weight are empty."""
+    side = first.shape[1]
+    cols, vals = [], []
+    for s in np.flatnonzero(weight):
+        a = slice(first.indptr[states[s, 0]], first.indptr[states[s, 0] + 1])
+        b = slice(second.indptr[states[s, 1]], second.indptr[states[s, 1] + 1])
+        cols.append(np.add.outer(first.indices[a] * side, second.indices[b], dtype=np.int32))
+        vals.append(weight[s] * np.multiply.outer(first.data[a], second.data[b]))
+    # int32 indices (the budget keeps them below 2^31) shrink the copies the
+    # solve makes and spare it a downcast
+    indptr = np.insert(np.cumsum(sizes, dtype=np.int32), 0, 0)
+    csr = (np.concatenate(vals, axis=None), np.concatenate(cols, axis=None), indptr)
+    return sp.csr_array(csr, shape=(len(states),) * 2)
 
 
 def build_chain(config: SystemConfig, cap: int) -> TruncatedChain:
@@ -164,36 +159,37 @@ def build_chain(config: SystemConfig, cap: int) -> TruncatedChain:
     tables = {}  # queues with the same service law share their tables
     for svc in set(config.services):
         svc_pmf, svc_lo = svc.pmf()[::-1], -svc.bound  # law of -s
-        tables[svc] = (
-            _queue_table(abandon, np.convolve(arr_pmf, svc_pmf), svc_lo, cap),
-            _queue_table(abandon, svc_pmf, svc_lo, cap),
-        )
+        tables[svc] = (_queue_table(abandon, np.convolve(arr_pmf, svc_pmf), svc_lo, cap),
+                       _queue_table(abandon, svc_pmf, svc_lo, cap))
     hit, miss = zip(*(tables[svc] for svc in config.services))
-    nonzeros = _kernel_nonzeros([t for t, _ in hit], [t for t, _ in miss])
-    if nonzeros > MAX_KERNEL_NONZEROS:
-        raise StateBudgetError(
-            f"cap {cap} gives {side**n} states and a kernel of {nonzeros} nonzeros, "
-            f"over the budget of {MAX_KERNEL_NONZEROS}"
-        )
+    H, M = ([t for t, _ in tabs] for tabs in (hit, miss))
 
-    states = _states(side, n)
+    states = np.indices((side,) * n).reshape(n, -1).T
     # dispatch weights: the shortest queue gets the batch, ties split evenly
     shortest = states == states.min(axis=1, keepdims=True)
     weights = shortest / shortest.sum(axis=1, keepdims=True)
-    matrix = sum(
-        sp.diags_array(weights[:, i])
-        @ reduce(sp.kron, [(hit if j == i else miss)[j][0] for j in range(n)])
-        for i in range(n)
-    )
+    if n == 1:
+        matrix = H[0]  # its nonzeros lie in the side^2 cells checked above
+    else:
+        q1, q2 = states.T
+        parts = [(H[0], M[1], weights[:, 0]), (M[0], H[1], weights[:, 1])]
+        sizes = [(w > 0) * np.diff(a.indptr)[q1] * np.diff(b.indptr)[q2] for a, b, w in parts]
+        # tied rows (q, q) hold both parts, which overlap in the cells that H
+        # and M of the same queue both reach
+        shared = [h.astype(bool).multiply(m.astype(bool)).sum(axis=1) for h, m in zip(H, M)]
+        nonzeros = int(sizes[0].sum() + sizes[1].sum() - shared[0] @ shared[1])
+        if nonzeros > MAX_KERNEL_NONZEROS:
+            raise StateBudgetError(
+                f"cap {cap} gives {len(states)} states and a kernel of {nonzeros} nonzeros, "
+                f"over the budget of {MAX_KERNEL_NONZEROS}"
+            )
+        # adding the two sorted parts merges the tied rows
+        first, second = (_product_rows(*p, states, k) for p, k in zip(parts, sizes))
+        matrix = first + second
     # the same dispatch mixture of the per-queue clamped mass and unused service
-    clamp, unused = sum(
-        w * h[:, q] + (1.0 - w) * m[:, q]
-        for w, (_, h), (_, m), q in zip(weights.T, hit, miss, states.T)
-    )
-    return TruncatedChain(
-        config=config, cap=cap, matrix=matrix,
-        expected_unused=unused, row_clamp=clamp,
-    )
+    clamp, unused = sum(w * h[:, q] + (1.0 - w) * m[:, q]
+                        for w, (_, h), (_, m), q in zip(weights.T, hit, miss, states.T))
+    return TruncatedChain(config, cap, states, matrix, expected_unused=unused, row_clamp=clamp)
 
 
 def stationary_leakage(chain: TruncatedChain, pi: np.ndarray) -> float:
@@ -250,25 +246,28 @@ def stationary(chain: TruncatedChain) -> np.ndarray:
     return pi / pi.sum()
 
 
+def exact_law(chain: TruncatedChain, pi: np.ndarray) -> StateCounts:
+    """The stationary law `pi` as a one-batch count table over the chain's
+    states, so a batch-means estimator evaluated on it gives the exact value
+    (with a NaN standard error, as for any single batch)."""
+    return StateCounts(rows=chain.states, table=sp.csr_array(pi[None, :]), sizes=np.ones(1))
+
+
 def oracle_moments(chain: TruncatedChain, pi: np.ndarray, order: int = 1) -> dict:
     """Exact stationary expectations: total and per-coordinate moments up to
     `order`, plus the perpendicular second moment for two queues."""
-    states = chain.state_vectors()
-    totals = states.sum(axis=1)
-    out = {}
-    for m in range(1, order + 1):
-        out[f"total_m{m}"] = float(pi @ (totals.astype(float) ** m))
-        for i in range(chain.config.n):
-            out[f"q{i}_m{m}"] = float(pi @ (states[:, i].astype(float) ** m))
+    law = exact_law(chain, pi)
+    x = law.rows.astype(float)
+    coords = {"total": x.sum(axis=1), **{f"q{i}": x[:, i] for i in range(chain.config.n)}}
+    values = {f"{k}_m{m}": v**m for m in range(1, order + 1) for k, v in coords.items()}
     if chain.config.n == 2:
-        sq = (states.astype(float) ** 2).sum(axis=1)
-        out["perp_second_moment"] = float(pi @ (sq - totals.astype(float) ** 2 / 2))
-    out["unused_mean"] = float(pi @ chain.expected_unused)
-    return out
+        values["perp_second_moment"] = (x**2).sum(axis=1) - coords["total"] ** 2 / 2
+    values["unused_mean"] = chain.expected_unused
+    return {key: law.estimate(v)[0] for key, v in values.items()}
 
 
 def oracle_mgf(chain: TruncatedChain, pi: np.ndarray, phi: float) -> float:
     """Exact E[exp(sqrt(gamma) * phi * total queue)] under pi, at the chain's
     gamma."""
-    totals = chain.state_vectors().sum(axis=1).astype(float)
-    return float(pi @ np.exp(math.sqrt(chain.config.gamma) * phi * totals))
+    law = exact_law(chain, pi)
+    return law.estimate(np.exp(math.sqrt(chain.config.gamma) * phi * law.rows.sum(axis=1)))[0]

@@ -2,6 +2,7 @@ import io
 import json
 import multiprocessing
 import os
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -261,9 +262,48 @@ class TestPool:
         assert [r for r in rows if r["gamma"] == repr(0.3)]
         assert not [r for r in rows if r["gamma"] == repr(0.2)]
 
+    def test_failure_waits_for_one_child_point(self, tmp_path, monkeypatch):
+        # the child gets its points one at a time: when point 0 fails in this
+        # process, only the child point already running (1) is waited for
+        manifest = dict(TINY_MANIFEST, gammas=[0.3, 0.25, 0.2, 0.15, 0.12, 0.1])
+        index = {g: gi for gi, g in enumerate(manifest["gammas"])}
+        original = cli.collect_steady_state
+
+        def collect(config, plan, seed):
+            gi = index[config.gamma]
+            if gi == 0:
+                # fail only once the child has started point 1
+                for _ in range(3000):
+                    if (tmp_path / "started-1").exists():
+                        break
+                    time.sleep(0.01)
+                raise RuntimeError("synthetic failure")
+            (tmp_path / f"started-{gi}").touch()
+            return original(config, plan, seed)
+
+        monkeypatch.setattr(cli, "collect_steady_state", collect)
+        usable_cpus(monkeypatch, 2)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(write_manifest(tmp_path, manifest)), "--out", str(out)]) == 1
+        assert not multiprocessing.active_children()
+        assert sorted(p.name for p in tmp_path.glob("started-*")) == ["started-1"]
+        assert read_rows(out) == []
+
 
 SSQ = SystemConfig(
     gamma=0.1, arrivals=BernoulliScaled(1, 0.3), services=(BernoulliScaled(1, 0.4),)
+)
+
+
+# the two-queue config of acceptance criterion 2 and the oracle-check
+# arguments whose stdout tests/data/golden_oracle_check.txt holds
+JSQ2 = SystemConfig(
+    gamma=0.1, arrivals=BernoulliScaled(2, 0.2),
+    services=(BernoulliScaled(1, 0.25), BernoulliScaled(1, 0.25)),
+)
+GOLDEN_ORACLE_CHECK = (
+    "golden_oracle_check.txt",
+    ["--cap", "20", "--samples", "20000", "--replicas", "16", "--seed", "1"],
 )
 
 
@@ -274,12 +314,14 @@ def write_config(tmp_path, config):
 
 
 class TestOracleCheck:
+    def test_golden_stdout(self, tmp_path, capsys):
+        # regenerate with: python -m tests.make_golden (after intentional changes)
+        name, args = GOLDEN_ORACLE_CHECK
+        cli.main(["oracle-check", str(write_config(tmp_path, JSQ2)), *args])
+        assert capsys.readouterr().out == (DATA / name).read_text()
+
     def test_state_budget_is_a_clean_error(self, tmp_path, capsys):
-        config = SystemConfig(
-            gamma=0.1, arrivals=BernoulliScaled(2, 0.2),
-            services=(BernoulliScaled(1, 0.25), BernoulliScaled(1, 0.25)),
-        )
-        path = write_config(tmp_path, config)
+        path = write_config(tmp_path, JSQ2)
         assert cli.main(["oracle-check", str(path), "--cap", "1500"]) == 2
         assert capsys.readouterr().err.startswith("error: cap 1500 gives")
 

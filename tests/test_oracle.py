@@ -1,5 +1,7 @@
 import itertools
 import re
+import tracemalloc
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -7,13 +9,15 @@ import pytest
 import scipy.sparse as sp
 from scipy.stats import binom
 
-from jsqa import oracle
+from jsqa import oracle, transform
 from jsqa.errors import ConfigError, StateBudgetError
+from jsqa.limits import LimitDistribution
 from jsqa.model import BernoulliScaled, Binomial, Constant, SystemConfig
 from jsqa.oracle import (
     _next_pmf,
     auto_chain,
     build_chain,
+    exact_law,
     oracle_mgf,
     oracle_moments,
     stationary,
@@ -127,6 +131,15 @@ class TestBuildChain:
         monkeypatch.setattr(oracle, "MAX_KERNEL_NONZEROS", nnz - 1)
         with pytest.raises(StateBudgetError, match=f"a kernel of {nnz} nonzeros"):
             build_chain(config, 20)
+
+    def test_build_peak_memory_about_twice_the_kernel(self):
+        tracemalloc.start()
+        try:
+            matrix = build_chain(JSQ2, 40).matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * (matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes)
 
     def test_two_queue_kernel_rows_stochastic(self):
         chain = build_chain(JSQ2, 20)
@@ -250,6 +263,51 @@ class TestMoments:
         chain = build_chain(config, 30)
         pi = stationary(chain).reshape(31, 31)
         assert np.abs(pi - pi.T).max() < 1e-12
+
+
+class TestExactLaw:
+    """The stationary law as a one-batch count table runs through the
+    simulator's own estimators."""
+
+    @pytest.fixture(scope="class")
+    def law(self):
+        chain = build_chain(JSQ2, 30)
+        pi = stationary(chain)
+        return chain, pi, exact_law(chain, pi)
+
+    def test_estimate_is_the_expectation(self, law):
+        chain, pi, table = law
+        x = chain.states.astype(float)
+        moments = oracle_moments(chain, pi, order=2)
+        for key, values in [("total_m1", x.sum(axis=1)), ("q0_m2", x[:, 0] ** 2),
+                            ("perp_second_moment", (x[:, 0] - x[:, 1]) ** 2 / 2),
+                            ("unused_mean", chain.expected_unused)]:
+            mean, stderr = table.estimate(values)
+            assert mean == pytest.approx(pi @ values, abs=1e-12)
+            assert mean == pytest.approx(moments[key], abs=1e-12)
+            assert np.isnan(stderr)
+
+    def test_moment_report_averages_the_coordinates(self, law):
+        chain, pi, table = law
+        moments = oracle_moments(chain, pi, order=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = transform.moment_report(table, LimitDistribution("exponential", mean=1.0), 2)
+        coordinate = [c for c in report if c.key.startswith("coordinate_m=")]
+        assert len(coordinate) == 2
+        for m, c in enumerate(coordinate, start=1):
+            assert c.estimate == pytest.approx((moments[f"q0_m{m}"] + moments[f"q1_m{m}"]) / 2,
+                                               abs=1e-12)
+            assert np.isnan(c.stderr)
+
+    def test_ks_matches_weighted_cdf(self, law):
+        chain, pi, table = law
+        dist = LimitDistribution("exponential", mean=1.5)
+        ks = transform.ks_statistic(table.rows[:, 0], dist, table.pooled)
+        # the marginal law of queue 0 over 0..30, from the row-major state order
+        mass = pi.reshape(31, 31).sum(axis=1)
+        cdf, limit = np.cumsum(mass), dist.cdf(np.arange(31.0))
+        assert ks == pytest.approx(max((cdf - limit).max(), (limit - cdf + mass).max()), abs=1e-15)
 
 
 class TestAutoChain:
