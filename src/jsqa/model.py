@@ -31,6 +31,9 @@ __all__ = [
 ]
 
 
+# Cells of each law's inversion guide table (`BoundedDistribution.guide`).
+GUIDE = 4096
+
 # Per kind: the JSON field that holds the law's size, and whether the law has
 # a success probability (a constant's is 1).
 KINDS = {
@@ -94,6 +97,17 @@ class BoundedDistribution:
         cdf = np.minimum(np.cumsum(pmf[: np.flatnonzero(pmf)[-1] + 1]), 1.0)
         cdf[-1] = 1.0
         return cdf
+
+    @cached_property
+    def guide(self) -> np.ndarray:
+        """Indexed-search table of `cdf` (Chen and Asau 1974; Devroye 1986,
+        section III.2.4): entry c is the inverse of every uniform in
+        [c/GUIDE, (c+1)/GUIDE), or -1 where that cell holds a CDF value, so
+        the inverse differs across it."""
+        edges = np.arange(GUIDE + 1) / GUIDE
+        lo = self.cdf.searchsorted(edges[:-1], side="right")
+        split = self.cdf.searchsorted(edges[1:], side="left") > lo
+        return np.where(split, -1, lo)
 
     def to_dict(self) -> dict:
         key, has_probability = KINDS[self.kind]
@@ -228,8 +242,18 @@ class RngStream:
 
 def sample_many(dist: BoundedDistribution, gen: np.random.Generator, size) -> np.ndarray:
     """Draw `size` values from `dist` as an int64 array by inversion: one
-    uniform from `gen` per value, mapped through the inverse of `dist.cdf`."""
-    return dist.cdf.searchsorted(gen.random(size), side="right")
+    uniform from `gen` per value, mapped through the inverse of `dist.cdf`.
+
+    Each uniform is looked up in `dist.guide`; only those in split cells
+    search the CDF. GUIDE is a power of two, so u * GUIDE and the cell edges
+    are exact and the result equals `dist.cdf.searchsorted(u, side="right")`.
+    """
+    u = gen.random(size)
+    out = dist.guide.take((u * GUIDE).astype(np.intp))
+    split = out < 0
+    if split.any():
+        out[split] = dist.cdf.searchsorted(u[split], side="right")
+    return out
 
 
 @dataclass(frozen=True)

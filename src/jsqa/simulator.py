@@ -196,7 +196,7 @@ def _abandon(q, marks, gamma, gen):
     marks -= q
     hit = marks <= 0
     d = hit.astype(np.int64)
-    idx = np.flatnonzero(hit)
+    idx = hit.ravel().nonzero()[0]
     if idx.size:
         # both arrays are C-ordered, so ravel() is a view
         flat, d_flat = marks.ravel(), d.ravel()
@@ -209,6 +209,21 @@ def _abandon(q, marks, gamma, gen):
     return d
 
 
+def _shortest(key):
+    """The shortest queue of each row: its first column of least `key`, the
+    queue lengths plus U(0,1) tie noise, so the pick goes by length first and
+    breaks integer ties uniformly. One strict < pass per further column keeps
+    the first minimum; with two queues the pick is a single comparison."""
+    if key.shape[1] == 1:
+        return np.zeros(len(key), dtype=np.intp)
+    best = key[:, 0]
+    dest = (key[:, 1] < best).astype(np.intp)
+    for i in range(2, key.shape[1]):
+        best = np.minimum(best, key[:, i - 1])
+        dest[key[:, i] < best] = i
+    return dest
+
+
 def _slot(q, a, s, noise, offsets, marks, gamma, gen):
     """Advance the (replicas, n) state q by one slot, given that slot's arrivals,
     services and tie noise and the cells' next abandonment marks (advanced in
@@ -218,9 +233,7 @@ def _slot(q, a, s, noise, offsets, marks, gamma, gen):
     the unused service is q_next - pre.
     """
     d = _abandon(q, marks, gamma, gen)
-    # adding U(0,1) noise keys the argmin on queue length first and breaks
-    # integer ties uniformly
-    dest = (q + noise).argmin(axis=1)
+    dest = _shortest(q + noise)
     pre = np.subtract(q, s, order="C")
     pre -= d
     # flat indexing into the C-ordered pre is cheaper than pre[rows, dest]

@@ -56,6 +56,24 @@ class TestDispatch:
         assert np.abs(counts / trials - 1 / 3).max() < 0.002
 
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_pick_is_first_minimum(self, n):
+        rows = 4096
+        gen = _gen(n)
+        q = gen.integers(0, 3, (rows, n))
+        # noise on a grid of quarters, so q + noise often ties exactly
+        noise = gen.integers(0, 4, (rows, n)) / 4
+        marks = np.full((rows, n), 1 << 40)
+        zeros = np.zeros((rows, n), dtype=np.int64)
+        dest = simulator._slot(
+            q, zeros[:, 0], zeros, noise, np.arange(rows) * n, marks, 0.1, gen
+        )[2]
+        key = q + noise
+        assert np.array_equal(dest, key.argmin(axis=1))
+        ties = (key == key.min(axis=1, keepdims=True)).sum(axis=1) > 1
+        assert n == 1 or ties.sum() > 100
+
+
 class TestAbandonments:
     def test_gamma_zero_and_one(self):
         q = _trials((4, 7, 0), 1)
