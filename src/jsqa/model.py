@@ -225,7 +225,8 @@ def config_from_dict(obj: dict) -> SystemConfig:
 
 @dataclass(frozen=True)
 class RngStream:
-    """Counter-based random stream identified by (seed, stream_id).
+    """Random stream identified by (seed, stream_id): a PCG64DXSM bit
+    generator seeded from SeedSequence(seed, spawn_key=(stream_id,)).
 
     Equal (seed, stream_id) pairs always produce the same sequence; distinct
     stream ids give statistically independent sequences, so parallel replicas
@@ -237,7 +238,7 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
-        return np.random.Generator(np.random.Philox(ss))
+        return np.random.Generator(np.random.PCG64DXSM(ss))
 
 
 def sample_many(dist: BoundedDistribution, gen: np.random.Generator, size) -> np.ndarray:

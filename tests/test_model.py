@@ -31,7 +31,7 @@ CONFIG_DOC = {
 
 # The first four doubles of RngStream(7, 3): a change of bit generator or
 # seeding changes every golden file, and this pin says so first.
-PINNED_DOUBLES = [0.133101331585614, 0.0867319979588278, 0.6452810453521416, 0.3360864533157758]
+PINNED_DOUBLES = [0.10058534458822732, 0.34628633402693143, 0.8865024768707657, 0.9575513624726822]
 
 
 def _gen(seed=0, stream=0):
