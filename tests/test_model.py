@@ -117,20 +117,22 @@ class TestDistributions:
         assert (sample_many(dist, gen, 8) == top).all()
         assert (sample_many(dist, gen, 8) == bottom).all()
 
+    # `searches`: whether some guide cell holds a CDF value, so that uniforms
+    # falling there search the CDF
     @pytest.mark.parametrize(
-        "dist",
+        "dist, searches",
         [
-            # CDF values closer than a guide cell, so split cells search the CDF
-            Binomial(2000, 0.5),
+            # many CDF values share a cell
+            (Binomial(2000, 0.5), True),
             # pmf entries 1..3 carry no mass
-            Binomial(3, 0.0),
-            Constant(0),
-            Constant(2),
-            BernoulliScaled(4, 0.3),
-            Binomial(4, 0.25),
+            (Binomial(3, 0.0), False),
+            (Constant(0), False),
+            (Constant(2), False),
+            (BernoulliScaled(4, 0.3), True),
+            (Binomial(4, 0.25), True),
         ],
     )
-    def test_inversion_equals_cdf_search(self, dist):
+    def test_inversion_equals_cdf_search(self, dist, searches):
         cdf = dist.cdf
         edges = np.arange(GUIDE) / GUIDE
         u = np.concatenate([
@@ -142,8 +144,7 @@ class TestDistributions:
         u = u[(0.0 <= u) & (u < 1.0)]
         expected = cdf.searchsorted(u, side="right")
         assert np.array_equal(sample_many(dist, _Uniforms(u), u.size), expected)
-        if dist.size == 2000:
-            assert (dist.guide < 0).any()
+        assert (dist.guide < 0).any() == searches
 
     @pytest.mark.parametrize("trials", [2, 40, 2000])
     def test_binomial_pmf_matches_scipy(self, trials):

@@ -55,7 +55,6 @@ class TestDispatch:
         counts = np.bincount(dest, minlength=3)
         assert np.abs(counts / trials - 1 / 3).max() < 0.002
 
-
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_pick_is_first_minimum(self, n):
         rows = 4096
