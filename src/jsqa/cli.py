@@ -134,10 +134,10 @@ def _gamma_point(manifest: ExperimentManifest, gi: int, gamma: float) -> tuple[l
     config = regimes.build_config(spec, gamma)
     seed_offset = gi << 32
     samples = collect_steady_state(config, manifest.plan, manifest.seed + seed_offset)
-    scaled = regimes.scale(samples, spec)
+    counts = samples.counts
+    scaled = regimes.scale(counts, spec, gamma)
     per_coord, _total_dist = limits.limit_for_regime(spec)
 
-    counts = samples.counts
     rows = [
         ("config", "drift", config.drift),
         ("config", "variance", config.variance),
@@ -161,7 +161,7 @@ def _gamma_point(manifest: ExperimentManifest, gi: int, gamma: float) -> tuple[l
     point = {"ks": ks, "max_moment_z": _max_abs([c.zscore for c in moments])}
 
     if config.n >= 2:
-        ssc = transform.ssc_estimate(samples)
+        ssc = transform.ssc_estimate(counts)
         rows += [("ssc", "perp_second_moment", ssc.perp_second_moment, ssc.stderr),
                  ("ssc", "total_second_moment", ssc.total_second_moment)]
         point["perp_second_moment"] = ssc.perp_second_moment

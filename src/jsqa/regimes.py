@@ -11,9 +11,10 @@ the per-slot drift hits the target of its regime exactly:
 Arrivals are Binomial(bound, lam/bound) with lam = drift + total service mean,
 which keeps the arrival variance available in closed form along the sweep.
 
-`scale` maps the samples' per-batch count table (`jsqa.counts`), not the
-samples themselves: every scaled statistic is a function of the queue state,
-so the scaled rows share the raw table and batch sizes.
+`scale` maps a per-batch count table of raw queue vectors (`jsqa.counts`):
+a sample set's `counts` or the exact law from `oracle.exact_law`. Every
+scaled statistic is a function of the queue state, so the scaled rows share
+the raw table and batch sizes.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass, replace
 from .counts import StateCounts
 from .errors import ConfigError, as_int, parsing
 from .model import Binomial, BoundedDistribution, SystemConfig, distribution_from_dict
-from .simulator import SampleSet
 
 __all__ = [
     "RegimeSpec",
@@ -130,13 +130,11 @@ def center_per_queue(spec: RegimeSpec, gamma: float) -> float:
     return regime_drift(spec, gamma) / (spec.n * gamma)
 
 
-def scale(samples: SampleSet, spec: RegimeSpec) -> StateCounts:
-    """The regime's scaling (and centering) at the samples' gamma applied to
-    the count table of the raw samples: the same table and batch sizes, with
-    each distinct state mapped to gamma^e * (q - center)."""
-    gamma = samples.gamma
+def scale(counts: StateCounts, spec: RegimeSpec, gamma: float) -> StateCounts:
+    """The regime's scaling (and centering) at `gamma` applied to a count
+    table of raw queue vectors: the same table and batch sizes, with each
+    distinct state q mapped to gamma^e * (q - center)."""
     factor = gamma ** scaling_exponent(spec)
-    counts = samples.counts
     return replace(counts, rows=factor * (counts.rows - center_per_queue(spec, gamma)))
 
 

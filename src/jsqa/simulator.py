@@ -19,8 +19,7 @@ to the next (see `_abandon`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,20 +93,29 @@ def plan_from_dict(obj: dict) -> SamplingPlan:
 
 @dataclass
 class SampleSet:
-    """Column store of retained steady-state samples.
+    """Column store of retained steady-state samples and their statistics.
 
     `q` is (N, n); `u_total` is the unused-service total of the slot that
     produced each state. `batch` assigns each sample to a contiguous
     within-replica batch; batch spans are sized against the chain's
-    relaxation time so batch means give honest standard errors. `counts` is
-    the per-batch count table of the distinct rows of `q`, built on first
-    use; `q` and `batch` must not change after that.
+    relaxation time so batch means give honest standard errors.
+
+    Construction reads the three arrays once into what the estimators use:
+    `counts`, the per-batch count table of the distinct rows of `q`
+    (`jsqa.counts`), and `batch_u_mean`, the per-batch means of `u_total`,
+    which is not a function of the state.
     """
 
     q: np.ndarray
     u_total: np.ndarray
     batch: np.ndarray
     config: SystemConfig
+    counts: StateCounts = field(init=False)
+    batch_u_mean: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.counts = count_rows(self.q, self.batch)
+        self.batch_u_mean = np.bincount(self.batch, weights=self.u_total) / self.counts.sizes
 
     def __len__(self) -> int:
         return self.q.shape[0]
@@ -119,10 +127,6 @@ class SampleSet:
     @property
     def gamma(self) -> float:
         return self.config.gamma
-
-    @cached_property
-    def counts(self) -> StateCounts:
-        return count_rows(self.q, self.batch)
 
 
 def relaxation_slots(config: SystemConfig) -> float:
@@ -329,6 +333,8 @@ def collect_steady_state(config: SystemConfig, plan: SamplingPlan, seed: int) ->
     ]
     q = np.concatenate([r[0] for r in results])
     u = np.concatenate([r[1] for r in results])
+    # free the per-group copies before SampleSet builds its count table
+    del results
     batch = _batches_for(counts, plan.thinning, relaxation_slots(config))
     return SampleSet(q=q, u_total=u, batch=batch, config=config)
 

@@ -50,13 +50,6 @@ MAX_RELATIVE_STDERR = 0.10
 MGF_CHUNK_CELLS = 1 << 21
 
 
-def _sample_batch_means(values, batch) -> np.ndarray:
-    """Per-batch means of a per-sample quantity that is not a function of the
-    queue state (the unused service)."""
-    sizes = np.bincount(batch)
-    return np.bincount(batch, weights=np.asarray(values, dtype=float)) / sizes
-
-
 @dataclass
 class MgfEstimate:
     """Empirical MGF of the regime's scaled statistic on a phi grid.
@@ -139,7 +132,7 @@ def empirical_mgf(samples: SampleSet, phi_grid, spec: RegimeSpec) -> MgfEstimate
         config=samples.config,
         batch_values=batch_values,
         batch_derivs=batch_derivs,
-        batch_u_mean=_sample_batch_means(samples.u_total, samples.batch),
+        batch_u_mean=samples.batch_u_mean,
     )
 
 
@@ -152,18 +145,20 @@ class SscEstimate:
     stderr: float
 
 
-def ssc_estimate(samples: SampleSet) -> SscEstimate:
-    """Mean squared norm of the queue component orthogonal to the diagonal.
+def ssc_estimate(counts: StateCounts) -> SscEstimate:
+    """Mean squared norm of the queue component orthogonal to the diagonal,
+    over a count table of raw queue vectors (a sample set's `counts` or an
+    exact law).
 
     Uses the Pythagoras identity per state:
     |q_perp|^2 = |q|^2 - <q, 1>^2 / n.
     """
-    if samples.n < 2:
+    n = counts.rows.shape[1]
+    if n < 2:
         raise ValueError("perpendicular component needs n >= 2 queues")
-    counts = samples.counts
     q = counts.rows.astype(float)
     sq = (q**2).sum(axis=1)
-    perp = sq - q.sum(axis=1) ** 2 / samples.n
+    perp = sq - q.sum(axis=1) ** 2 / n
     bm = counts.batch_means(np.column_stack([perp, sq]))
     return SscEstimate(
         perp_second_moment=float(bm[:, 0].mean()),
@@ -182,7 +177,7 @@ class UnusedServiceRate:
 
 
 def unused_service_rate(samples: SampleSet) -> UnusedServiceRate:
-    bm = _sample_batch_means(samples.u_total, samples.batch)
+    bm = samples.batch_u_mean
     raw = float(bm.mean())
     return UnusedServiceRate(
         raw=raw,

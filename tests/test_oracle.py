@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 import tracemalloc
 import warnings
@@ -11,7 +12,7 @@ from scipy.stats import binom
 
 from jsqa import oracle, transform
 from jsqa.errors import ConfigError, StateBudgetError
-from jsqa.limits import LimitDistribution
+from jsqa.limits import LimitDistribution, limit_for_regime
 from jsqa.model import BernoulliScaled, Binomial, Constant, SystemConfig
 from jsqa.oracle import (
     _next_pmf,
@@ -23,6 +24,7 @@ from jsqa.oracle import (
     stationary,
     stationary_leakage,
 )
+from jsqa.regimes import RegimeSpec, build_config, scale
 
 SSQ = SystemConfig(
     gamma=0.1, arrivals=BernoulliScaled(1, 0.3), services=(BernoulliScaled(1, 0.4),)
@@ -308,6 +310,24 @@ class TestExactLaw:
         mass = pi.reshape(31, 31).sum(axis=1)
         cdf, limit = np.cumsum(mass), dist.cdf(np.arange(31.0))
         assert ks == pytest.approx(max((cdf - limit).max(), (limit - cdf + mass).max()), abs=1e-15)
+
+
+    def test_scaled_exact_law_through_the_estimators(self):
+        # the acceptance servers on the critical family: `scale` and
+        # `ssc_estimate` take the exact law as they take a sample set's table
+        spec = RegimeSpec("critical", 0.0, 0.5, (Binomial(2, 0.25), Binomial(2, 0.25)), 4)
+        chain, pi = auto_chain(build_config(spec, 0.1))
+        law = exact_law(chain, pi)
+        moments = oracle_moments(chain, pi)
+        ssc = transform.ssc_estimate(law)
+        assert ssc.perp_second_moment == pytest.approx(moments["perp_second_moment"], rel=1e-12)
+        per_coord, _ = limit_for_regime(spec)
+        report = transform.moment_report(scale(law, spec, 0.1), per_coord)
+        (first,) = [c for c in report if c.key == "coordinate_m=1"]
+        mean = math.sqrt(0.1) * (moments["q0_m1"] + moments["q1_m1"]) / 2
+        assert first.estimate == pytest.approx(mean, rel=1e-12)
+        assert np.isnan(ssc.stderr)
+        assert np.isnan(first.stderr)
 
 
 class TestAutoChain:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from jsqa.counts import count_rows
 from jsqa.errors import ConfigError
 from jsqa.model import Binomial, Constant
 from jsqa.regimes import (
@@ -87,34 +88,39 @@ def _samples_for(spec, gamma, num=2000, seed=1):
     return collect_steady_state(config, plan, seed=seed)
 
 
-def _scaled_row(scaled, samples, state):
+def _counts_with(spec, gamma, states):
+    """Count table of a short run at `gamma` whose first rows are `states`."""
+    samples = _samples_for(spec, gamma)
+    q = samples.q.copy()
+    q[: len(states)] = states
+    return count_rows(q, samples.batch)
+
+
+def _scaled_row(scaled, raw, state):
     """Scaled coordinates of the raw `state`, found through the shared table."""
-    (u,) = np.flatnonzero((samples.counts.rows == state).all(axis=1))
+    (u,) = np.flatnonzero((raw.rows == state).all(axis=1))
     return scaled.rows[u]
 
 
 class TestScale:
     def test_classic_scaling_factor(self):
-        samples = _samples_for(classic_spec(), 1e-4)
-        samples.q[:2] = np.array([[100, 100], [0, 40]])
-        scaled = scale(samples, classic_spec())
-        assert _scaled_row(scaled, samples, [100, 100]) == pytest.approx([10.0, 10.0])
-        assert _scaled_row(scaled, samples, [0, 40]).sum() == pytest.approx(4.0)
+        raw = _counts_with(classic_spec(), 1e-4, [[100, 100], [0, 40]])
+        scaled = scale(raw, classic_spec(), 1e-4)
+        assert _scaled_row(scaled, raw, [100, 100]) == pytest.approx([10.0, 10.0])
+        assert _scaled_row(scaled, raw, [0, 40]).sum() == pytest.approx(4.0)
 
     def test_critical_scaling_factor(self):
         spec = critical_spec()
-        samples = _samples_for(spec, 0.01)
-        samples.q[0] = [30, 0]
-        scaled = scale(samples, spec)
-        assert _scaled_row(scaled, samples, [30, 0])[0] == pytest.approx(3.0)
+        raw = _counts_with(spec, 0.01, [[30, 0]])
+        scaled = scale(raw, spec, 0.01)
+        assert _scaled_row(scaled, raw, [30, 0])[0] == pytest.approx(3.0)
 
     def test_overloaded_centering(self):
         spec = overloaded_spec()
-        samples = _samples_for(spec, 0.01)
-        samples.q[0] = [12, 9]
-        scaled = scale(samples, spec)
+        raw = _counts_with(spec, 0.01, [[12, 9]])
+        scaled = scale(raw, spec, 0.01)
         # center is drift/(n*gamma) = 10 per queue
-        assert _scaled_row(scaled, samples, [12, 9]) == pytest.approx([0.2, -0.1])
+        assert _scaled_row(scaled, raw, [12, 9]) == pytest.approx([0.2, -0.1])
 
     @pytest.mark.parametrize(
         "spec,gamma",
@@ -123,9 +129,8 @@ class TestScale:
     def test_scale_unscale_identity(self, spec, gamma):
         # the scaled table is the raw one, and its rows map back to the raw
         # states one to one
-        samples = _samples_for(spec, gamma)
-        scaled = scale(samples, spec)
-        raw = samples.counts
+        raw = _samples_for(spec, gamma).counts
+        scaled = scale(raw, spec, gamma)
         assert scaled.table is raw.table
         assert scaled.sizes is raw.sizes
         factor = gamma ** scaling_exponent(spec)
@@ -134,7 +139,7 @@ class TestScale:
 
     @pytest.mark.parametrize("spec,gamma", [(classic_spec(), 1e-3), (critical_spec(), 1e-2)])
     def test_uncentered_kinds_nonnegative(self, spec, gamma):
-        scaled = scale(_samples_for(spec, gamma), spec)
+        scaled = scale(_samples_for(spec, gamma).counts, spec, gamma)
         assert (scaled.rows >= 0).all()
 
 

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jsqa import simulator
+from jsqa.counts import count_rows
 from jsqa.errors import ConfigError, ResourceLimitError
 from jsqa.model import BernoulliScaled, Binomial, Constant, RngStream, SystemConfig
 from jsqa.oracle import build_chain, oracle_moments, stationary
@@ -230,6 +232,32 @@ class TestCollect:
         z_lag = lag.sum() / math.sqrt((lag**2).sum())
         assert abs(z_sum) < 4.0, f"z_sum={z_sum:+.2f}"
         assert abs(z_lag) < 4.0, f"lag-1 corr={corr:+.4f}, z={z_lag:+.2f}"
+
+    def test_statistics_built_at_construction(self):
+        plan = default_plan(SSQ, num_samples=20_000, replicas=8)
+        samples = collect_steady_state(SSQ, plan, seed=5)
+        expect = count_rows(samples.q, samples.batch)
+        assert np.array_equal(samples.counts.rows, expect.rows)
+        assert np.array_equal(samples.counts.table.toarray(), expect.table.toarray())
+        assert np.array_equal(samples.counts.sizes, expect.sizes)
+        means = np.bincount(samples.batch, weights=samples.u_total) / np.bincount(samples.batch)
+        assert np.array_equal(samples.batch_u_mean, means)
+
+    def test_peak_memory_of_collection(self):
+        """The per-group arrays are freed before the count table is built.
+        Building the table while they are alive peaks at 3.0x the retained
+        arrays on this plan; building it after the collection returns, at
+        2.24x."""
+        spec = RegimeSpec("overloaded", 0.2, 0.0, (Binomial(2, 0.25), Binomial(2, 0.25)), 4)
+        plan = SamplingPlan(warmup_slots=200, num_samples=1 << 16, thinning=1, replicas=256)
+        tracemalloc.start()
+        try:
+            samples = collect_steady_state(build_config(spec, 0.1), plan, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        retained = samples.q.nbytes + samples.u_total.nbytes + samples.batch.nbytes
+        assert peak <= 2.6 * retained
 
     def test_memory_cap(self, monkeypatch):
         monkeypatch.setattr(simulator, "MAX_SAMPLE_CELLS", 1000)

@@ -115,28 +115,28 @@ class TestEmpiricalMgf:
 class TestSsc:
     def test_collapsed_samples_have_zero_perp(self):
         samples = make_samples(np.tile([[3, 3, 3]], (40, 1)))
-        est = ssc_estimate(samples)
+        est = ssc_estimate(samples.counts)
         assert est.perp_second_moment == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_projection(self):
         samples = make_samples(np.array([[1, 0]]), batches=1)
-        est = ssc_estimate(samples)
+        est = ssc_estimate(samples.counts)
         assert est.perp_second_moment == pytest.approx(0.5)
 
     def test_pythagoras_identity(self):
         samples = make_samples(np.array([[3, 1, 2]]), batches=1)
-        est = ssc_estimate(samples)
+        est = ssc_estimate(samples.counts)
         assert est.perp_second_moment == pytest.approx(14 - 36 / 3)
 
     def test_bounded_by_total(self):
         gen = RngStream(3).generator()
         samples = make_samples(gen.integers(0, 20, size=(500, 3)))
-        est = ssc_estimate(samples)
+        est = ssc_estimate(samples.counts)
         assert 0.0 <= est.perp_second_moment <= est.total_second_moment
 
     def test_single_queue_rejected(self):
         with pytest.raises(ValueError):
-            ssc_estimate(make_samples(np.array([[1], [2]])))
+            ssc_estimate(count_rows(np.array([[1], [2]]), np.zeros(2, dtype=np.int64)))
 
 
 class TestUnusedRate:
@@ -381,7 +381,7 @@ class TestMatchesPerSampleReference:
         q = samples.q.astype(float)
         sq = (q**2).sum(axis=1)
         perp = ref_batch_means(sq - q.sum(axis=1) ** 2 / n, samples.batch)
-        est = ssc_estimate(samples)
+        est = ssc_estimate(samples.counts)
         assert_close(est.perp_second_moment, perp.mean())
         assert_close(est.total_second_moment, ref_batch_means(sq, samples.batch).mean())
         assert_close(est.stderr, ref_stderr(perp))
@@ -397,7 +397,7 @@ class TestMatchesPerSampleReference:
         samples = random_samples(n, batches=6, seed=30 + n, hi=10, config=config)
         x = gamma ** scaling_exponent(spec) * (samples.q - center_per_queue(spec, gamma))
         assert x.min() < 0 < x.max()
-        rows = moment_report(scale(samples, spec), gaussian(1.0), 4)
+        rows = moment_report(scale(samples.counts, spec, gamma), gaussian(1.0), 4)
         pooled, pooled_batch = x.reshape(-1), np.repeat(samples.batch, n)
         expected = [ref_batch_means(pooled**m, pooled_batch) for m in range(1, 5)]
         if n >= 2:
@@ -416,7 +416,7 @@ class TestMatchesPerSampleReference:
         est = empirical_mgf(samples, GRID, CRITICAL)
         assert np.isnan(est.stderr).all()
         assert not est.usable.any()
-        assert math.isnan(ssc_estimate(samples).stderr)
+        assert math.isnan(ssc_estimate(samples.counts).stderr)
         assert math.isnan(unused_service_rate(samples).stderr_raw)
         scaled = count_rows(samples.q.astype(float), samples.batch)
         for row in moment_report(scaled, exponential(1.0), 2):
@@ -435,7 +435,7 @@ class TestMatchesPerSampleReference:
         spec = OVERLOADED
         gamma = 0.05
         samples = random_samples(2, batches=4, seed=50, hi=10, config=build_config(spec, gamma))
-        scaled = scale(samples, spec)
+        scaled = scale(samples.counts, spec, gamma)
         x0 = gamma ** scaling_exponent(spec) * (samples.q[:, 0] - center_per_queue(spec, gamma))
         dist = gaussian(0.8)
         assert ks_statistic(scaled.rows[:, 0], dist, scaled.pooled) == ref_ks(x0, dist)
