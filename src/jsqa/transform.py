@@ -7,9 +7,11 @@ All estimators are folds over per-batch means; reported standard errors are
 batch-means standard errors, and residuals are evaluated per batch before
 aggregation so covariances between the MGF, its derivative, and the
 unused-service mean propagate automatically. Every statistic of the queue
-state is evaluated once per distinct state and folded through the sample
-set's per-batch count table (`jsqa.counts`); only the unused service, which
-is not a function of the state, is folded over the samples themselves.
+state is evaluated once per distinct state and folded through a per-batch
+count table (`jsqa.counts`): a sample set's, or the exact law from
+`oracle.exact_law`. The regime's scaling and centering come from
+`regimes.scale` alone. The unused service, which is not a function of the
+state, enters through the sample set's per-batch means.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from .counts import StateCounts, batch_stderr
 from .errors import RegimeMismatchError
 from .limits import LimitDistribution
 from .model import SystemConfig
-from .regimes import RegimeSpec, scaling_exponent
+from . import regimes
+from .regimes import RegimeSpec
 from .simulator import SampleSet
 
 __all__ = [
@@ -78,9 +81,10 @@ def empirical_mgf(samples: SampleSet, phi_grid, spec: RegimeSpec) -> MgfEstimate
     """Empirical MGF of the statistic whose limit the regime `spec` proves,
     from steady-state samples at the samples' gamma.
 
-    The statistic is the total queue length X, centered at drift/gamma when
-    `spec.kind` is "overloaded", and scaled by gamma^e with e the regime's
-    `scaling_exponent` (alpha for classic, 1/2 otherwise).
+    The statistic is the total of the regime's scaled coordinates
+    (`regimes.scale`): the total queue length X, centered at drift/gamma in
+    the overloaded family, scaled by gamma^e with e = alpha for classic and
+    1/2 otherwise.
 
     Overflow guard: a grid point whose largest exponent would exceed
     MAX_EXPONENT is flagged unusable instead of returning infinity. A point
@@ -92,11 +96,8 @@ def empirical_mgf(samples: SampleSet, phi_grid, spec: RegimeSpec) -> MgfEstimate
         raise ValueError("phi grid must be nonempty")
     if not np.all(np.abs(phi_grid) <= 2.0):
         raise ValueError("phi grid must be finite and lie within [-2, 2]")
-    gamma = samples.gamma
-    counts = samples.counts
-    total = counts.rows.sum(axis=1)
-    x = total - samples.config.drift / gamma if spec.kind == "overloaded" else total.astype(float)
-    scaled = gamma ** scaling_exponent(spec) * x
+    counts = regimes.scale(samples.counts, spec, samples.gamma)
+    scaled = counts.rows.sum(axis=1)
 
     lo, hi = scaled.min(), scaled.max()
     extremes = np.maximum(phi_grid * lo, phi_grid * hi)

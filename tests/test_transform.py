@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,8 +26,9 @@ from jsqa.transform import (
 )
 
 TWO_BINOMIAL = (Binomial(2, 0.25), Binomial(2, 0.25))
-# empirical_mgf reads only the kind and alpha of a spec: the total scaled by
-# gamma^(1/2), and the total centered at drift/gamma scaled by gamma^(1/2)
+# empirical_mgf scales by the spec (`regimes.scale`): the total scaled by
+# gamma^(1/2), and the total centered at the regime's drift/gamma scaled by
+# gamma^(1/2); a centered test needs a spec whose drift is its config's
 CRITICAL = RegimeSpec("critical", 0.0, 0.5, TWO_BINOMIAL, 4)
 OVERLOADED = RegimeSpec("overloaded", 0.2, 0.0, TWO_BINOMIAL, 4)
 
@@ -53,7 +55,8 @@ class TestEmpiricalMgf:
         # drift / gamma = (2 - 1) / 1, so the centered total q - 1 is -1 or +1
         config = SystemConfig(gamma=1.0, arrivals=Constant(2), services=(Constant(1),))
         samples = make_samples(np.array([2, 0] * 50), config=config, batches=1)
-        est = empirical_mgf(samples, [1.0], OVERLOADED)
+        spec = RegimeSpec("overloaded", 1.0, 0.0, (Constant(1),), 2)
+        est = empirical_mgf(samples, [1.0], spec)
         assert est.values[0] == pytest.approx((math.e + math.exp(-1)) / 2, rel=1e-12)
         assert est.derivatives[0] == pytest.approx((math.e - math.exp(-1)) / 2, rel=1e-12)
 
@@ -340,11 +343,10 @@ def random_samples(n, batches, seed, lo=0, hi=15, size=3000, config=None):
     return make_samples(q, u=u, batches=batches, config=config)
 
 
-# drift 2 - 2 * 0.5 = 1 at gamma 0.1, so the centered total q1 + q2 - 10 of
-# totals in [0, 28] takes both signs
-OVERLOADED_CONFIG = SystemConfig(
-    gamma=0.1, arrivals=Binomial(4, 0.5), services=(Binomial(2, 0.25),) * 2
-)
+# arrivals Binomial(4, 0.5), drift 2 - 2 * 0.5 = 1 at gamma 0.1, so the
+# centered total q1 + q2 - 10 of totals in [0, 28] takes both signs
+OVERLOADED_DRIFT_1 = RegimeSpec("overloaded", 1.0, 0.0, TWO_BINOMIAL, 4)
+OVERLOADED_CONFIG = build_config(OVERLOADED_DRIFT_1, 0.1)
 GRID = np.linspace(-1.0, 0.5, 7)
 
 
@@ -352,11 +354,15 @@ class TestMatchesPerSampleReference:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("spec", [CRITICAL, OVERLOADED], ids=["total", "centered-total"])
     def test_empirical_mgf(self, n, spec):
-        samples = random_samples(n, batches=6, seed=10 + n)
+        config = None
+        if spec is OVERLOADED:
+            spec = replace(OVERLOADED, base_services=(Binomial(2, 0.25),) * n)
+            config = build_config(spec, 0.1)
+        samples = random_samples(n, batches=6, seed=10 + n, config=config)
         gamma = samples.gamma
         est = empirical_mgf(samples, GRID, spec)
         x = samples.q.sum(axis=1)
-        if spec is OVERLOADED:
+        if spec.kind == "overloaded":
             x = x - samples.config.drift / gamma
         bv, bd = ref_mgf(x, samples.batch, gamma, GRID, 0.5)
         assert_close(est.batch_values, bv)
@@ -370,7 +376,7 @@ class TestMatchesPerSampleReference:
         samples = random_samples(2, batches=5, seed=3, hi=15, config=OVERLOADED_CONFIG)
         x = samples.q.sum(axis=1) - OVERLOADED_CONFIG.drift / 0.1
         assert x.min() < 0 < x.max()
-        est = empirical_mgf(samples, GRID, OVERLOADED)
+        est = empirical_mgf(samples, GRID, OVERLOADED_DRIFT_1)
         bv, bd = ref_mgf(x, samples.batch, 0.1, GRID, 0.5)
         assert_close(est.batch_values, bv)
         assert_close(est.batch_derivs, bd)
