@@ -1,5 +1,5 @@
 """One-parameter config families indexed by the abandonment probability, and
-the matching scaling/centering transform for steady-state samples.
+the matching scaling/centering transform for tables of queue vectors.
 
 Each family holds the service laws fixed and moves only the arrival mean, so
 the per-slot drift hits the target of its regime exactly:

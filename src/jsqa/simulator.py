@@ -98,12 +98,10 @@ class SampleSet:
     `q` is (N, n); `u_total` is the unused-service total of the slot that
     produced each state. `batch` assigns each sample to a contiguous
     within-replica batch; batch spans are sized against the chain's
-    relaxation time so batch means give honest standard errors.
-
-    Construction reads the three arrays once into what the estimators use:
-    `counts`, the per-batch count table of the distinct rows of `q`
-    (`jsqa.counts`), and `batch_u_mean`, the per-batch means of `u_total`,
-    which is not a function of the state.
+    relaxation time so batch means give honest standard errors. Built with
+    them are what the estimators read: `counts`, the per-batch count table of
+    the distinct rows of `q` (`jsqa.counts`), and `batch_u_mean`, the
+    per-batch means of `u_total`.
     """
 
     q: np.ndarray
@@ -119,10 +117,6 @@ class SampleSet:
 
     def __len__(self) -> int:
         return self.q.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.q.shape[1]
 
     @property
     def gamma(self) -> float:

@@ -148,8 +148,7 @@ class SscEstimate:
 
 def ssc_estimate(counts: StateCounts) -> SscEstimate:
     """Mean squared norm of the queue component orthogonal to the diagonal,
-    over a count table of raw queue vectors (a sample set's `counts` or an
-    exact law).
+    over a count table of raw queue vectors.
 
     Uses the Pythagoras identity per state:
     |q_perp|^2 = |q|^2 - <q, 1>^2 / n.
