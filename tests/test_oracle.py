@@ -311,7 +311,6 @@ class TestExactLaw:
         cdf, limit = np.cumsum(mass), dist.cdf(np.arange(31.0))
         assert ks == pytest.approx(max((cdf - limit).max(), (limit - cdf + mass).max()), abs=1e-15)
 
-
     def test_scaled_exact_law_through_the_estimators(self):
         # the acceptance servers on the critical family: `scale` and
         # `ssc_estimate` take the exact law as they take a sample set's table
