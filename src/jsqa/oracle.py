@@ -17,12 +17,12 @@ which the simulator's estimators return exact values.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import MatrixRankWarning, spsolve
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import LinearOperator, gcrotmk
 
 from .counts import StateCounts
 from .errors import ConfigError, StateBudgetError
@@ -42,9 +42,10 @@ __all__ = [
 # Without the drop, Binomial(q, gamma) tails fill each table row and the
 # two-queue kernel holds about twice the nonzeros.
 DROP_BELOW = 1e-14
-# 2^24 nonzeros are 200 MB of CSR; building the kernel takes about twice
-# that and the LU of the solve several times (criterion 2's config at cap
-# 100: 8.1 M nonzeros, 0.7 GB peak).
+# 2^24 nonzeros are 200 MB of CSR. Building the kernel takes about twice
+# that, and the stationary solve adds only a few state-sized vectors
+# (criterion 2's config at cap 100: 8.1 M nonzeros, 97 MB of CSR, 0.32 GB
+# peak RSS after build and solve).
 MAX_KERNEL_NONZEROS = 1 << 24
 
 
@@ -125,8 +126,8 @@ def _product_rows(first, second, weight, states, sizes) -> sp.csr_array:
         b = slice(second.indptr[states[s, 1]], second.indptr[states[s, 1] + 1])
         cols.append(np.add.outer(first.indices[a] * side, second.indices[b], dtype=np.int32))
         vals.append(weight[s] * np.multiply.outer(first.data[a], second.data[b]))
-    # int32 indices (the budget keeps them below 2^31) shrink the copies the
-    # solve makes and spare it a downcast
+    # int32 indices (the budget keeps them below 2^31) make the kernel a
+    # quarter smaller than int64 ones
     indptr = np.insert(np.cumsum(sizes, dtype=np.int32), 0, 0)
     csr = (np.concatenate(vals, axis=None), np.concatenate(cols, axis=None), indptr)
     return sp.csr_array(csr, shape=(len(states),) * 2)
@@ -223,27 +224,43 @@ def auto_chain(
 
 
 def stationary(chain: TruncatedChain) -> np.ndarray:
-    """Stationary probability vector of the truncated kernel: one sparse
-    solve of (P^T - I) pi = 0 with its last equation replaced by sum(pi) = 1.
+    """Stationary probability vector of the truncated kernel P.
+
+    pi solves A pi = u with A v = v - vP + u * sum(v) and u uniform, which is
+    nonsingular when P has exactly one closed class. The solve is a GCROT(m, k)
+    Krylov iteration that applies vP as `v @ chain.matrix`; its recycled
+    vectors deflate the slow total-queue mode. One kernel step, clipped at 0
+    and normalized, ends it, so a state that no transition enters gets
+    exactly 0, not the solve's rounding of about 1e-15.
 
     Raises numpy.linalg.LinAlgError if the kernel has no unique stationary
-    law (the system is singular).
+    law (several closed classes, counted from its strong components), or if
+    the iteration did not converge or left a non-finite value.
     """
+    matrix = chain.matrix
+    closed = _closed_classes(matrix)
+    if closed != 1:
+        raise np.linalg.LinAlgError(
+            f"the truncated kernel has {closed} closed classes, so no unique stationary law"
+        )
     size = chain.num_states
-    A = sp.vstack([(chain.matrix.T - sp.eye_array(size))[:-1], np.ones((1, size))], format="csr")
-    b = np.zeros(size)
-    b[-1] = 1.0
-    with warnings.catch_warnings():
-        # a singular system only warns and returns NaN; the check below raises
-        warnings.simplefilter("ignore", MatrixRankWarning)
-        # SuperLU factors the transpose of a CSR system. In the natural state
-        # order that took a half to a fifth of the time of COLAMD on two-queue
-        # kernels of 0.2-4 M nonzeros.
-        pi = spsolve(A, b, permc_spec="NATURAL")
-    if not np.isfinite(pi).all():
-        raise np.linalg.LinAlgError("the truncated kernel has no unique stationary law")
-    pi = np.maximum(pi, 0.0)
+    u = np.full(size, 1.0 / size)
+    system = LinearOperator((size, size), matvec=lambda v: v - v @ matrix + u * v.sum(), dtype=float)
+    pi, info = gcrotmk(system, u, m=30, k=20, rtol=1e-14, atol=0.0)
+    if info != 0 or not np.isfinite(pi).all():
+        raise np.linalg.LinAlgError(f"the stationary solve did not converge (info={info})")
+    pi = np.maximum(pi @ matrix, 0.0)
     return pi / pi.sum()
+
+
+def _closed_classes(matrix: sp.csr_array) -> int:
+    """Number of closed classes of a kernel: its strong components that no
+    transition leaves."""
+    count, label = connected_components(matrix, connection="strong")
+    if count == 1:
+        return 1
+    source = np.repeat(label, np.diff(matrix.indptr))
+    return count - np.unique(source[source != label[matrix.indices]]).size
 
 
 def exact_law(chain: TruncatedChain, pi: np.ndarray) -> StateCounts:

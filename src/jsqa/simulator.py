@@ -101,7 +101,8 @@ class SampleSet:
     relaxation time so batch means give honest standard errors. Built with
     them are what the estimators read: `counts`, the per-batch count table of
     the distinct rows of `q` (`jsqa.counts`), and `batch_u_mean`, the
-    per-batch means of `u_total`.
+    per-batch means of `u_total`. The batch labels must be 0..B-1, each
+    holding at least one sample.
     """
 
     q: np.ndarray
@@ -112,6 +113,9 @@ class SampleSet:
     batch_u_mean: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        # a label with no sample would make every batch mean of it 0/0
+        if (self.batch < 0).any() or not np.bincount(self.batch).all():
+            raise ConfigError("batch labels must be 0..B-1 with a sample in every batch")
         self.counts = count_rows(self.q, self.batch)
         self.batch_u_mean = np.bincount(self.batch, weights=self.u_total) / self.counts.sizes
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counts import StateCounts, batch_stderr
-from .errors import RegimeMismatchError
+from .errors import ConfigError, RegimeMismatchError
 from .limits import LimitDistribution
 from .model import SystemConfig
 from . import regimes
@@ -84,13 +84,20 @@ def empirical_mgf(samples: SampleSet, phi_grid, spec: RegimeSpec) -> MgfEstimate
     The statistic is the total of the regime's scaled coordinates
     (`regimes.scale`): the total queue length X, centered at drift/gamma in
     the overloaded family, scaled by gamma^e with e = alpha for classic and
-    1/2 otherwise.
+    1/2 otherwise. Raises ConfigError unless the samples' config is the
+    member of the spec's family at their gamma (`regimes.build_config`), the
+    point the spec centers and scales about.
 
     Overflow guard: a grid point whose largest exponent would exceed
     MAX_EXPONENT is flagged unusable instead of returning infinity. A point
     whose standard error is NaN (fewer than two batches) or zero is unusable
     too, since no z-score can be formed from it.
     """
+    if regimes.build_config(spec, samples.gamma) != samples.config:
+        raise ConfigError(
+            f"the samples' config is not the member of the {spec.kind} family at "
+            f"gamma={samples.gamma:g}, so the spec cannot scale them"
+        )
     phi_grid = np.asarray(phi_grid, dtype=float)
     if phi_grid.size == 0:
         raise ValueError("phi grid must be nonempty")

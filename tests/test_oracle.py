@@ -167,20 +167,40 @@ class TestStationary:
         assert np.allclose(pi, [0.5, 0.5])
 
     def test_reducible_kernel_raises(self):
-        # two closed classes: no unique stationary law, and the sparse solve
-        # only warns and returns NaN
+        # two closed classes: no unique stationary law, though an iterative
+        # solve of this consistent singular system converges to [1/2, 1/2]
         chain = build_chain(SSQ, 30)
         chain.matrix = sp.csr_array(np.eye(2))
         with pytest.raises(np.linalg.LinAlgError):
             stationary(chain)
 
-    def test_matches_dense_solve(self):
-        chain = build_chain(JSQ2, 30)
+    def test_frozen_two_queue_chain_raises(self):
+        # no arrivals, services or abandonment: every one of the 16 states is
+        # its own closed class and the built kernel is the identity
+        config = SystemConfig(gamma=0.0, arrivals=Constant(0), services=(Constant(0),) * 2)
+        chain = build_chain(config, 3)
+        assert (chain.matrix.toarray() == np.eye(16)).all()
+        with pytest.raises(np.linalg.LinAlgError):
+            stationary(chain)
+
+    @staticmethod
+    def dense_solve(chain):
         A = chain.matrix.toarray().T - np.eye(chain.num_states)
         A[-1, :] = 1.0
         b = np.zeros(chain.num_states)
         b[-1] = 1.0
-        assert np.abs(stationary(chain) - np.linalg.solve(A, b)).sum() < 1e-12
+        return np.linalg.solve(A, b)
+
+    def test_matches_dense_solve(self):
+        chain = build_chain(JSQ2, 30)
+        assert np.abs(stationary(chain) - self.dense_solve(chain)).sum() < 1e-12
+
+    def test_slow_mixing_chain_matches_dense_solve(self):
+        # the acceptance servers on the critical family at gamma 1e-2: the
+        # total queue relaxes over about 1/gamma slots
+        spec = RegimeSpec("critical", 0.0, 0.5, (Binomial(2, 0.25), Binomial(2, 0.25)), 4)
+        chain = build_chain(build_config(spec, 1e-2), 30)
+        assert np.abs(stationary(chain) - self.dense_solve(chain)).sum() < 1e-12
 
     def test_birth_death_geometric_closed_form(self):
         # births w.p. p(1-r), deaths w.p. r(1-p): geometric stationary law

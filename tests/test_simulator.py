@@ -15,6 +15,7 @@ from jsqa.oracle import build_chain, oracle_moments, stationary
 from jsqa.regimes import RegimeSpec, build_config
 from jsqa.simulator import (
     GROUP_SIZE,
+    SampleSet,
     SamplingPlan,
     collect_steady_state,
     default_plan,
@@ -242,6 +243,12 @@ class TestCollect:
         assert np.array_equal(samples.counts.sizes, expect.sizes)
         means = np.bincount(samples.batch, weights=samples.u_total) / np.bincount(samples.batch)
         assert np.array_equal(samples.batch_u_mean, means)
+
+    @pytest.mark.parametrize("batch", [[0, 2], [-1, 0]], ids=["gap", "negative"])
+    def test_batch_labels_must_cover_every_batch(self, batch):
+        with pytest.raises(ConfigError, match="batch labels must be 0..B-1"):
+            SampleSet(q=np.array([[1], [2]]), u_total=np.zeros(2, dtype=np.int64),
+                      batch=np.array(batch), config=SSQ)
 
     def test_peak_memory_of_collection(self):
         """The per-group arrays are freed before the count table is built.

@@ -6,9 +6,9 @@ import pytest
 from scipy import integrate
 
 from jsqa.counts import count_rows
-from jsqa.errors import RegimeMismatchError
+from jsqa.errors import ConfigError, RegimeMismatchError
 from jsqa.limits import critical_unused_limit, exponential, gaussian, truncated_gaussian
-from jsqa.model import BernoulliScaled, Binomial, Constant, RngStream, SystemConfig
+from jsqa.model import BernoulliScaled, Binomial, Constant, RngStream
 from jsqa.oracle import build_chain, oracle_mgf, stationary
 from jsqa.regimes import RegimeSpec, build_config, center_per_queue, scale, scaling_exponent
 from jsqa.simulator import SampleSet
@@ -28,18 +28,24 @@ from jsqa.transform import (
 TWO_BINOMIAL = (Binomial(2, 0.25), Binomial(2, 0.25))
 # empirical_mgf scales by the spec (`regimes.scale`): the total scaled by
 # gamma^(1/2), and the total centered at the regime's drift/gamma scaled by
-# gamma^(1/2); a centered test needs a spec whose drift is its config's
+# gamma^(1/2); it takes only samples whose config is the spec's family member
+# at their gamma
 CRITICAL = RegimeSpec("critical", 0.0, 0.5, TWO_BINOMIAL, 4)
 OVERLOADED = RegimeSpec("overloaded", 0.2, 0.0, TWO_BINOMIAL, 4)
 
 
+def critical(n):
+    """The critical family of n Binomial(2, 1/4) servers, CRITICAL at n = 2."""
+    return replace(CRITICAL, base_services=(Binomial(2, 0.25),) * n)
+
+
 def make_samples(q, u=None, gamma=0.1, batches=4, config=None):
+    """Samples of the rows of `q` in equal contiguous batches, by default
+    from the member of `critical(n)` at `gamma`."""
     q = np.atleast_2d(np.asarray(q, dtype=np.int64).T).T if np.ndim(q) == 1 else np.asarray(q, dtype=np.int64)
     n = q.shape[1]
     if config is None:
-        config = SystemConfig(
-            gamma=gamma, arrivals=Binomial(2, 0.3), services=(Binomial(2, 0.3),) * n
-        )
+        config = build_config(critical(n), gamma)
     size = q.shape[0]
     u = np.zeros(size, dtype=np.int64) if u is None else np.asarray(u, dtype=np.int64)
     batch = (np.arange(size) * batches // size).astype(np.int64)
@@ -48,33 +54,41 @@ def make_samples(q, u=None, gamma=0.1, batches=4, config=None):
 
 class TestEmpiricalMgf:
     def test_degenerate_samples_give_one(self):
-        est = empirical_mgf(make_samples(np.zeros(10), batches=1), [-1.0, 0.7], CRITICAL)
+        est = empirical_mgf(make_samples(np.zeros(10), batches=1), [-1.0, 0.7], critical(1))
         assert np.allclose(est.values, 1.0)
 
     def test_two_point_example(self):
-        # drift / gamma = (2 - 1) / 1, so the centered total q - 1 is -1 or +1
-        config = SystemConfig(gamma=1.0, arrivals=Constant(2), services=(Constant(1),))
-        samples = make_samples(np.array([2, 0] * 50), config=config, batches=1)
-        spec = RegimeSpec("overloaded", 1.0, 0.0, (Constant(1),), 2)
+        # drift / gamma = 0.5 / 0.25 = 2 and gamma^(1/2) = 1/2, so the scaled
+        # centered total (q - 2) / 2 is -1 or +1
+        spec = RegimeSpec("overloaded", 0.5, 0.0, (Constant(1),), 2)
+        config = build_config(spec, 0.25)
+        samples = make_samples(np.array([4, 0] * 50), config=config, batches=1)
         est = empirical_mgf(samples, [1.0], spec)
         assert est.values[0] == pytest.approx((math.e + math.exp(-1)) / 2, rel=1e-12)
         assert est.derivatives[0] == pytest.approx((math.e - math.exp(-1)) / 2, rel=1e-12)
 
+    @pytest.mark.parametrize("spec", [replace(CRITICAL, constant=0.5), critical(3)],
+                             ids=["constant", "queue-count"])
+    def test_spec_of_another_family_rejected(self, spec):
+        samples = make_samples(np.ones((40, 2), dtype=int), gamma=0.1)
+        with pytest.raises(ConfigError, match="not the member of the critical family at gamma=0.1"):
+            empirical_mgf(samples, [0.5], spec)
+
     def test_value_at_zero_exact(self):
         q = RngStream(0).generator().geometric(0.2, 1000)
-        est = empirical_mgf(make_samples(q, gamma=0.25, batches=8), [-1.0, 0.0, 1.0], CRITICAL)
+        est = empirical_mgf(make_samples(q, gamma=0.25, batches=8), [-1.0, 0.0, 1.0], critical(1))
         assert est.values[1] == 1.0
 
     def test_matches_exact_stationary_mgf(self):
-        # iid draws from the exact stationary law vs the exact transform
-        config = SystemConfig(
-            gamma=0.1, arrivals=BernoulliScaled(1, 0.3), services=(BernoulliScaled(1, 0.4),)
-        )
+        # iid draws from the exact stationary law vs the exact transform: a
+        # single queue of drift 0.3 - 0.4 = -sqrt(0.1) * sqrt(0.1) at gamma 0.1
+        spec = RegimeSpec("critical", -math.sqrt(0.1), 0.5, (BernoulliScaled(1, 0.4),), 1)
+        config = build_config(spec, 0.1)
         chain = build_chain(config, 100)
         pi = stationary(chain)
         gen = RngStream(5).generator()
         draws = gen.choice(chain.cap + 1, size=200_000, p=pi)
-        est = empirical_mgf(make_samples(draws, config=config, batches=32), [-0.5], CRITICAL)
+        est = empirical_mgf(make_samples(draws, config=config, batches=32), [-0.5], spec)
         exact = oracle_mgf(chain, pi, -0.5)
         assert abs(est.values[0] - exact) < 4 * est.stderr[0]
 
@@ -82,30 +96,31 @@ class TestEmpiricalMgf:
         samples = make_samples(RngStream(2).generator().poisson(2.0, 5000), gamma=0.5, batches=8)
         h = 1e-4
         for phi in (-0.8, -0.1, 0.3):
-            est = empirical_mgf(samples, [phi - h, phi, phi + h], CRITICAL)
+            est = empirical_mgf(samples, [phi - h, phi, phi + h], critical(1))
             fd = (est.values[2] - est.values[0]) / (2 * h)
             assert abs(est.derivatives[1] - fd) < 1e-6
 
     def test_single_batch_is_unusable(self):
         # one batch gives a NaN stderr; zero spread gives a zero stderr
         q = RngStream(1).generator().geometric(0.5, 100)
-        est = empirical_mgf(make_samples(q, gamma=0.5, batches=1), [-0.5, 0.5], CRITICAL)
+        est = empirical_mgf(make_samples(q, gamma=0.5, batches=1), [-0.5, 0.5], critical(1))
         assert np.isnan(est.stderr).all()
         assert not est.usable.any()
-        flat = empirical_mgf(make_samples(np.ones(100), gamma=0.5, batches=4), [-0.5], CRITICAL)
+        flat = empirical_mgf(make_samples(np.ones(100), gamma=0.5, batches=4), [-0.5], critical(1))
         assert flat.stderr[0] == 0.0
         assert not flat.usable[0]
 
     def test_overflow_guard_flags_point(self):
-        samples = make_samples(np.full(100, 5000), gamma=1.0, batches=1)
-        est = empirical_mgf(samples, [0.5], CRITICAL)
+        # exponent 0.5 * sqrt(0.5) * 5000 = 1768
+        samples = make_samples(np.full(100, 5000), gamma=0.5, batches=1)
+        est = empirical_mgf(samples, [0.5], critical(1))
         assert not est.usable[0]
         assert np.isnan(est.values[0])
 
     def test_grid_domain_enforced(self):
         for grid in ([3.0], [np.nan, 0.5], [np.inf]):
             with pytest.raises(ValueError, match=r"finite and lie within \[-2, 2\]"):
-                empirical_mgf(make_samples(np.ones(4)), grid, CRITICAL)
+                empirical_mgf(make_samples(np.ones(4)), grid, critical(1))
 
     def test_statistic_extraction(self):
         samples = make_samples(np.array([[1, 3], [2, 0], [4, 4], [0, 1]]), gamma=0.25)
@@ -200,7 +215,7 @@ class TestResidualOps:
     def test_classic_phi_zero_is_drift_identity(self):
         gamma, alpha = 1e-3, 0.25
         spec = RegimeSpec("classic", 0.5, alpha, TWO_BINOMIAL, 4)
-        config = SystemConfig(gamma=gamma, arrivals=Binomial(4, 0.25), services=TWO_BINOMIAL)
+        config = build_config(spec, gamma)
         gen = RngStream(1).generator()
         q = gen.integers(0, 30, size=(400, 2))
         u = gen.integers(0, 2, size=400)
@@ -212,26 +227,26 @@ class TestResidualOps:
 
     def test_critical_phi_zero_is_drift_identity(self):
         gamma = 0.04
-        config = SystemConfig(
-            gamma=gamma, arrivals=BernoulliScaled(1, 0.3), services=(BernoulliScaled(1, 0.4),)
-        )
+        # drift 0.3 - 0.4 = -0.5 * sqrt(0.04)
+        spec = RegimeSpec("critical", -0.5, 0.5, (BernoulliScaled(1, 0.4),), 1)
+        config = build_config(spec, gamma)
         gen = RngStream(2).generator()
         q = gen.integers(0, 12, size=(600, 1))
         u = gen.integers(0, 2, size=600)
         samples = make_samples(q, u=u, gamma=gamma, config=config)
-        mgf = empirical_mgf(samples, [-0.5, 0.0], CRITICAL)
+        mgf = empirical_mgf(samples, [-0.5, 0.0], spec)
         points = critical_ode_residual(mgf)
         expect = (gamma * q.sum(1).mean() - config.drift - u.mean()) / math.sqrt(gamma)
         assert points[1].estimate == pytest.approx(expect, rel=1e-10)
 
     def test_regime_mismatch_errors(self):
-        config = SystemConfig(gamma=0.01, arrivals=Binomial(4, 0.25), services=TWO_BINOMIAL)
-        samples = make_samples(np.ones((40, 2), dtype=int), gamma=0.01, config=config)
         specs = {"classic": RegimeSpec("classic", 0.5, 0.25, TWO_BINOMIAL, 4),
                  "critical": CRITICAL, "overloaded": OVERLOADED}
         residuals = {"classic": classic_residual, "critical": critical_ode_residual,
                      "overloaded": overloaded_ode_residual}
         for kind, spec in specs.items():
+            config = build_config(spec, 0.01)
+            samples = make_samples(np.ones((40, 2), dtype=int), gamma=0.01, config=config)
             mgf = empirical_mgf(samples, [0.0], spec)
             residuals[kind](mgf)
             for other, residual in residuals.items():
@@ -354,11 +369,8 @@ class TestMatchesPerSampleReference:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("spec", [CRITICAL, OVERLOADED], ids=["total", "centered-total"])
     def test_empirical_mgf(self, n, spec):
-        config = None
-        if spec is OVERLOADED:
-            spec = replace(OVERLOADED, base_services=(Binomial(2, 0.25),) * n)
-            config = build_config(spec, 0.1)
-        samples = random_samples(n, batches=6, seed=10 + n, config=config)
+        spec = replace(spec, base_services=(Binomial(2, 0.25),) * n)
+        samples = random_samples(n, batches=6, seed=10 + n, config=build_config(spec, 0.1))
         gamma = samples.gamma
         est = empirical_mgf(samples, GRID, spec)
         x = samples.q.sum(axis=1)
