@@ -23,8 +23,7 @@ from .oracle import (
     TruncatedChain,
     auto_chain,
     build_chain,
-    oracle_mgf,
-    oracle_moments,
+    exact_law,
     stationary,
     stationary_leakage,
 )

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import erfcx, log_ndtr, ndtr
 
 from .regimes import RegimeSpec, limit_sigma2
@@ -121,6 +120,8 @@ class LimitDistribution:
                 return 0.0
             # (m-1)!! * var^(m/2)
             return float(np.prod(np.arange(1, m, 2))) * self.var ** (m // 2)
+        from scipy import integrate  # only this branch needs it; loaded on first use
+
         sd = math.sqrt(self.var)
         val, _ = integrate.quad(
             lambda x: x**m * self.pdf(x),

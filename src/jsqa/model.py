@@ -267,9 +267,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def validate(config: SystemConfig) -> ValidationReport:
     """Check every config invariant. Never raises: returns the list of

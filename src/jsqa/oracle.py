@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import LinearOperator, gcrotmk
 
 from .counts import StateCounts
 from .errors import ConfigError, StateBudgetError
@@ -35,8 +33,6 @@ __all__ = [
     "stationary",
     "stationary_leakage",
     "exact_law",
-    "oracle_moments",
-    "oracle_mgf",
 ]
 
 # Without the drop, Binomial(q, gamma) tails fill each table row and the
@@ -47,6 +43,8 @@ DROP_BELOW = 1e-14
 # (criterion 2's config at cap 100: 8.1 M nonzeros, 97 MB of CSR, 0.32 GB
 # peak RSS after build and solve).
 MAX_KERNEL_NONZEROS = 1 << 24
+# `auto_chain` doubles the cap until the stationary leakage is below this
+TARGET_LEAKAGE = 1e-8
 
 
 @dataclass
@@ -203,11 +201,9 @@ def stationary_leakage(chain: TruncatedChain, pi: np.ndarray) -> float:
     return float(pi @ chain.row_clamp)
 
 
-def auto_chain(
-    config: SystemConfig, target_leakage: float = 1e-8
-) -> tuple[TruncatedChain, np.ndarray]:
+def auto_chain(config: SystemConfig) -> tuple[TruncatedChain, np.ndarray]:
     """Build a chain (and its stationary law) with the cap doubled until the
-    stationary leakage drops below target.
+    stationary leakage drops below TARGET_LEAKAGE.
 
     The stationary law concentrates near max(drift, 0)/gamma with a spread of
     order sqrt(variance/gamma), which sets the starting cap.
@@ -218,7 +214,7 @@ def auto_chain(
     while True:
         chain = build_chain(config, cap)
         pi = stationary(chain)
-        if stationary_leakage(chain, pi) < target_leakage:
+        if stationary_leakage(chain, pi) < TARGET_LEAKAGE:
             return chain, pi
         cap *= 2
 
@@ -237,6 +233,9 @@ def stationary(chain: TruncatedChain) -> np.ndarray:
     law (several closed classes, counted from its strong components), or if
     the iteration did not converge or left a non-finite value.
     """
+    # imported on first use, so `import jsqa` loads no sparse solver
+    from scipy.sparse.linalg import LinearOperator, gcrotmk
+
     matrix = chain.matrix
     closed = _closed_classes(matrix)
     if closed != 1:
@@ -256,6 +255,8 @@ def stationary(chain: TruncatedChain) -> np.ndarray:
 def _closed_classes(matrix: sp.csr_array) -> int:
     """Number of closed classes of a kernel: its strong components that no
     transition leaves."""
+    from scipy.sparse.csgraph import connected_components
+
     count, label = connected_components(matrix, connection="strong")
     if count == 1:
         return 1
@@ -269,22 +270,3 @@ def exact_law(chain: TruncatedChain, pi: np.ndarray) -> StateCounts:
     (with a NaN standard error, as for any single batch)."""
     return StateCounts(rows=chain.states, table=sp.csr_array(pi[None, :]), sizes=np.ones(1))
 
-
-def oracle_moments(chain: TruncatedChain, pi: np.ndarray, order: int = 1) -> dict:
-    """Exact stationary expectations: total and per-coordinate moments up to
-    `order`, plus the perpendicular second moment for two queues."""
-    law = exact_law(chain, pi)
-    x = law.rows.astype(float)
-    coords = {"total": x.sum(axis=1), **{f"q{i}": x[:, i] for i in range(chain.config.n)}}
-    values = {f"{k}_m{m}": v**m for m in range(1, order + 1) for k, v in coords.items()}
-    if chain.config.n == 2:
-        values["perp_second_moment"] = (x**2).sum(axis=1) - coords["total"] ** 2 / 2
-    values["unused_mean"] = chain.expected_unused
-    return {key: law.estimate(v)[0] for key, v in values.items()}
-
-
-def oracle_mgf(chain: TruncatedChain, pi: np.ndarray, phi: float) -> float:
-    """Exact E[exp(sqrt(gamma) * phi * total queue)] under pi, at the chain's
-    gamma."""
-    law = exact_law(chain, pi)
-    return law.estimate(np.exp(math.sqrt(chain.config.gamma) * phi * law.rows.sum(axis=1)))[0]

@@ -57,17 +57,17 @@ MGF_CHUNK_CELLS = 1 << 21
 class MgfEstimate:
     """Empirical MGF of the regime's scaled statistic on a phi grid.
 
-    `values[k]` estimates E[exp(phi_k * gamma^e * X)] and `derivatives[k]` its
-    exact analytic phi-derivative E[gamma^e * X * exp(...)], not a finite
-    difference, where X and e are fixed by `spec` (see `empirical_mgf`) and
-    gamma is `config.gamma`, the samples' own. Per-batch matrices back the
-    standard errors and downstream residuals; `usable` flags grid points that
-    neither overflowed nor exceeded the relative stderr threshold.
+    `values[k]` estimates E[exp(phi_k * gamma^e * X)], where X and e are
+    fixed by `spec` (see `empirical_mgf`) and gamma is `config.gamma`, the
+    samples' own. `batch_derivs[b, k]` is batch b's mean of the exact analytic
+    phi-derivative gamma^e * X * exp(...), not a finite difference. Per-batch
+    matrices back the standard errors and downstream residuals; `usable` flags
+    grid points that neither overflowed nor exceeded the relative stderr
+    threshold.
     """
 
     phi_grid: np.ndarray
     values: np.ndarray
-    derivatives: np.ndarray
     stderr: np.ndarray
     usable: np.ndarray
     spec: RegimeSpec
@@ -123,17 +123,14 @@ def empirical_mgf(samples: SampleSet, phi_grid, spec: RegimeSpec) -> MgfEstimate
         batch_derivs[:, cols] = counts.batch_means(scaled[:, None] * e)
 
     values = batch_values.mean(axis=0)
-    derivatives = batch_derivs.mean(axis=0)
     stderr = batch_stderr(batch_values)
     with np.errstate(invalid="ignore", divide="ignore"):
         rel = np.where(values > 0, stderr / values, np.inf)
     usable = ~overflow & (stderr > 0) & (rel <= MAX_RELATIVE_STDERR)
     values = np.where(overflow, np.nan, values)
-    derivatives = np.where(overflow, np.nan, derivatives)
     return MgfEstimate(
         phi_grid=phi_grid,
         values=values,
-        derivatives=derivatives,
         stderr=stderr,
         usable=usable,
         spec=spec,

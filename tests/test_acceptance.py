@@ -16,7 +16,7 @@ import pytest
 import jsqa.cli as cli
 from jsqa.limits import critical_unused_limit, limit_for_regime
 from jsqa.model import BernoulliScaled, Binomial, RngStream, SystemConfig, validate
-from jsqa.oracle import build_chain, oracle_mgf, oracle_moments, stationary, stationary_leakage
+from jsqa.oracle import build_chain, exact_law, stationary, stationary_leakage
 from jsqa.regimes import RegimeSpec, build_config, limit_sigma2
 from jsqa.simulator import (
     collect_steady_state,
@@ -24,7 +24,7 @@ from jsqa.simulator import (
     simulate_coupled_domination,
     step_many,
 )
-from jsqa.transform import Comparison
+from jsqa.transform import Comparison, ssc_estimate
 
 SERVICES = [
     {"kind": "binomial", "trial-count": 2, "success-probability": 0.25},
@@ -158,18 +158,20 @@ def test_criterion_01_ssq_oracle_equivalence():
     t0 = time.time()
     chain = build_chain(SSQ, 200)
     pi = stationary(chain)
-    exact = oracle_moments(chain, pi, order=2)
+    law = exact_law(chain, pi)
+    exact_totals = law.rows.sum(axis=1)
     plan = default_plan(SSQ, num_samples=1_000_000, replicas=64)
     samples = collect_steady_state(SSQ, plan, seed=101)
     counts = samples.counts
     totals = counts.rows.sum(axis=1).astype(float)
 
     zs = {}
-    zs["mean"] = _zscore(counts, totals, exact["total_m1"])
-    zs["second"] = _zscore(counts, totals**2, exact["total_m2"])
+    zs["mean"] = _zscore(counts, totals, law.estimate(exact_totals)[0])
+    zs["second"] = _zscore(counts, totals**2, law.estimate(exact_totals**2)[0])
     for phi in (-1.0, -0.5, 0.25):
         vals = np.exp(math.sqrt(SSQ.gamma) * phi * totals)
-        zs[f"mgf({phi:g})"] = _zscore(counts, vals, oracle_mgf(chain, pi, phi))
+        exact = law.estimate(np.exp(math.sqrt(SSQ.gamma) * phi * exact_totals))[0]
+        zs[f"mgf({phi:g})"] = _zscore(counts, vals, exact)
     elapsed = time.time() - t0
 
     assert stationary_leakage(chain, pi) < 1e-8
@@ -189,16 +191,16 @@ def test_criterion_02_jsq_oracle_equivalence():
     )
     chain = build_chain(config, 60)
     pi = stationary(chain)
-    exact = oracle_moments(chain, pi, order=1)
+    law = exact_law(chain, pi)
     plan = default_plan(config, num_samples=1_000_000, replicas=64)
     samples = collect_steady_state(config, plan, seed=202)
 
     counts = samples.counts
     q = counts.rows.astype(float)
     totals = q.sum(1)
-    z_mean = _zscore(counts, totals, exact["total_m1"])
+    z_mean = _zscore(counts, totals, law.estimate(law.rows.sum(axis=1))[0])
     perp = (q**2).sum(1) - totals**2 / 2
-    z_perp = _zscore(counts, perp, exact["perp_second_moment"])
+    z_perp = _zscore(counts, perp, ssc_estimate(law).perp_second_moment)
     ks_sym = _ks_two_sample(samples.q[:, 0], samples.q[:, 1])
     elapsed = time.time() - t0
 

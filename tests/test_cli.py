@@ -1,4 +1,3 @@
-import io
 import json
 import multiprocessing
 import os
@@ -346,12 +345,13 @@ class TestOracleCheck:
         assert status == 0
         assert "max|z|=0.00" in capsys.readouterr().out
 
-    def test_healthy_simulator_exits_zero(self):
+    def test_healthy_simulator_exits_zero(self, capsys):
         plan = default_plan(SSQ, num_samples=200_000, replicas=64)
-        status = cli.oracle_check(SSQ, cap=120, plan=plan, seed=3, out=io.StringIO())
+        status = cli.oracle_check(SSQ, cap=120, plan=plan, seed=3)
         assert status == 0
+        assert "max|z|=" in capsys.readouterr().out
 
-    def test_corrupted_abandonment_detected(self, monkeypatch):
+    def test_corrupted_abandonment_detected(self, monkeypatch, capsys):
         # off-by-one abandonment, patched into the slot kernel
         abandon = simulator._abandon
 
@@ -360,15 +360,15 @@ class TestOracleCheck:
 
         monkeypatch.setattr(simulator, "_abandon", off_by_one)
         plan = default_plan(SSQ, num_samples=200_000, replicas=64)
-        status = cli.oracle_check(SSQ, cap=120, plan=plan, seed=3, out=io.StringIO())
+        status = cli.oracle_check(SSQ, cap=120, plan=plan, seed=3)
         assert status == 1
+        assert "max|z|=" in capsys.readouterr().out
 
-    def test_single_batch_fails(self):
+    def test_single_batch_fails(self, capsys):
         # one batch leaves every z without a standard error: NaN, not a pass
         plan = default_plan(SSQ, num_samples=1, replicas=1)
-        out = io.StringIO()
-        assert cli.oracle_check(SSQ, cap=120, plan=plan, seed=3, out=out) == 1
-        assert out.getvalue().rstrip().endswith("max|z|=nan")
+        assert cli.oracle_check(SSQ, cap=120, plan=plan, seed=3) == 1
+        assert capsys.readouterr().out.rstrip().endswith("max|z|=nan")
 
 
 class TestDomination:
@@ -484,10 +484,11 @@ def test_invalid_config_exits_2_before_any_work(
     ],
     ids=["gamma", "plan", "seed"],
 )
-def test_oracle_check_validates_before_building(monkeypatch, config, plan, seed):
+def test_oracle_check_validates_before_building(monkeypatch, capsys, config, plan, seed):
     def no_work(*args, **kwargs):
         raise AssertionError("an invalid input reached the chain build")
 
     monkeypatch.setattr(cli.oracle, "build_chain", no_work)
     with pytest.raises(ConfigError):
-        cli.oracle_check(config, cap=8, plan=plan, seed=seed, out=io.StringIO())
+        cli.oracle_check(config, cap=8, plan=plan, seed=seed)
+    assert capsys.readouterr().out == ""

@@ -211,7 +211,7 @@ class TestValidate:
             services=(Binomial(4, 0.125), Binomial(4, 0.125)),
         )
         report = validate(config)
-        assert report.ok and bool(report) and report.violations == ()
+        assert report.ok and report.violations == ()
         assert config.n == 2
         assert config.drift == pytest.approx(-0.2)
         assert config.variance == pytest.approx(0.64 + 0.4375 + 0.4375)
@@ -226,7 +226,7 @@ class TestValidate:
     def test_no_service_law_reported(self):
         config = SystemConfig(gamma=0.5, arrivals=Constant(1), services=())
         report = validate(config)
-        assert not report and "at least one service law is needed" in report.violations
+        assert not report.ok and "at least one service law is needed" in report.violations
 
     def test_bad_distribution_params_reported(self):
         config = SystemConfig(

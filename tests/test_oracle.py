@@ -19,8 +19,6 @@ from jsqa.oracle import (
     auto_chain,
     build_chain,
     exact_law,
-    oracle_mgf,
-    oracle_moments,
     stationary,
     stationary_leakage,
 )
@@ -44,6 +42,16 @@ UNEQUAL = SystemConfig(
 SSQ_EXACT_MEAN = 0.654424783140
 SSQ_EXACT_SECOND = 1.240312058990
 SSQ_EXACT_UNUSED = 0.165442478314
+
+
+def exact_mean(chain, pi, f):
+    """Exact E[f(state)] under pi: f evaluated on the exact law's rows."""
+    law = exact_law(chain, pi)
+    return law.estimate(f(law.rows))[0]
+
+
+def total(rows):
+    return rows.sum(axis=1)
 
 
 def reference_chain(config, cap):
@@ -227,17 +235,18 @@ class TestMoments:
         config = SystemConfig(gamma=1.0, arrivals=Constant(0), services=(Constant(0),))
         chain = build_chain(config, 5)
         pi = stationary(chain)
-        moments = oracle_moments(chain, pi, order=2)
-        assert moments["total_m1"] == pytest.approx(0.0, abs=1e-12)
-        assert oracle_mgf(chain, pi, 0.7) == pytest.approx(1.0, abs=1e-12)
+        assert exact_mean(chain, pi, total) == pytest.approx(0.0, abs=1e-12)
+        mgf = exact_mean(chain, pi, lambda x: np.exp(math.sqrt(config.gamma) * 0.7 * total(x)))
+        assert mgf == pytest.approx(1.0, abs=1e-12)
 
     def test_frozen_ssq_values(self):
         chain = build_chain(SSQ, 200)
         pi = stationary(chain)
-        moments = oracle_moments(chain, pi, order=2)
-        assert moments["total_m1"] == pytest.approx(SSQ_EXACT_MEAN, abs=1e-9)
-        assert moments["total_m2"] == pytest.approx(SSQ_EXACT_SECOND, abs=1e-9)
-        assert moments["unused_mean"] == pytest.approx(SSQ_EXACT_UNUSED, abs=1e-9)
+        assert exact_mean(chain, pi, total) == pytest.approx(SSQ_EXACT_MEAN, abs=1e-9)
+        second = exact_mean(chain, pi, lambda x: total(x) ** 2)
+        assert second == pytest.approx(SSQ_EXACT_SECOND, abs=1e-9)
+        unused = exact_law(chain, pi).estimate(chain.expected_unused)[0]
+        assert unused == pytest.approx(SSQ_EXACT_UNUSED, abs=1e-9)
 
     def test_scaled_mean_bounded_across_gammas(self):
         # gamma * E[total] stays under one constant along the abandonment sweep
@@ -250,7 +259,7 @@ class TestMoments:
             )
             chain = build_chain(config, 300)
             pi = stationary(chain)
-            values[gamma] = gamma * oracle_moments(chain, pi, 1)["total_m1"]
+            values[gamma] = gamma * exact_mean(chain, pi, total)
         assert all(np.isfinite(v) for v in values.values())
         assert max(values.values()) < 0.11  # frozen bound from this sweep, max is ~0.0946
 
@@ -265,15 +274,15 @@ class TestMoments:
         )]:
             chain = build_chain(config, cap)
             pi = stationary(chain)
-            moments = oracle_moments(chain, pi, 1)
-            lhs = config.gamma * moments["total_m1"] - moments["unused_mean"]
+            unused = exact_law(chain, pi).estimate(chain.expected_unused)[0]
+            lhs = config.gamma * exact_mean(chain, pi, total) - unused
             assert abs(lhs - config.drift) < 1e-9
 
     def test_truncation_robustness(self):
         chain100 = build_chain(SSQ, 100)
         chain200 = build_chain(SSQ, 200)
-        m100 = oracle_moments(chain100, stationary(chain100), 1)["total_m1"]
-        m200 = oracle_moments(chain200, stationary(chain200), 1)["total_m1"]
+        m100 = exact_mean(chain100, stationary(chain100), total)
+        m200 = exact_mean(chain200, stationary(chain200), total)
         assert abs(m200 - m100) / m100 < 1e-6
 
     def test_symmetric_two_queue_stationary_exchangeable(self):
@@ -300,26 +309,22 @@ class TestExactLaw:
     def test_estimate_is_the_expectation(self, law):
         chain, pi, table = law
         x = chain.states.astype(float)
-        moments = oracle_moments(chain, pi, order=2)
-        for key, values in [("total_m1", x.sum(axis=1)), ("q0_m2", x[:, 0] ** 2),
-                            ("perp_second_moment", (x[:, 0] - x[:, 1]) ** 2 / 2),
-                            ("unused_mean", chain.expected_unused)]:
+        for values in [x.sum(axis=1), x[:, 0] ** 2, (x[:, 0] - x[:, 1]) ** 2 / 2,
+                       chain.expected_unused]:
             mean, stderr = table.estimate(values)
             assert mean == pytest.approx(pi @ values, abs=1e-12)
-            assert mean == pytest.approx(moments[key], abs=1e-12)
             assert np.isnan(stderr)
 
     def test_moment_report_averages_the_coordinates(self, law):
         chain, pi, table = law
-        moments = oracle_moments(chain, pi, order=2)
+        x = chain.states.astype(float)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = transform.moment_report(table, LimitDistribution("exponential", mean=1.0), 2)
         coordinate = [c for c in report if c.key.startswith("coordinate_m=")]
         assert len(coordinate) == 2
         for m, c in enumerate(coordinate, start=1):
-            assert c.estimate == pytest.approx((moments[f"q0_m{m}"] + moments[f"q1_m{m}"]) / 2,
-                                               abs=1e-12)
+            assert c.estimate == pytest.approx(pi @ (x**m).mean(axis=1), abs=1e-12)
             assert np.isnan(c.stderr)
 
     def test_ks_matches_weighted_cdf(self, law):
@@ -337,13 +342,14 @@ class TestExactLaw:
         spec = RegimeSpec("critical", 0.0, 0.5, (Binomial(2, 0.25), Binomial(2, 0.25)), 4)
         chain, pi = auto_chain(build_config(spec, 0.1))
         law = exact_law(chain, pi)
-        moments = oracle_moments(chain, pi)
+        x = chain.states.astype(float)
         ssc = transform.ssc_estimate(law)
-        assert ssc.perp_second_moment == pytest.approx(moments["perp_second_moment"], rel=1e-12)
+        perp = (x[:, 0] - x[:, 1]) ** 2 / 2
+        assert ssc.perp_second_moment == pytest.approx(pi @ perp, rel=1e-12)
         per_coord, _ = limit_for_regime(spec)
         report = transform.moment_report(scale(law, spec, 0.1), per_coord)
         (first,) = [c for c in report if c.key == "coordinate_m=1"]
-        mean = math.sqrt(0.1) * (moments["q0_m1"] + moments["q1_m1"]) / 2
+        mean = math.sqrt(0.1) * (pi @ x.mean(axis=1))
         assert first.estimate == pytest.approx(mean, rel=1e-12)
         assert np.isnan(ssc.stderr)
         assert np.isnan(first.stderr)
@@ -351,12 +357,13 @@ class TestExactLaw:
 
 class TestAutoChain:
     def test_reaches_target_leakage(self):
-        chain, pi = auto_chain(SSQ, target_leakage=1e-8)
+        chain, pi = auto_chain(SSQ)
         assert stationary_leakage(chain, pi) < 1e-8
 
     def test_mgf_consistency_with_moments(self):
         chain, pi = auto_chain(SSQ)
+        scaled = np.sqrt(0.1) * chain.states.sum(axis=1)
         h = 1e-6
-        fd = (oracle_mgf(chain, pi, h) - oracle_mgf(chain, pi, -h)) / (2 * h)
-        mean_scaled = np.sqrt(0.1) * oracle_moments(chain, pi, 1)["total_m1"]
+        fd = (pi @ np.exp(h * scaled) - pi @ np.exp(-h * scaled)) / (2 * h)
+        mean_scaled = pi @ scaled
         assert fd == pytest.approx(mean_scaled, abs=1e-6)

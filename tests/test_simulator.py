@@ -11,7 +11,7 @@ from jsqa import simulator
 from jsqa.counts import count_rows
 from jsqa.errors import ConfigError, ResourceLimitError
 from jsqa.model import BernoulliScaled, Binomial, Constant, RngStream, SystemConfig
-from jsqa.oracle import build_chain, oracle_moments, stationary
+from jsqa.oracle import build_chain, exact_law, stationary
 from jsqa.regimes import RegimeSpec, build_config
 from jsqa.simulator import (
     GROUP_SIZE,
@@ -182,7 +182,8 @@ class TestCollect:
 
     def test_mean_matches_exact_chain(self):
         chain = build_chain(SSQ, 100)
-        exact = oracle_moments(chain, stationary(chain), order=1)["total_m1"]
+        law = exact_law(chain, stationary(chain))
+        exact = law.estimate(law.rows.sum(axis=1))[0]
         plan = default_plan(SSQ, num_samples=400_000, replicas=64)
         samples = collect_steady_state(SSQ, plan, seed=11)
         totals = samples.q.sum(axis=1).astype(float)
@@ -356,7 +357,8 @@ class TestDomination:
         # of the unmodified chain is what pins the abandonment law itself
         config, reports = _domination_runs(gamma, arrival_p)
         chain = build_chain(config, cap)
-        exact = oracle_moments(chain, stationary(chain))["total_m1"]
+        law = exact_law(chain, stationary(chain))
+        exact = law.estimate(law.rows.sum(axis=1))[0]
         means = np.array([r.mean_queue for r in reports])
         z = (means.mean() - exact) / (means.std(ddof=1) / math.sqrt(len(means)))
         assert abs(z) < 4.0, f"mean {means.mean():.4f} vs exact {exact:.4f}, z={z:+.2f}"
