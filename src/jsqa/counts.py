@@ -9,6 +9,12 @@ once per sample. jsqa counts integer queue-length rows, which hold few
 distinct states (hundreds against a million rows). The table keeps only its
 nonzero counts, so memory is O(N + U) for U distinct rows, never O(bounding
 box of the rows).
+
+The table is built from one int64 key per sample, its batch label and the
+codes of its columns as mixed-radix digits. The key array is the only
+N-sized array `count_rows` keeps: each column's digit is added to it in
+place, it is sorted in place, and the counts are the lengths of its runs of
+equal keys. The table does not depend on the order of the samples.
 """
 
 from __future__ import annotations
@@ -99,10 +105,11 @@ def _fold(parts, code: np.ndarray):
 
 
 def count_rows(rows, batch) -> StateCounts:
-    """Count table of the rows of `rows` ((N,) or (N, k)) per batch label.
+    """Count table of the rows of `rows` ((N,) or (N, k)) per batch label,
+    one label per row.
 
     Each sample becomes one int64 mixed-radix key (its batch label, then the
-    code of each column), and one `np.unique` over the keys yields the nonzero
+    code of each column), and the runs of the sorted keys are the nonzero
     counts. When a radix would overflow int64, the columns coded so far are
     first folded into the codes of their distinct combinations.
     """
@@ -112,6 +119,10 @@ def count_rows(rows, batch) -> StateCounts:
     batch = np.asarray(batch, dtype=np.int64)
     if rows.shape[0] == 0:
         raise ValueError("samples must be nonempty")
+    if batch.shape != rows.shape[:1]:
+        raise ValueError(
+            f"need one batch label per row: {rows.shape[0]} rows, labels of shape {batch.shape}"
+        )
     parts: list = []
     code = np.zeros(rows.shape[0], dtype=np.int64)
     radix = 1
@@ -119,13 +130,23 @@ def count_rows(rows, batch) -> StateCounts:
         r, c, decode = _column_code(col)
         if radix > INT64_MAX // r:
             parts, code, radix = _fold(parts, code)
-        code = code * r + c
+        code *= r
+        code += c
+        # drop the column's codes now, not at the next column
+        del c
         radix *= r
         parts.append((r, decode))
     nb = int(batch.max()) + 1
     if radix > INT64_MAX // nb:
         parts, code, radix = _fold(parts, code)
-    keys, counts = np.unique(code + batch * radix, return_counts=True)
+    code += batch * radix
+    code.sort()
+    starts = np.flatnonzero(code[1:] != code[:-1]) + 1
+    starts = np.concatenate(([0], starts))
+    keys = code[starts]
+    counts = np.diff(starts, append=code.size)
+    # the keys' runs are read; free the N-sized array before the table is built
+    del code
     batch_of, state = np.divmod(keys, radix)
     codes, column = np.unique(state, return_inverse=True)
     table = sparse.csr_array(

@@ -96,12 +96,14 @@ class SampleSet:
     """Column store of retained steady-state samples and their statistics.
 
     `q` is (N, n); `u_total` is the unused-service total of the slot that
-    produced each state. `batch` assigns each sample to a contiguous
-    within-replica batch; batch spans are sized against the chain's
-    relaxation time so batch means give honest standard errors. Built with
-    them are what the estimators read: `counts`, the per-batch count table of
-    the distinct rows of `q` (`jsqa.counts`), and `batch_u_mean`, the
-    per-batch means of `u_total`. The batch labels must be 0..B-1, each
+    produced each state. `batch` assigns each sample to a batch of
+    consecutive retained samples of one replica; batch spans are sized
+    against the chain's relaxation time so batch means give honest standard
+    errors. The three columns have equal lengths and share one sample order,
+    which no statistic depends on (`collect_steady_state` gives it). Built
+    with them are what the estimators read: `counts`, the per-batch count
+    table of the distinct rows of `q` (`jsqa.counts`), and `batch_u_mean`,
+    the per-batch means of `u_total`. The batch labels must be 0..B-1, each
     holding at least one sample.
     """
 
@@ -113,6 +115,11 @@ class SampleSet:
     batch_u_mean: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        if not len(self.q) == len(self.u_total) == len(self.batch):
+            raise ConfigError(
+                f"q, u_total and batch must have equal lengths, not "
+                f"{len(self.q)}, {len(self.u_total)} and {len(self.batch)}"
+            )
         # a label with no sample would make every batch mean of it 0/0
         if (self.batch < 0).any() or not np.bincount(self.batch).all():
             raise ConfigError("batch labels must be 0..B-1 with a sample in every batch")
@@ -161,17 +168,32 @@ def default_plan(
 
 
 def _batches_for(counts: np.ndarray, thinning: int, relax: float) -> np.ndarray:
-    """Assign contiguous within-replica batch ids sized >= ~10 relaxation times."""
+    """Batch ids of the retained samples in collection order (see
+    `collect_steady_state`), where replica i retains counts[i] samples.
+
+    Each replica's samples are split into contiguous runs of its retained
+    index, sized >= ~10 relaxation times, and the batches are numbered
+    replica by replica. A replica's split depends only on its count, so it is
+    tabulated once per distinct count (at most two) and gathered per group.
+    """
     min_span_samples = max(1, int(math.ceil(10.0 * relax / thinning)))
-    ids = []
-    next_id = 0
-    for cnt in counts:
-        b = max(1, min(32, cnt // min_span_samples))
+    values, which = np.unique(counts, return_inverse=True)
+    per_value = np.clip(values // min_span_samples, 1, 32)
+    per_replica = per_value[which]
+    first = np.cumsum(per_replica) - per_replica
+    # by_index[k, v]: batch within the replica of retained sample k, for a
+    # replica that retains values[v] samples
+    by_index = np.zeros((values.max(), values.size), dtype=np.int64)
+    for v, (cnt, b) in enumerate(zip(values, per_value)):
         edges = np.linspace(0, cnt, b + 1).astype(np.int64)
-        lab = np.repeat(np.arange(b) + next_id, np.diff(edges))
-        ids.append(lab)
-        next_id += b
-    return np.concatenate(ids) if ids else np.zeros(0, dtype=np.int64)
+        by_index[:cnt, v] = np.repeat(np.arange(b), np.diff(edges))
+    ids = []
+    for g0 in range(0, len(counts), GROUP_SIZE):
+        group = slice(g0, g0 + GROUP_SIZE)
+        grid = np.take(by_index[: counts[group].max()], which[group], axis=1)
+        grid += first[group]
+        ids.append(grid.reshape(-1)[: counts[group].sum()])
+    return ids[0] if len(ids) == 1 else np.concatenate(ids)
 
 
 def _draw_block(config: SystemConfig, gen: np.random.Generator, slots: int, rows: int):
@@ -268,8 +290,15 @@ def step_many(q: np.ndarray, config: SystemConfig, gen: np.random.Generator):
 
 
 def _run_group(config, counts, warmup, thinning, stream):
-    """Simulate one vectorized group of replicas; returns their retained
-    samples (q, u_total) stacked in replica order."""
+    """Simulate one vectorized group of replicas, replica i retaining
+    counts[i] samples; `counts` must not increase, so that the replicas
+    with one sample more come first.
+
+    Returns the retained samples (q, u_total) in (retained index, replica)
+    order: every replica's first sample, then every replica's second, and so
+    on. Both are views of the buffers the samples were written to, whose
+    padding (the missing last samples of the later replicas) is their tail.
+    """
     gen = stream.generator()
     r = len(counts)
     offsets = np.arange(r) * config.n
@@ -294,8 +323,8 @@ def _run_group(config, counts, warmup, thinning, stream):
                 # on rows this narrow
                 out_u[k - 1] = (q - pre) @ ones
 
-    keep = np.arange(max_count)[None, :] < counts[:, None]
-    return out_q.transpose(1, 0, 2)[keep], out_u.T[keep]
+    kept = int(counts.sum())
+    return out_q.reshape(-1, config.n)[:kept], out_u.reshape(-1)[:kept]
 
 
 def collect_steady_state(config: SystemConfig, plan: SamplingPlan, seed: int) -> SampleSet:
@@ -304,10 +333,16 @@ def collect_steady_state(config: SystemConfig, plan: SamplingPlan, seed: int) ->
 
     Each replica discards `plan.warmup_slots` slots, then retains one state
     every `plan.thinning` slots; retained counts are split as evenly as
-    possible across replicas so that exactly `plan.num_samples` samples come
-    back, in replica order. Replicas run in groups of GROUP_SIZE, group g on
-    RngStream(seed, g), so identical (config, plan, seed) always produce the
-    identical sample set.
+    possible across replicas, the first ones taking one more, so that exactly
+    `plan.num_samples` samples come back. Replicas run in groups of
+    GROUP_SIZE, group g on RngStream(seed, g), so identical (config, plan,
+    seed) always produce the identical sample set.
+
+    The samples come back group by group, and within a group in (retained
+    index, replica) order, the order they were simulated in; the batches are
+    runs of consecutive retained samples of one replica, numbered replica by
+    replica. No statistic depends on this order, since each is read from the
+    count table.
     """
     require_valid(config)
     plan.check()
@@ -329,9 +364,12 @@ def collect_steady_state(config: SystemConfig, plan: SamplingPlan, seed: int) ->
         )
         for g0 in range(0, len(counts), GROUP_SIZE)
     ]
-    q = np.concatenate([r[0] for r in results])
-    u = np.concatenate([r[1] for r in results])
-    # free the per-group copies before SampleSet builds its count table
+    if len(results) == 1:
+        (q, u), = results
+    else:
+        q = np.concatenate([r[0] for r in results])
+        u = np.concatenate([r[1] for r in results])
+    # free the per-group buffers before SampleSet builds its count table
     del results
     batch = _batches_for(counts, plan.thinning, relaxation_slots(config))
     return SampleSet(q=q, u_total=u, batch=batch, config=config)

@@ -64,6 +64,13 @@ class TestCountRows:
         with pytest.raises(ValueError):
             count_rows(np.zeros((0, 2)), np.zeros(0, dtype=int))
 
+    @pytest.mark.parametrize(
+        "batch", [[0], [0] * 9, [0] * 11, [[0] * 10]], ids=["one", "short", "long", "2d"]
+    )
+    def test_one_label_per_row(self, batch):
+        with pytest.raises(ValueError, match="one batch label per row"):
+            count_rows(np.arange(10), np.array(batch))
+
 
 class TestBatchMeans:
     def test_matches_per_sample_means(self):

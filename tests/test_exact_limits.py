@@ -1,21 +1,24 @@
 """The exact stationary law of one truncated queue against the regime's
 per-coordinate limit, with no Monte Carlo error: the KS distance between the
 scaled exact law and its limit falls at every smaller gamma, and per decade
-of gamma it falls by about 10^e, e the regime's scaling exponent.
+of gamma it falls by about 10^e, e the regime's scaling exponent. So do the
+errors of the exact scaled mean and second moment against the limit's and,
+in the critical family, of the exact scaled unused service against
+`critical_unused_limit`.
 
 Each law is `oracle.auto_chain`'s, evaluated through the simulator's own
-estimators: `exact_law`, then `regimes.scale`, then `ks_statistic`. The paper
-proves the limits, not their rates; the rate check pins the rate these
-chains show, within 10%.
+estimators: `exact_law`, then `regimes.scale`, then `ks_statistic` or
+`StateCounts.estimate`. The paper proves the limits, not their rates; the
+rate check pins the rate these chains show, within 10%.
 """
 
 import numpy as np
 import pytest
 
-from jsqa.limits import limit_for_regime
+from jsqa.limits import critical_unused_limit, limit_for_regime
 from jsqa.model import Binomial
 from jsqa.oracle import auto_chain, exact_law
-from jsqa.regimes import RegimeSpec, build_config, scale, scaling_exponent
+from jsqa.regimes import RegimeSpec, build_config, limit_sigma2, scale, scaling_exponent
 from jsqa.transform import ks_statistic
 
 SERVICES = (Binomial(2, 0.25),)
@@ -27,26 +30,50 @@ FAMILIES = {
 }
 
 
-def exact_ks(spec, gamma):
-    """KS distance between the scaled exact law at gamma and the limit."""
+def exact_errors(spec, gamma):
+    """The scaled exact law at gamma against the limit: its KS distance, the
+    errors of its mean and second moment, and the error of the scaled unused
+    service (NaN outside the critical family)."""
     chain, pi = auto_chain(build_config(spec, gamma))
-    scaled = scale(exact_law(chain, pi), spec, gamma)
+    law = exact_law(chain, pi)
+    scaled = scale(law, spec, gamma)
     per_coordinate, _ = limit_for_regime(spec)
-    return ks_statistic(scaled.rows[:, 0], per_coordinate, scaled.pooled)
+    x = scaled.rows[:, 0]
+    ks = ks_statistic(x, per_coordinate, scaled.pooled)
+    mean = scaled.estimate(x)[0] - per_coordinate.moment(1)
+    second = scaled.estimate(x**2)[0] - per_coordinate.moment(2)
+    unused = np.nan
+    if spec.kind == "critical":
+        exact = law.estimate(chain.expected_unused)[0] / gamma ** scaling_exponent(spec)
+        unused = exact - critical_unused_limit(spec.constant, limit_sigma2(spec)[0])
+    return ks, mean, second, unused
 
 
 @pytest.fixture(scope="module", params=sorted(FAMILIES))
 def family(request):
     spec, gammas = FAMILIES[request.param]
-    return spec, np.array([exact_ks(spec, g) for g in gammas])
+    # columns: ks, mean error, second-moment error, unused-service error
+    return spec, np.array([exact_errors(spec, g) for g in gammas])
 
 
 def test_ks_falls_strictly(family):
-    _, ks = family
+    _, values = family
+    ks = values[:, 0]
     assert (np.diff(ks) < 0).all(), ks
 
 
 def test_last_decade_ratio_near_rate(family):
-    spec, ks = family
+    spec, values = family
+    ks = values[:, 0]
     rate = 10.0 ** scaling_exponent(spec)
     assert ks[-2] / ks[-1] == pytest.approx(rate, rel=0.10), ks
+
+
+def test_errors_fall_strictly(family):
+    spec, values = family
+    names = ["mean", "second moment"]
+    if spec.kind == "critical":
+        names.append("unused service")
+    for column, name in enumerate(names, start=1):
+        error = np.abs(values[:, column])
+        assert (np.diff(error) < 0).all(), f"{name} errors {values[:, column]}"
