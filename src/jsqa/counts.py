@@ -10,11 +10,13 @@ distinct states (hundreds against a million rows). The table keeps only its
 nonzero counts, so memory is O(N + U) for U distinct rows, never O(bounding
 box of the rows).
 
-The table is built from one int64 key per sample, its batch label and the
-codes of its columns as mixed-radix digits. The key array is the only
-N-sized array `count_rows` keeps: each column's digit is added to it in
-place, it is sorted in place, and the counts are the lengths of its runs of
-equal keys. The table does not depend on the order of the samples.
+The table is built from one int64 key per sample: the batch label, then
+each column's value less that column's minimum, as mixed-radix digits. Rows
+that are not integer, or whose keys would overflow int64, are first numbered
+by `np.unique(rows, axis=0)`. The key array is the only N-sized array
+`count_rows` keeps: each digit is added to it in place, it is sorted in
+place, and the counts are the lengths of its runs of equal keys. The table
+does not depend on the order of the samples.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+
+from .errors import ConfigError
 
 __all__ = ["StateCounts", "count_rows", "batch_stderr"]
 
@@ -72,46 +76,14 @@ class StateCounts:
         return float(bm.mean()), float(batch_stderr(bm))
 
 
-def _column_code(col: np.ndarray):
-    """(radix, code, decode) of one column: `code` in [0, radix) per sample
-    and `decode(code)` giving the column's values back. Integer columns are
-    offset by their minimum when their span is at most their length;
-    otherwise values are numbered in sorted order. Either way the radix is at
-    most the number of samples, so folding (see `count_rows`) always makes
-    room for the next column."""
-    if np.issubdtype(col.dtype, np.integer):
-        lo = int(col.min())
-        span = int(col.max()) - lo + 1
-        if span <= col.size:
-            return span, col - lo, lambda c: c + lo
-    values, code = np.unique(col, return_inverse=True)
-    return values.size, code.reshape(-1), values.__getitem__
-
-
-def _decode(parts, codes: np.ndarray) -> np.ndarray:
-    """Rows of the mixed-radix `codes` over `parts`, most significant first."""
-    cols = []
-    for radix, decode in reversed(parts):
-        codes, c = np.divmod(codes, radix)
-        cols.append(decode(c))
-    return np.column_stack(cols[::-1])
-
-
-def _fold(parts, code: np.ndarray):
-    """Renumber `code` by its distinct values: (parts, code, radix) of one
-    part whose radix is the number of distinct rows coded so far."""
-    uniq, code = np.unique(code, return_inverse=True)
-    return [(uniq.size, _decode(parts, uniq).__getitem__)], code.reshape(-1), uniq.size
-
-
 def count_rows(rows, batch) -> StateCounts:
     """Count table of the rows of `rows` ((N,) or (N, k)) per batch label,
     one label per row.
 
-    Each sample becomes one int64 mixed-radix key (its batch label, then the
-    code of each column), and the runs of the sorted keys are the nonzero
-    counts. When a radix would overflow int64, the columns coded so far are
-    first folded into the codes of their distinct combinations.
+    Each column's digit is its value less the column's minimum, in the radix
+    of its span. ConfigError is raised unless the labels are 0..B-1 with a
+    sample in every batch: their maximum, taken unsigned so that a negative
+    label is the largest, must be below N, and no batch size may be 0.
     """
     rows = np.asarray(rows)
     if rows.ndim == 1:
@@ -123,23 +95,27 @@ def count_rows(rows, batch) -> StateCounts:
         raise ValueError(
             f"need one batch label per row: {rows.shape[0]} rows, labels of shape {batch.shape}"
         )
-    parts: list = []
-    code = np.zeros(rows.shape[0], dtype=np.int64)
-    radix = 1
-    for col in rows.T:
-        r, c, decode = _column_code(col)
-        if radix > INT64_MAX // r:
-            parts, code, radix = _fold(parts, code)
-        code *= r
-        code += c
-        # drop the column's codes now, not at the next column
-        del c
-        radix *= r
-        parts.append((r, decode))
-    nb = int(batch.max()) + 1
-    if radix > INT64_MAX // nb:
-        parts, code, radix = _fold(parts, code)
-    code += batch * radix
+    nb = int(batch.view(np.uint64).max()) + 1
+    if nb > batch.size:
+        raise ConfigError("batch labels must be 0..B-1 with a sample in every batch")
+    fits = np.can_cast(rows.dtype, np.int64)
+    if fits:
+        # column by column: a min over axis 0 of a narrow array is far slower
+        lows = [int(col.min()) for col in rows.T]
+        spans = [int(col.max()) - low + 1 for col, low in zip(rows.T, lows)]
+        fits = nb * math.prod(spans) <= INT64_MAX
+    distinct = None
+    if not fits:
+        distinct, number = np.unique(rows, axis=0, return_inverse=True)
+        rows, lows, spans = number.reshape(-1, 1), [0], [distinct.shape[0]]
+    code = batch.copy()
+    for col, low, span in zip(rows.T, lows, spans):
+        code *= span
+        # a partial sum may wrap (low near -2**63), but int64 arithmetic is
+        # modulo 2**64 and the key fits, so the digit lands exactly
+        code -= low
+        code += col
+    radix = math.prod(spans)
     code.sort()
     starts = np.flatnonzero(code[1:] != code[:-1]) + 1
     starts = np.concatenate(([0], starts))
@@ -153,4 +129,9 @@ def count_rows(rows, batch) -> StateCounts:
         (counts.astype(float), (batch_of, column.reshape(-1))), shape=(nb, codes.size)
     )
     sizes = np.bincount(batch_of, weights=counts, minlength=nb)
-    return StateCounts(rows=_decode(parts, codes), table=table, sizes=sizes)
+    if not sizes.all():
+        raise ConfigError("batch labels must be 0..B-1 with a sample in every batch")
+    # numbered rows need no decoding: each has a sample, so `codes` is 0..U-1
+    if distinct is None:
+        distinct = np.column_stack(np.unravel_index(codes, spans)) + lows
+    return StateCounts(rows=distinct, table=table, sizes=sizes)

@@ -90,16 +90,21 @@ def _next_pmf(q: int, abandon_pmf: np.ndarray, kernel: np.ndarray, kernel_lo: in
     return out, overflow, unused
 
 
-def _queue_table(abandon: list, kernel: np.ndarray, kernel_lo: int, cap: int):
-    """One queue's next-state table (CSR, rows q = 0..cap) for the increment
-    law `kernel` starting at `kernel_lo`, and a (2, cap + 1) array of each
-    row's clamped mass and expected unused service. Entries below DROP_BELOW
-    fold into the cap state and count as clamped."""
+def _queue_table(gamma: float, kernel: np.ndarray, kernel_lo: int, cap: int):
+    """One queue's next-state table (CSR, rows q = 0..cap) for abandonment
+    probability `gamma` and the increment law `kernel` starting at
+    `kernel_lo`, and a (2, cap + 1) array of each row's clamped mass and
+    expected unused service. Entries below DROP_BELOW fold into the cap
+    state and count as clamped. The Binomial(q, gamma) abandonment pmf is
+    carried from row to row by Bin(q) = Bin(q - 1) * Bernoulli(gamma), one
+    short convolution per row, so only the current row's pmf is kept."""
     side = cap + 1
     clamp_unused = np.zeros((2, side))
     cols, vals = [], []
+    abandon = np.ones(1)
     for q in range(side):
-        row, overflow, clamp_unused[1, q] = _next_pmf(q, abandon[q], kernel, kernel_lo, cap)
+        row, overflow, clamp_unused[1, q] = _next_pmf(q, abandon, kernel, kernel_lo, cap)
+        abandon = np.convolve(abandon, [1.0 - gamma, gamma])
         small = row < DROP_BELOW
         small[cap] = False
         dropped = row[small].sum()
@@ -143,23 +148,20 @@ def build_chain(config: SystemConfig, cap: int) -> TruncatedChain:
     if n > 2:
         raise StateBudgetError("exact chains are built for n <= 2 only")
     side = cap + 1
+    # this bounds the O(side^2) time of the row-by-row table build, not its
+    # memory; the one-queue kernel's nonzeros lie in these side^2 cells too
     if side**2 > MAX_KERNEL_NONZEROS:
         raise StateBudgetError(
             f"cap {cap} gives {side}^2 = {side**2} table cells, "
             f"over the budget of {MAX_KERNEL_NONZEROS} kernel nonzeros"
         )
 
-    # Binomial(q, gamma) pmfs by the recurrence Bin(q) = Bin(q - 1) * Bernoulli:
-    # one short convolution per q instead of a scipy.stats call
-    abandon = [np.ones(1)]
-    for _ in range(cap):
-        abandon.append(np.convolve(abandon[-1], [1.0 - config.gamma, config.gamma]))
     arr_pmf = config.arrivals.pmf()
     tables = {}  # queues with the same service law share their tables
     for svc in set(config.services):
         svc_pmf, svc_lo = svc.pmf()[::-1], -svc.bound  # law of -s
-        tables[svc] = (_queue_table(abandon, np.convolve(arr_pmf, svc_pmf), svc_lo, cap),
-                       _queue_table(abandon, svc_pmf, svc_lo, cap))
+        tables[svc] = (_queue_table(config.gamma, np.convolve(arr_pmf, svc_pmf), svc_lo, cap),
+                       _queue_table(config.gamma, svc_pmf, svc_lo, cap))
     hit, miss = zip(*(tables[svc] for svc in config.services))
     H, M = ([t for t, _ in tabs] for tabs in (hit, miss))
 

@@ -104,7 +104,8 @@ class SampleSet:
     with them are what the estimators read: `counts`, the per-batch count
     table of the distinct rows of `q` (`jsqa.counts`), and `batch_u_mean`,
     the per-batch means of `u_total`. The batch labels must be 0..B-1, each
-    holding at least one sample.
+    holding at least one sample (a label with no sample would make every
+    batch mean of it 0/0); `count_rows` checks them and raises ConfigError.
     """
 
     q: np.ndarray
@@ -120,9 +121,6 @@ class SampleSet:
                 f"q, u_total and batch must have equal lengths, not "
                 f"{len(self.q)}, {len(self.u_total)} and {len(self.batch)}"
             )
-        # a label with no sample would make every batch mean of it 0/0
-        if (self.batch < 0).any() or not np.bincount(self.batch).all():
-            raise ConfigError("batch labels must be 0..B-1 with a sample in every batch")
         self.counts = count_rows(self.q, self.batch)
         self.batch_u_mean = np.bincount(self.batch, weights=self.u_total) / self.counts.sizes
 

@@ -33,7 +33,8 @@ def main():
         config.write_text(json.dumps(JSQ2.to_dict()))
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
-            cli.main(["oracle-check", str(config), *args])
+            status = cli.main(["oracle-check", str(config), *args])
+        assert status == 0, status
         (DATA / name).write_text(stdout.getvalue())
     print(f"wrote {DATA / name}")
 

@@ -316,8 +316,9 @@ class TestOracleCheck:
     def test_golden_stdout(self, tmp_path, capsys):
         # regenerate with: python -m tests.make_golden (after intentional changes)
         name, args = GOLDEN_ORACLE_CHECK
-        cli.main(["oracle-check", str(write_config(tmp_path, JSQ2)), *args])
+        status = cli.main(["oracle-check", str(write_config(tmp_path, JSQ2)), *args])
         assert capsys.readouterr().out == (DATA / name).read_text()
+        assert status == 0
 
     def test_state_budget_is_a_clean_error(self, tmp_path, capsys):
         path = write_config(tmp_path, JSQ2)

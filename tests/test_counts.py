@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from jsqa.counts import batch_stderr, count_rows
+from jsqa.errors import ConfigError
 from jsqa.model import RngStream
 
 
@@ -45,9 +46,9 @@ class TestCountRows:
 
     @pytest.mark.parametrize("width,batches", [(40, 9), (18, 12)])
     def test_wide_rows_fold_before_overflow(self, width, batches):
-        # columns of 10 values each: 10**40 codes overflow int64, so leading
-        # columns are folded into the codes of their distinct combinations;
-        # 10**18 codes fit, but not once 12 batch labels are put in front
+        # columns of 10 values each: 10**40 codes overflow int64, and 10**18
+        # fit, but not once 12 batch labels are put in front; either way the
+        # rows are first numbered by np.unique over whole rows
         gen = RngStream(3).generator()
         base = gen.integers(0, 10, size=(50, width))
         rows = base[gen.integers(0, 50, size=2000)]
@@ -55,10 +56,38 @@ class TestCountRows:
         assert counts.rows.shape == (50, width)
 
     def test_sparse_integer_span_is_renumbered(self):
-        # a span far beyond the sample count is numbered by distinct value,
-        # not offset, so no bounding-box-sized radix arises
+        # a span far beyond the sample count is offset, not numbered:
+        # the radix is large, but no array of its size arises
         rows = np.array([[0, 10**15], [3, -(10**15)], [0, 10**15]])
         assert_matches_reference(rows, np.array([0, 1, 1]))
+
+    @pytest.mark.parametrize(
+        "spans,batches,lows",
+        [
+            # 7 * 9271 * 31252369 * 649657 * 7 == INT64_MAX: one int64 key per
+            # row; the last column starts at -2**63, so its partial sums wrap
+            ((7, 9271, 31252369, 649657), 7, (-3, 10**12, -(10**15), -(2**63))),
+            # 2**60 * 8 == INT64_MAX + 1: the rows are numbered first
+            ((2**20, 2**20, 2**20), 8, (-(2**40), 0, 2**50)),
+        ],
+        ids=["key-fits", "one-past"],
+    )
+    def test_key_capacity_boundary(self, spans, batches, lows):
+        gen = RngStream(5).generator()
+        lows, highs = np.array(lows), np.array(lows) + np.array(spans) - 1
+        pool = np.vstack([lows, highs, gen.integers(lows, highs, size=(48, len(spans)))])
+        rows = pool[gen.integers(0, 50, size=3000)]
+        rows[:2] = lows, highs  # each column's whole span is present
+        assert_matches_reference(rows, np.arange(3000) % batches)
+
+    @pytest.mark.parametrize(
+        "batch",
+        [[0] * 5 + [2] * 5, [0] * 9 + [10], [-1] + [0] * 9, [np.iinfo(np.int64).min] + [0] * 9],
+        ids=["gap", "past-last-row", "negative", "int64-min"],
+    )
+    def test_labels_must_cover_every_batch(self, batch):
+        with pytest.raises(ConfigError, match="batch labels must be 0..B-1"):
+            count_rows(np.arange(10), np.array(batch))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

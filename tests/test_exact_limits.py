@@ -9,8 +9,13 @@ in the critical family, of the exact scaled unused service against
 Each law is `oracle.auto_chain`'s, evaluated through the simulator's own
 estimators: `exact_law`, then `regimes.scale`, then `ks_statistic` or
 `StateCounts.estimate`. The paper proves the limits, not their rates; the
-rate check pins the rate these chains show, within 10%.
+rate check pins the rate these chains show, within 10%. In the critical
+family, the mean and second moment extrapolated at that rate from the last
+two gamma must also meet the limit's to 1e-3 relative.
 """
+
+import functools
+import math
 
 import numpy as np
 import pytest
@@ -49,11 +54,18 @@ def exact_errors(spec, gamma):
     return ks, mean, second, unused
 
 
-@pytest.fixture(scope="module", params=sorted(FAMILIES))
-def family(request):
-    spec, gammas = FAMILIES[request.param]
+@functools.cache
+def family_errors(kind):
+    """(spec, errors) of the family `kind`, one row of `exact_errors` per
+    gamma; each family's chains are solved once per session."""
+    spec, gammas = FAMILIES[kind]
     # columns: ks, mean error, second-moment error, unused-service error
     return spec, np.array([exact_errors(spec, g) for g in gammas])
+
+
+@pytest.fixture(scope="module", params=sorted(FAMILIES))
+def family(request):
+    return family_errors(request.param)
 
 
 def test_ks_falls_strictly(family):
@@ -77,3 +89,23 @@ def test_errors_fall_strictly(family):
     for column, name in enumerate(names, start=1):
         error = np.abs(values[:, column])
         assert (np.diff(error) < 0).all(), f"{name} errors {values[:, column]}"
+
+
+def test_critical_richardson_limit():
+    """Richardson extrapolation of the critical scaled mean and second
+    moment from the last two gamma at the sqrt(gamma) rate,
+    L = (r x(g2) - x(g1)) / (r - 1) with r = sqrt(g1 / g2), lands within
+    1e-3 of the limit's (measured: 1.3e-4 and 1.7e-4). A limit variance 1%
+    too large reads -5.1e-3 and -1.0e-2 here. The classic and overloaded
+    families are not gated: on their three gamma even Aitken's delta-squared
+    leaves 5.4% on the classic mean and 0.12% on the overloaded second
+    moment."""
+    spec, values = family_errors("critical")
+    g1, g2 = FAMILIES["critical"][1][-2:]
+    r = math.sqrt(g1 / g2)
+    per_coordinate, _ = limit_for_regime(spec)
+    for column, name in ((1, "mean"), (2, "second moment")):
+        limit = per_coordinate.moment(column)
+        x1, x2 = values[-2:, column] + limit
+        extrapolated = (r * x2 - x1) / (r - 1.0)
+        assert abs(extrapolated / limit - 1.0) < 1e-3, f"{name}: {extrapolated} against {limit}"

@@ -151,6 +151,20 @@ class TestBuildChain:
             tracemalloc.stop()
         assert peak <= 2.5 * (matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes)
 
+    def test_one_queue_build_keeps_one_abandonment_pmf(self):
+        """A long one-queue chain holds about 13 nonzeros per row, while all
+        cap + 1 Binomial(q, gamma) pmfs would hold about cap^2 / 2 floats; the
+        build keeps only the current row's pmf and peaks at 4.4x the kernel
+        (43x if it kept them all)."""
+        config = SystemConfig(gamma=1e-5, arrivals=Binomial(4, 0.125), services=(Binomial(2, 0.25),))
+        tracemalloc.start()
+        try:
+            matrix = build_chain(config, 2000).matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes)
+
     def test_two_queue_kernel_rows_stochastic(self):
         chain = build_chain(JSQ2, 20)
         assert np.abs(chain.matrix.sum(axis=1) - 1.0).max() < 1e-12
