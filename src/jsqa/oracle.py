@@ -8,10 +8,13 @@ queue i gets the arrival batch a, and row q of M_i that of max(0, q - d - s_i),
 with d ~ Binomial(q, gamma). One queue gives P = H_1; two give row (q1, q2) =
 w_0 H_1[q1] x M_2[q2] + w_1 M_1[q1] x H_2[q2] (outer products), where the
 dispatch weight w_i is 1, 1/2 or 0 as queue i is shorter, tied or longer.
-Table entries below DROP_BELOW, like the mass above the cap, fold into the
-cap state, so rows stay exactly stochastic and `row_clamp` reports all
-truncation error. `exact_law` gives the stationary law as a count table, on
-which the simulator's estimators return exact values.
+All tables read one law of q - d, carried from row to row and trimmed only
+where it underflows below the smallest normal double, and each row is built
+over its support. That trimmed mass, table entries below DROP_BELOW and the
+mass above the cap fold into the cap state, so rows stay exactly stochastic
+and `row_clamp` reports all truncation error. `exact_law` gives the
+stationary law as a count table, on which the simulator's estimators return
+exact values.
 """
 
 from __future__ import annotations
@@ -38,10 +41,13 @@ __all__ = [
 # Without the drop, Binomial(q, gamma) tails fill each table row and the
 # two-queue kernel holds about twice the nonzeros.
 DROP_BELOW = 1e-14
-# 2^24 nonzeros are 200 MB of CSR. Building the kernel takes about twice
-# that, and the stationary solve adds only a few state-sized vectors
-# (criterion 2's config at cap 100: 8.1 M nonzeros, 97 MB of CSR, 0.32 GB
-# peak RSS after build and solve).
+# The build's one budget, in kernel nonzeros: it caps the state count (each
+# state's row holds at least one), each queue table's entries as they are
+# stored (one queue's hit table is its kernel) and a two-queue kernel's exact
+# count before it is built. 2^24 nonzeros are 200 MB of CSR. Building the
+# kernel takes about twice that, and the stationary solve adds only a few
+# state-sized vectors (criterion 2's config at cap 100: 8.1 M nonzeros, 97 MB
+# of CSR, 0.32 GB peak RSS after build and solve).
 MAX_KERNEL_NONZEROS = 1 << 24
 # `auto_chain` doubles the cap until the stationary leakage is below this
 TARGET_LEAKAGE = 1e-8
@@ -53,9 +59,10 @@ class TruncatedChain:
     plus bookkeeping.
 
     `row_clamp[s]` is the probability mass that state s would have pushed
-    beyond the cap or below DROP_BELOW (folded into the cap state). Its
-    maximum is dominated by the cap-boundary rows themselves, so truncation
-    quality checks weight it by the stationary law instead (see
+    beyond the cap, below DROP_BELOW or into the underflow of the carried
+    abandonment law (all folded into the cap state). Its maximum is
+    dominated by the cap-boundary rows themselves, so truncation quality
+    checks weight it by the stationary law instead (see
     `stationary_leakage`). `expected_unused` holds E[total unused service |
     state] computed exactly from the same convolutions.
     """
@@ -72,50 +79,42 @@ class TruncatedChain:
         return self.matrix.shape[0]
 
 
-def _next_pmf(q: int, abandon_pmf: np.ndarray, kernel: np.ndarray, kernel_lo: int, cap: int):
-    """Distribution of max(0, q - d + w): pmf over 0..cap, clamped mass above
-    cap, and the expected unused service E[max(0, -(q - d + w))]."""
-    # pmf of j = q - d over j = 0..q is the reversed abandonment pmf
-    surv = abandon_pmf[::-1]
-    full = np.convolve(surv, kernel)  # over v = kernel_lo .. q + kernel_lo + len - 1
-    vals = np.arange(kernel_lo, kernel_lo + full.size)
-    neg = vals < 0
-    unused = float((-vals[neg] * full[neg]).sum())
-    out = np.zeros(cap + 1)
-    out[0] = full[neg].sum()
-    inside = (~neg) & (vals <= cap)
-    out[vals[inside]] = out[vals[inside]] + full[inside]
-    overflow = float(full[vals > cap].sum())
-    out[cap] += overflow
-    return out, overflow, unused
-
-
-def _queue_table(gamma: float, kernel: np.ndarray, kernel_lo: int, cap: int):
-    """One queue's next-state table (CSR, rows q = 0..cap) for abandonment
-    probability `gamma` and the increment law `kernel` starting at
-    `kernel_lo`, and a (2, cap + 1) array of each row's clamped mass and
-    expected unused service. Entries below DROP_BELOW fold into the cap
-    state and count as clamped. The Binomial(q, gamma) abandonment pmf is
-    carried from row to row by Bin(q) = Bin(q - 1) * Bernoulli(gamma), one
-    short convolution per row, so only the current row's pmf is kept."""
+def _queue_tables(gamma: float, laws, cap: int):
+    """One queue's next-state tables (CSR, rows q = 0..cap), one per
+    increment law in `laws` ((pmf, lowest value) pairs), each with a
+    (2, cap + 1) array of its rows' clamped mass and expected unused service
+    (the magnitude of the values that fold into 0). All read one survivors'
+    law of q - d, carried by one two-term convolution per row."""
     side = cap + 1
-    clamp_unused = np.zeros((2, side))
-    cols, vals = [], []
-    abandon = np.ones(1)
+    tables = [([0], [], [], np.zeros((2, side))) for _ in laws]
+    surv, lo, lost = np.ones(1), 0, 0.0  # the law of q - d over lo, lo + 1, ...
+    tiny = np.finfo(float).tiny
     for q in range(side):
-        row, overflow, clamp_unused[1, q] = _next_pmf(q, abandon, kernel, kernel_lo, cap)
-        abandon = np.convolve(abandon, [1.0 - gamma, gamma])
-        small = row < DROP_BELOW
-        small[cap] = False
-        dropped = row[small].sum()
-        row[small] = 0.0
-        row[cap] += dropped
-        clamp_unused[0, q] = overflow + dropped
-        cols.append(np.flatnonzero(row))
-        vals.append(row[cols[-1]])
-    indptr = np.concatenate([[0], np.cumsum([c.size for c in cols])])
-    table = sp.csr_array((np.concatenate(vals), np.concatenate(cols), indptr), shape=(side, side))
-    return table, clamp_unused
+        for (pmf, pmf_lo), (indptr, cols, vals, clamp_unused) in zip(laws, tables):
+            full = np.convolve(surv, pmf)
+            v = np.arange(lo + pmf_lo, lo + pmf_lo + full.size)
+            at = np.clip(v, 0, cap)
+            inside = at < cap
+            row = np.bincount(at[inside] - at[0], weights=full[inside])
+            keep, neg = row >= DROP_BELOW, v < 0
+            dropped = row[~keep].sum() + lost
+            clamp_unused[:, q] = full[v > cap].sum() + dropped, (-v[neg] * full[neg]).sum()
+            col, val = at[0] + np.flatnonzero(keep), row[keep]
+            top = full[~inside].sum() + dropped  # the cap state's entry
+            if top > 0:
+                col, val = np.append(col, cap), np.append(val, top)
+            cols.append(col)
+            vals.append(val)
+            indptr.append(indptr[-1] + col.size)
+            if indptr[-1] > MAX_KERNEL_NONZEROS:
+                raise StateBudgetError(f"cap {cap} gives over {MAX_KERNEL_NONZEROS} entries, the "
+                                       f"budget of kernel nonzeros, in rows 0..{q} of a queue table")
+        surv = np.convolve(surv, [gamma, 1.0 - gamma])
+        normal = np.flatnonzero(surv >= tiny)
+        lost += surv[: normal[0]].sum() + surv[normal[-1] + 1 :].sum()
+        surv, lo = surv[normal[0] : normal[-1] + 1], lo + normal[0]
+    return [(sp.csr_array((np.concatenate(vals), np.concatenate(cols), indptr), shape=(side, side)),
+             clamp_unused) for indptr, cols, vals, clamp_unused in tables]
 
 
 def _product_rows(first, second, weight, states, sizes) -> sp.csr_array:
@@ -139,8 +138,10 @@ def _product_rows(first, second, weight, states, sizes) -> sp.csr_array:
 def build_chain(config: SystemConfig, cap: int) -> TruncatedChain:
     """Exact one-slot kernel truncated at `cap` jobs per queue.
 
-    Refuses, before anything of that size is allocated, a cap whose per-queue
-    tables or kernel would exceed MAX_KERNEL_NONZEROS entries.
+    Refuses a cap whose kernel would exceed MAX_KERNEL_NONZEROS: by the state
+    count before the states are listed, by each queue table's entries as they
+    are stored (one queue's kernel is its hit table) and, for two queues, by
+    the kernel's exact count before it is built.
     """
     if cap < 0:
         raise ConfigError(f"cap must be nonnegative, got {cap}")
@@ -148,21 +149,19 @@ def build_chain(config: SystemConfig, cap: int) -> TruncatedChain:
     if n > 2:
         raise StateBudgetError("exact chains are built for n <= 2 only")
     side = cap + 1
-    # this bounds the O(side^2) time of the row-by-row table build, not its
-    # memory; the one-queue kernel's nonzeros lie in these side^2 cells too
-    if side**2 > MAX_KERNEL_NONZEROS:
-        raise StateBudgetError(
-            f"cap {cap} gives {side}^2 = {side**2} table cells, "
-            f"over the budget of {MAX_KERNEL_NONZEROS} kernel nonzeros"
-        )
+    # every state's kernel row holds at least one nonzero
+    if side**n > MAX_KERNEL_NONZEROS:
+        raise StateBudgetError(f"cap {cap} gives {side**n} states, over the budget of "
+                               f"{MAX_KERNEL_NONZEROS} kernel nonzeros")
 
     arr_pmf = config.arrivals.pmf()
-    tables = {}  # queues with the same service law share their tables
-    for svc in set(config.services):
-        svc_pmf, svc_lo = svc.pmf()[::-1], -svc.bound  # law of -s
-        tables[svc] = (_queue_table(config.gamma, np.convolve(arr_pmf, svc_pmf), svc_lo, cap),
-                       _queue_table(config.gamma, svc_pmf, svc_lo, cap))
-    hit, miss = zip(*(tables[svc] for svc in config.services))
+    laws = {}  # (service law, hit?): queues with the same law share their tables
+    for svc in config.services:
+        minus_s = svc.pmf()[::-1]
+        laws[svc, True] = np.convolve(arr_pmf, minus_s), -svc.bound
+        laws[svc, False] = minus_s, -svc.bound
+    tables = dict(zip(laws, _queue_tables(config.gamma, list(laws.values()), cap)))
+    hit, miss = ([tables[svc, h] for svc in config.services] for h in (True, False))
     H, M = ([t for t, _ in tabs] for tabs in (hit, miss))
 
     states = np.indices((side,) * n).reshape(n, -1).T
@@ -170,7 +169,7 @@ def build_chain(config: SystemConfig, cap: int) -> TruncatedChain:
     shortest = states == states.min(axis=1, keepdims=True)
     weights = shortest / shortest.sum(axis=1, keepdims=True)
     if n == 1:
-        matrix = H[0]  # its nonzeros lie in the side^2 cells checked above
+        matrix = H[0]  # its entries were counted as they were stored
     else:
         q1, q2 = states.T
         parts = [(H[0], M[1], weights[:, 0]), (M[0], H[1], weights[:, 1])]

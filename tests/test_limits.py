@@ -14,7 +14,7 @@ from jsqa.limits import (
     truncated_gaussian,
 )
 from jsqa.model import Binomial
-from jsqa.regimes import RegimeSpec
+from jsqa.regimes import RegimeSpec, limit_sigma2
 
 TWO_BINOMIAL = (Binomial(2, 0.25), Binomial(2, 0.25))
 
@@ -226,6 +226,56 @@ class TestCriticalUnusedLimit:
     def test_sigma2_domain(self):
         with pytest.raises(ValueError):
             critical_unused_limit(0.0, 0.0)
+
+
+# the critical family on two Binomial(2, 1/4) servers with arrivals bounded
+# by 8: sigma2 = 0.875 + 0.75
+PHASE_SIGMA2 = 1.625
+
+
+def critical_total(c_c):
+    """The critical family's scaled-total limit, TN(c_c, sigma2 / 2)."""
+    spec = RegimeSpec("critical", c_c, 0.5, TWO_BINOMIAL, 8)
+    assert limit_sigma2(spec)[0] == PHASE_SIGMA2
+    return limit_for_regime(spec)[1]
+
+
+class TestPhaseTransition:
+    """The critical limit in closed form at both ends of its constant: far
+    below zero its total is nearly the classic exponential, far above it
+    nearly the overloaded Gaussian."""
+
+    @pytest.mark.parametrize("c_c", [-40.0, -5.0, -0.5, 0.0, 0.5, 2.0])
+    def test_unused_limit_is_the_total_mean_less_the_constant(self, c_c):
+        # both are sd * phi(c_c / sd) / Phi(c_c / sd), sd^2 = sigma2 / 2
+        # (largest error measured: 1.9e-15)
+        mean = critical_total(c_c).moment(1)
+        assert critical_unused_limit(c_c, PHASE_SIGMA2) == pytest.approx(mean - c_c, rel=1e-12)
+
+    def test_far_below_zero_the_total_is_exponential(self):
+        # sup CDF distance to the exponential of the same mean: 6.3e-3,
+        # 1.8e-3, 4.6e-4 and 1.2e-4, about 4x less per doubling of |c_c|
+        distances = []
+        for c_c in (-5.0, -10.0, -20.0, -40.0):
+            total = critical_total(c_c)
+            mean = total.moment(1)
+            x = mean * np.linspace(0.0, 30.0, 3001)
+            distances.append(np.abs(total.cdf(x) - exponential(mean).cdf(x)).max())
+        ratios = np.array(distances[:-1]) / distances[1:]
+        assert ((3.4 < ratios) & (ratios < 4.1)).all()
+        assert distances[-1] < 1.3e-4
+
+    def test_far_above_zero_the_total_is_gaussian(self):
+        # centered at its mean, sup CDF distance to N(0, sigma2 / 2): 1.2e-2,
+        # 4.3e-4 and 2.6e-8
+        distances = []
+        for c_c in (2.0, 3.0, 5.0):
+            total = critical_total(c_c)
+            mean = total.moment(1)
+            x = np.linspace(-mean, 10.0 * math.sqrt(total.var), 3001)
+            distances.append(np.abs(total.cdf(x + mean) - gaussian(total.var).cdf(x)).max())
+        assert distances[0] > distances[1] > distances[2]
+        assert distances[-1] < 1e-7
 
 
 def test_invalid_parameters_rejected():

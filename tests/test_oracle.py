@@ -14,14 +14,7 @@ from jsqa import oracle, transform
 from jsqa.errors import ConfigError, StateBudgetError
 from jsqa.limits import LimitDistribution, limit_for_regime
 from jsqa.model import BernoulliScaled, Binomial, Constant, SystemConfig
-from jsqa.oracle import (
-    _next_pmf,
-    auto_chain,
-    build_chain,
-    exact_law,
-    stationary,
-    stationary_leakage,
-)
+from jsqa.oracle import auto_chain, build_chain, exact_law, stationary, stationary_leakage
 from jsqa.regimes import RegimeSpec, build_config, scale
 
 SSQ = SystemConfig(
@@ -59,14 +52,21 @@ def reference_chain(config, cap):
     state: each row is the dispatch mixture of outer products of the
     per-queue next-state laws, with no entry dropped."""
     side = cap + 1
-    abandon = [binom.pmf(np.arange(q + 1), q, config.gamma) for q in range(side)]
     arrivals = config.arrivals.pmf()
 
     def marginal(i, q, hit):
+        """Law of max(0, q - d + a - s) over 0..cap (a only if queue i is
+        hit) with the mass above cap folded into cap, that mass, and the
+        expected unused service E[max(0, -(q - d + a - s))]."""
         svc = config.services[i]
         minus_s = svc.pmf()[::-1]
-        kernel = np.convolve(arrivals, minus_s) if hit else minus_s
-        return _next_pmf(q, abandon[q], kernel, -svc.bound, cap)
+        increment = np.convolve(arrivals, minus_s) if hit else minus_s
+        # q - d, d ~ Binomial(q, gamma), is Binomial(q, 1 - gamma) over 0..q
+        law = np.convolve(binom.pmf(np.arange(q + 1), q, 1.0 - config.gamma), increment)
+        values = np.arange(law.size) - svc.bound
+        row = np.zeros(side)
+        np.add.at(row, np.clip(values, 0, cap), law)
+        return row, law[values > cap].sum(), -(np.minimum(values, 0) * law).sum()
 
     states = list(itertools.product(range(side), repeat=config.n))
     P = np.zeros((len(states), len(states)))
@@ -152,18 +152,38 @@ class TestBuildChain:
         assert peak <= 2.5 * (matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes)
 
     def test_one_queue_build_keeps_one_abandonment_pmf(self):
-        """A long one-queue chain holds about 13 nonzeros per row, while all
+        """A long one-queue chain holds about 12 nonzeros per row, while all
         cap + 1 Binomial(q, gamma) pmfs would hold about cap^2 / 2 floats; the
-        build keeps only the current row's pmf and peaks at 4.4x the kernel
-        (43x if it kept them all)."""
-        config = SystemConfig(gamma=1e-5, arrivals=Binomial(4, 0.125), services=(Binomial(2, 0.25),))
-        tracemalloc.start()
-        try:
-            matrix = build_chain(config, 2000).matrix
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * (matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes)
+        build keeps only the current row's law and peaks at about 6.3x the
+        kernel (43x if it kept them all). The second case is the classic
+        family (C = 1/2, alpha = 1/4) at gamma = 1e-6 and `auto_chain`'s first
+        cap: its rows stay stochastic, and away from the cap the carried
+        law's trim adds no clamped mass beyond the DROP_BELOW drop."""
+        cases = [
+            (SystemConfig(gamma=1e-5, arrivals=Binomial(4, 0.125), services=(Binomial(2, 0.25),)), 2000),
+            (build_config(RegimeSpec("classic", 0.5, 0.25, (Binomial(2, 0.25),), 4), 1e-6), 8948),
+        ]
+        for config, cap in cases:
+            tracemalloc.start()
+            try:
+                chain = build_chain(config, cap)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            matrix = chain.matrix
+            assert peak <= 8 * (matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes)
+            assert np.abs(matrix.sum(axis=1) - 1.0).max() < 1e-12
+            assert chain.row_clamp[: cap - 20].max() < 1e-13
+
+    def test_one_queue_table_budget_is_exact(self, monkeypatch):
+        # one queue's kernel is its hit table, whose entries are counted as
+        # they are stored
+        nnz = build_chain(SSQ, 200).matrix.nnz
+        monkeypatch.setattr(oracle, "MAX_KERNEL_NONZEROS", nnz)
+        assert build_chain(SSQ, 200).matrix.nnz == nnz
+        monkeypatch.setattr(oracle, "MAX_KERNEL_NONZEROS", nnz - 1)
+        with pytest.raises(StateBudgetError, match="^cap 200 gives"):
+            build_chain(SSQ, 200)
 
     def test_two_queue_kernel_rows_stochastic(self):
         chain = build_chain(JSQ2, 20)
