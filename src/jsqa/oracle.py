@@ -159,18 +159,19 @@ def build_chain(config: SystemConfig, cap: int) -> TruncatedChain:
     for svc in config.services:
         minus_s = svc.pmf()[::-1]
         laws[svc, True] = np.convolve(arr_pmf, minus_s), -svc.bound
-        laws[svc, False] = minus_s, -svc.bound
+        if n == 2:  # one queue gets every batch, so it has no miss table
+            laws[svc, False] = minus_s, -svc.bound
     tables = dict(zip(laws, _queue_tables(config.gamma, list(laws.values()), cap)))
-    hit, miss = ([tables[svc, h] for svc in config.services] for h in (True, False))
-    H, M = ([t for t, _ in tabs] for tabs in (hit, miss))
 
     states = np.indices((side,) * n).reshape(n, -1).T
-    # dispatch weights: the shortest queue gets the batch, ties split evenly
-    shortest = states == states.min(axis=1, keepdims=True)
-    weights = shortest / shortest.sum(axis=1, keepdims=True)
     if n == 1:
-        matrix = H[0]  # its entries were counted as they were stored
+        (matrix, (clamp, unused)), = tables.values()  # counted as it was stored
     else:
+        hit, miss = ([tables[svc, h] for svc in config.services] for h in (True, False))
+        H, M = ([t for t, _ in tabs] for tabs in (hit, miss))
+        # dispatch weights: the shortest queue gets the batch, ties split evenly
+        shortest = states == states.min(axis=1, keepdims=True)
+        weights = shortest / shortest.sum(axis=1, keepdims=True)
         q1, q2 = states.T
         parts = [(H[0], M[1], weights[:, 0]), (M[0], H[1], weights[:, 1])]
         sizes = [(w > 0) * np.diff(a.indptr)[q1] * np.diff(b.indptr)[q2] for a, b, w in parts]
@@ -186,9 +187,9 @@ def build_chain(config: SystemConfig, cap: int) -> TruncatedChain:
         # adding the two sorted parts merges the tied rows
         first, second = (_product_rows(*p, states, k) for p, k in zip(parts, sizes))
         matrix = first + second
-    # the same dispatch mixture of the per-queue clamped mass and unused service
-    clamp, unused = sum(w * h[:, q] + (1.0 - w) * m[:, q]
-                        for w, (_, h), (_, m), q in zip(weights.T, hit, miss, states.T))
+        # the same dispatch mixture of the per-queue clamped mass and unused service
+        clamp, unused = sum(w * h[:, q] + (1.0 - w) * m[:, q]
+                            for w, (_, h), (_, m), q in zip(weights.T, hit, miss, states.T))
     return TruncatedChain(config, cap, states, matrix, expected_unused=unused, row_clamp=clamp)
 
 

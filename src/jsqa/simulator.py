@@ -31,8 +31,8 @@ __all__ = [
     "SamplingPlan",
     "SampleSet",
     "DominationReport",
-    "GROUP_SIZE",
     "BLOCK",
+    "BLOCK_ROWS",
     "step_many",
     "relaxation_slots",
     "default_plan",
@@ -41,17 +41,24 @@ __all__ = [
     "simulate_coupled_domination",
 ]
 
-# Replicas are simulated in vectorized groups of GROUP_SIZE rows, one random
-# stream per group. Within a group the first draw is each cell's first
-# abandonment mark; then the draws that do not depend on the state (arrivals,
-# services, tie noise) come in blocks of BLOCK slots, one call per law and
-# one for the noise, and only the fresh mark gaps of the cells that abandon are drawn slot by slot.
-# Both sizes fix the order in which each stream is consumed, so they are
-# part of the (config, plan, seed) -> samples contract and are not options.
-GROUP_SIZE = 256
+# The replicas are simulated as one (replicas, n) state matrix on one random
+# stream. Its first draw is each cell's first abandonment mark; then the draws
+# that do not depend on the state (arrivals, services, tie noise) come in
+# blocks of slots, one call per law and one for the noise, and only the fresh
+# mark gaps of the cells that abandon are drawn slot by slot. A block is
+# BLOCK slots, fewer where that would pass BLOCK_ROWS row-slots, and at
+# least one. Both sizes fix the order in which the stream is consumed, so
+# they are part of the (config, plan, seed) -> samples contract and are not
+# options.
 BLOCK = 64
+BLOCK_ROWS = 1 << 14
 
-# Memory cap for collect_steady_state, in int64 cells (q plus per-sample totals).
+# Memory cap for collect_steady_state, in 8-byte cells: n + 1 per retained
+# sample (q plus its unused-service total), plus per replica one slot's
+# working arrays and its rows of one draw block. Under tracemalloc, for
+# n = 1..4, a slot's arrays (state, marks and temporaries) peak at 6n + 2
+# cells per replica and a block's draws at 2n + 2 per row-slot, counted here
+# as 6 (n + 1) and 2 (n + 1).
 MAX_SAMPLE_CELLS = 1 << 28
 
 
@@ -172,7 +179,7 @@ def _batches_for(counts: np.ndarray, thinning: int, relax: float) -> np.ndarray:
     Each replica's samples are split into contiguous runs of its retained
     index, sized >= ~10 relaxation times, and the batches are numbered
     replica by replica. A replica's split depends only on its count, so it is
-    tabulated once per distinct count (at most two) and gathered per group.
+    tabulated once per distinct count (at most two) and gathered for each replica.
     """
     min_span_samples = max(1, int(math.ceil(10.0 * relax / thinning)))
     values, which = np.unique(counts, return_inverse=True)
@@ -185,13 +192,9 @@ def _batches_for(counts: np.ndarray, thinning: int, relax: float) -> np.ndarray:
     for v, (cnt, b) in enumerate(zip(values, per_value)):
         edges = np.linspace(0, cnt, b + 1).astype(np.int64)
         by_index[:cnt, v] = np.repeat(np.arange(b), np.diff(edges))
-    ids = []
-    for g0 in range(0, len(counts), GROUP_SIZE):
-        group = slice(g0, g0 + GROUP_SIZE)
-        grid = np.take(by_index[: counts[group].max()], which[group], axis=1)
-        grid += first[group]
-        ids.append(grid.reshape(-1)[: counts[group].sum()])
-    return ids[0] if len(ids) == 1 else np.concatenate(ids)
+    grid = np.take(by_index, which, axis=1)
+    grid += first
+    return grid.reshape(-1)[: counts.sum()]
 
 
 def _draw_block(config: SystemConfig, gen: np.random.Generator, slots: int, rows: int):
@@ -287,8 +290,13 @@ def step_many(q: np.ndarray, config: SystemConfig, gen: np.random.Generator):
     return q_next, a[0], dest, s[0], d, q_next - pre
 
 
-def _run_group(config, counts, warmup, thinning, stream):
-    """Simulate one vectorized group of replicas, replica i retaining
+def _block_slots(replicas: int) -> int:
+    """Slots per draw block for `replicas` rows (see BLOCK_ROWS)."""
+    return max(1, min(BLOCK, BLOCK_ROWS // replicas))
+
+
+def _run_replicas(config, counts, warmup, thinning, stream):
+    """Simulate the replicas as one state matrix, replica i retaining
     counts[i] samples; `counts` must not increase, so that the replicas
     with one sample more come first.
 
@@ -308,8 +316,9 @@ def _run_group(config, counts, warmup, thinning, stream):
     out_u = np.empty((max_count, r), dtype=np.int64)
 
     total = warmup + max_count * thinning
-    for b0 in range(0, total, BLOCK):
-        a, s, noise = _draw_block(config, gen, min(BLOCK, total - b0), r)
+    block = _block_slots(r)
+    for b0 in range(0, total, block):
+        a, s, noise = _draw_block(config, gen, min(block, total - b0), r)
         for j in range(a.shape[0]):
             q, pre, _, _ = _slot(q, a[j], s[j], noise[j], offsets, marks, config.gamma, gen)
             # b0 + j + 1 slots have run; sample k (from 1) is retained once
@@ -332,44 +341,33 @@ def collect_steady_state(config: SystemConfig, plan: SamplingPlan, seed: int) ->
     Each replica discards `plan.warmup_slots` slots, then retains one state
     every `plan.thinning` slots; retained counts are split as evenly as
     possible across replicas, the first ones taking one more, so that exactly
-    `plan.num_samples` samples come back. Replicas run in groups of
-    GROUP_SIZE, group g on RngStream(seed, g), so identical (config, plan,
-    seed) always produce the identical sample set.
+    `plan.num_samples` samples come back. A replica that would retain no
+    sample is not simulated, so at most `plan.num_samples` replicas run. They
+    run as one state matrix on RngStream(seed, 0), so identical (config,
+    plan, seed) always produce the identical sample set.
 
-    The samples come back group by group, and within a group in (retained
-    index, replica) order, the order they were simulated in; the batches are
-    runs of consecutive retained samples of one replica, numbered replica by
-    replica. No statistic depends on this order, since each is read from the
-    count table.
+    The samples come back in (retained index, replica) order, the order they
+    were simulated in; the batches are runs of consecutive retained samples
+    of one replica, numbered replica by replica. No statistic depends on this
+    order, since each is read from the count table.
     """
     require_valid(config)
     plan.check()
-    if plan.num_samples * (config.n + 1) > MAX_SAMPLE_CELLS:
+    replicas = min(plan.replicas, plan.num_samples)
+    per_replica = (config.n + 1) * (6 + 2 * _block_slots(replicas))
+    cells = plan.num_samples * (config.n + 1) + replicas * per_replica
+    if cells > MAX_SAMPLE_CELLS:
         raise ResourceLimitError(
-            f"plan retains {plan.num_samples} samples x {config.n + 1} cells, "
-            f"exceeding the cap of {MAX_SAMPLE_CELLS} cells"
+            f"plan retains {plan.num_samples} samples x {config.n + 1} cells and runs {replicas} "
+            f"replicas x {per_replica} working cells, exceeding the cap of {MAX_SAMPLE_CELLS} cells"
         )
 
-    base, rem = divmod(plan.num_samples, plan.replicas)
-    counts = np.full(plan.replicas, base, dtype=np.int64)
-    counts[:rem] += 1
-    counts = counts[counts > 0]
-
-    results = [
-        _run_group(
-            config, counts[g0 : g0 + GROUP_SIZE], plan.warmup_slots, plan.thinning,
-            RngStream(seed, g0 // GROUP_SIZE),
-        )
-        for g0 in range(0, len(counts), GROUP_SIZE)
-    ]
-    if len(results) == 1:
-        (q, u), = results
-    else:
-        q = np.concatenate([r[0] for r in results])
-        u = np.concatenate([r[1] for r in results])
-    # free the per-group buffers before SampleSet builds its count table
-    del results
+    base, rem = divmod(plan.num_samples, replicas)
+    counts = np.repeat(np.array([base + 1, base], dtype=np.int64), [rem, replicas - rem])
+    q, u = _run_replicas(config, counts, plan.warmup_slots, plan.thinning, RngStream(seed, 0))
     batch = _batches_for(counts, plan.thinning, relaxation_slots(config))
+    # free the per-replica counts before SampleSet builds its count table
+    del counts
     return SampleSet(q=q, u_total=u, batch=batch, config=config)
 
 

@@ -336,6 +336,16 @@ class TestOracleCheck:
         assert cli.main(argv) == 2
         assert "exceeding the cap" in capsys.readouterr().err
 
+    def test_more_replicas_than_samples_run(self, tmp_path, capsys):
+        # only the replicas that retain a sample are simulated
+        path = write_config(tmp_path, SSQ)
+        argv = ["oracle-check", str(path), "--cap", "10", "--samples", "1000",
+                "--replicas", str(10**12)]
+        assert cli.main(argv) in (0, 1)
+        out, err = capsys.readouterr()
+        assert "max|z|=" in out
+        assert err == ""
+
     def test_absorbing_system_exits_zero(self, tmp_path, capsys):
         config = SystemConfig(gamma=1.0, arrivals=Constant(0), services=(Constant(0),))
         cfg_path = tmp_path / "config.json"

@@ -1,7 +1,10 @@
-"""Every JSON document in README.md must parse and validate, and every
+"""Every JSON document in README.md must parse and validate, every
 subcommand's usage line, in README.md and in `jsqa --help`, must list its
-options, bracketing exactly the optional ones, so the documented inputs
-cannot drift from the parsers."""
+options, bracketing exactly the optional ones, and every constant listed
+under Reproducibility must hold its value in `jsqa.simulator`, so the
+documented inputs and contract cannot drift from the code."""
+
+import ast
 
 import json
 import re
@@ -9,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from jsqa import cli
+from jsqa import cli, simulator
 from jsqa.cli import main, manifest_from_dict
 from jsqa.model import config_from_dict, validate
 
@@ -17,6 +20,9 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 BLOCKS = re.findall(r"```json\n(.*?)```", README.read_text(), flags=re.DOTALL)
 USAGE = re.search(r"## Command line\n\n```\n(.*?)```", README.read_text(), flags=re.DOTALL)
 COMMANDS = dict(line.split(" ", 2)[1:] for line in USAGE.group(1).splitlines())
+REPRODUCIBILITY = re.search(r"### Reproducibility\n(.*?)\n#", README.read_text(), flags=re.DOTALL)
+# the `NAME = value` items of its list
+CONTRACT = dict(re.findall(r"^- `([A-Z_]+) = ([^`]+)`", REPRODUCIBILITY.group(1), flags=re.MULTILINE))
 # the usage lines of the cli module docstring, which `jsqa --help` prints
 HELP_COMMANDS = dict(
     line.split(" ", 2)[1:] for line in map(str.strip, cli.__doc__.splitlines())
@@ -64,3 +70,12 @@ def test_readme_usage_lists_each_option(command, capsys):
 @pytest.mark.parametrize("command", sorted(HELP_COMMANDS))
 def test_help_usage_lists_each_option(command, capsys):
     assert _flags(HELP_COMMANDS[command]) == _parser_flags(command, capsys)
+
+
+def test_readme_lists_the_block_sizes():
+    assert {"BLOCK", "BLOCK_ROWS"} <= set(CONTRACT)
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT))
+def test_readme_contract_constant_matches_simulator(name):
+    assert ast.literal_eval(CONTRACT[name]) == getattr(simulator, name)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -14,7 +15,6 @@ from jsqa.model import BernoulliScaled, Binomial, Constant, RngStream, SystemCon
 from jsqa.oracle import build_chain, exact_law, stationary
 from jsqa.regimes import RegimeSpec, build_config
 from jsqa.simulator import (
-    GROUP_SIZE,
     SampleSet,
     SamplingPlan,
     collect_steady_state,
@@ -171,9 +171,9 @@ class TestCollect:
         assert np.array_equal(a.u_total, b.u_total)
 
     def test_determinism_across_groups(self):
-        # more replicas than one group: a full group plus a partial one, each
-        # on its own stream
-        plan = default_plan(SSQ, num_samples=50_000, replicas=GROUP_SIZE + 40)
+        # more replicas than BLOCK_ROWS // BLOCK, so each draw block is cut
+        # from 64 slots to 55
+        plan = default_plan(SSQ, num_samples=50_000, replicas=296)
         a = collect_steady_state(SSQ, plan, seed=7)
         b = collect_steady_state(SSQ, plan, seed=7)
         assert len(a) == plan.num_samples
@@ -261,26 +261,23 @@ class TestCollect:
 
     @pytest.mark.parametrize("extra", [123, 270], ids=["first-group-ragged", "second-group-ragged"])
     def test_sample_order_contract(self, monkeypatch, extra):
-        """Samples come group by group in (retained index, replica) order;
+        """Samples come in (retained index, replica) order over all replicas;
         batches are runs of consecutive retained samples of one replica,
-        numbered replica by replica. The plan spans a full and a partial
-        group, and its extra samples end in either one.
+        numbered replica by replica. The plan's 296 replicas draw blocks
+        shorter than BLOCK slots, and its extra samples end at two places.
 
         `_slot` is replaced by a stand-in whose state is (replica, slots run)
         and whose unused service is their sum, so each sample names its
         replica and retained index."""
-        group = [-1]
 
         def fake_slot(q, a, s, noise, offsets, marks, gamma, gen):
-            if not q.any():  # the first slot of a group
-                group[0] += 1
             nxt = np.empty_like(q)
-            nxt[:, 0] = group[0] * GROUP_SIZE + np.arange(len(q))
+            nxt[:, 0] = np.arange(len(q))
             nxt[:, 1] = q[:, 1] + 1
             return nxt, np.zeros_like(q), None, None
 
         monkeypatch.setattr(simulator, "_slot", fake_slot)
-        replicas = GROUP_SIZE + 40
+        replicas = 296
         config = _config(2, gamma=0.5)
         plan = SamplingPlan(warmup_slots=6, num_samples=replicas * 30 + extra,
                             thinning=2, replicas=replicas)
@@ -291,13 +288,8 @@ class TestCollect:
 
         counts = np.bincount(replica, minlength=replicas)
         assert counts.tolist() == [31] * extra + [30] * (replicas - extra)
-        # group by group, retained index before replica
-        for g0 in (0, GROUP_SIZE):
-            in_group = (replica >= g0) & (replica < g0 + GROUP_SIZE)
-            span = np.flatnonzero(in_group)
-            assert np.array_equal(span, np.arange(span[0], span[-1] + 1))
-            key = index[in_group] * GROUP_SIZE + replica[in_group] - g0
-            assert (np.diff(key) > 0).all()
+        # retained index before replica
+        assert (np.diff(index * replicas + replica) > 0).all()
 
         # the same samples in replica order, labelled replica by replica as
         # a loop over replicas does it
@@ -321,26 +313,55 @@ class TestCollect:
         assert np.array_equal(samples.counts.sizes, reference.counts.sizes)
         assert np.array_equal(samples.batch_u_mean, reference.batch_u_mean)
 
-    def test_peak_memory_of_collection(self):
-        """The retained samples are written once, in slot order, and the
-        count table sorts one key array in place, freed before the table is
-        built. On this plan collection peaks at 1.59x the retained arrays."""
+    @staticmethod
+    def _peak_over_retained(num_samples, replicas):
+        """tracemalloc peak of an overloaded collection over its retained
+        arrays (q, u_total and batch)."""
         spec = RegimeSpec("overloaded", 0.2, 0.0, (Binomial(2, 0.25), Binomial(2, 0.25)), 4)
-        plan = SamplingPlan(warmup_slots=200, num_samples=1 << 16, thinning=1, replicas=256)
+        plan = SamplingPlan(warmup_slots=200, num_samples=num_samples, thinning=1, replicas=replicas)
         tracemalloc.start()
         try:
             samples = collect_steady_state(build_config(spec, 0.1), plan, seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        retained = samples.q.nbytes + samples.u_total.nbytes + samples.batch.nbytes
-        assert peak <= 1.9 * retained
+        return peak / (samples.q.nbytes + samples.u_total.nbytes + samples.batch.nbytes)
+
+    def test_peak_memory_of_collection(self):
+        """The retained samples are written once, in slot order, and the
+        count table sorts one key array in place, freed before the table is
+        built. On this plan collection peaks at 1.59x the retained arrays."""
+        assert self._peak_over_retained(1 << 16, 256) <= 1.9
+
+    def test_peak_memory_of_a_wide_collection(self):
+        """With more replicas than BLOCK_ROWS // BLOCK, a draw block is cut to
+        at most BLOCK_ROWS row-slots, so the draws stay small beside the
+        retained arrays: this plan peaks at 1.84x them."""
+        assert self._peak_over_retained(1 << 18, 4096) <= 1.9
 
     def test_memory_cap(self, monkeypatch):
         monkeypatch.setattr(simulator, "MAX_SAMPLE_CELLS", 1000)
         plan = SamplingPlan(warmup_slots=10, num_samples=10_000, thinning=1, replicas=2)
         with pytest.raises(ResourceLimitError):
             collect_steady_state(SSQ, plan, seed=0)
+
+    def test_memory_cap_counts_the_replicas(self, monkeypatch):
+        # 1000 samples of SSQ are 2000 cells, but 1000 replicas also hold a
+        # slot's working arrays and 16-slot draw blocks
+        monkeypatch.setattr(simulator, "MAX_SAMPLE_CELLS", 20_000)
+        plan = SamplingPlan(warmup_slots=10, num_samples=1000, thinning=1, replicas=1)
+        assert len(collect_steady_state(SSQ, plan, seed=0)) == 1000
+        with pytest.raises(ResourceLimitError, match="1000 replicas"):
+            collect_steady_state(SSQ, dataclasses.replace(plan, replicas=1000), seed=0)
+
+    def test_replicas_past_the_sample_count_do_not_run(self):
+        # a replica that retains no sample is never allocated
+        plan = SamplingPlan(warmup_slots=50, num_samples=100, thinning=1, replicas=10**12)
+        a = collect_steady_state(SSQ, plan, seed=4)
+        b = collect_steady_state(SSQ, dataclasses.replace(plan, replicas=100), seed=4)
+        assert np.array_equal(a.q, b.q)
+        assert np.array_equal(a.u_total, b.u_total)
+        assert np.array_equal(a.batch, b.batch)
 
     def test_invalid_plan_rejected(self):
         with pytest.raises(ConfigError):
