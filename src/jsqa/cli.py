@@ -25,10 +25,8 @@ import argparse
 import contextlib
 import json
 import math
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -217,6 +215,9 @@ def _summary(points: list[dict]) -> dict:
 
 def run(manifest: ExperimentManifest, out_dir: str | None = None) -> int:
     """Execute the sweep; returns a process exit status."""
+    import multiprocessing  # only a sweep forks, so only it loads these
+    from concurrent.futures import ProcessPoolExecutor
+
     manifest.check()
     out = Path(out_dir if out_dir is not None else manifest.outputs)
     out.mkdir(parents=True, exist_ok=True)

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConfigError
 
@@ -51,7 +50,7 @@ class StateCounts:
     sizes."""
 
     rows: np.ndarray
-    table: sparse.csr_array
+    table: scipy.sparse.csr_array
     sizes: np.ndarray
 
     @property
@@ -85,6 +84,7 @@ def count_rows(rows, batch) -> StateCounts:
     sample in every batch: their maximum, taken unsigned so that a negative
     label is the largest, must be below N, and no batch size may be 0.
     """
+    from scipy import sparse  # loaded on first use, not with the package
     rows = np.asarray(rows)
     if rows.ndim == 1:
         rows = rows[:, None]

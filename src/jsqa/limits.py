@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx, log_ndtr, ndtr
 
 from .regimes import RegimeSpec, limit_sigma2
 
@@ -67,6 +66,7 @@ class LimitDistribution:
             raise ValueError(f"unknown limit kind {self.kind!r}")
 
     def _log_mass_above_zero(self) -> float:
+        from scipy.special import log_ndtr  # loaded on first use, not with the package
         return float(log_ndtr(self.mu0 / math.sqrt(self.var)))
 
     def pdf(self, x):
@@ -83,6 +83,7 @@ class LimitDistribution:
         return out if out.ndim else float(out)
 
     def cdf(self, x):
+        from scipy.special import log_ndtr, ndtr
         x = np.asarray(x, dtype=float)
         if self.kind == "exponential":
             out = np.where(x < 0, 0.0, 1.0 - np.exp(-x / self.mean))
@@ -105,6 +106,7 @@ class LimitDistribution:
                 )
             return 1.0 / (1.0 - phi * self.mean)
         if self.kind == "truncated-gaussian":
+            from scipy.special import log_ndtr
             sd = math.sqrt(self.var)
             log_ratio = log_ndtr((self.mu0 + self.var * phi) / sd) - self._log_mass_above_zero()
             return math.exp(self.mu0 * phi + 0.5 * self.var * phi**2 + log_ratio)
@@ -178,6 +180,7 @@ def critical_unused_limit(c_c: float, sigma2: float) -> float:
     The erfcx form stays finite for every c_c: the erf form overflows for
     large positive c_c and cancels to 0 * inf for large negative c_c.
     """
+    from scipy.special import erfcx
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
     sigma = math.sqrt(sigma2)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
 
 from .errors import ConfigError, as_int, parsing
 
@@ -77,6 +76,7 @@ class BoundedDistribution:
         """Probabilities of 0, ..., size."""
         m, prob = self.size, self.success_probability
         if self.kind == "binomial":
+            from scipy.special import gammaln, xlog1py, xlogy  # loaded on first use
             # in logs: the binomial coefficients overflow a double from 1030
             # trials on
             k = np.arange(m + 1)
@@ -229,8 +229,9 @@ class RngStream:
     generator seeded from SeedSequence(seed, spawn_key=(stream_id,)).
 
     Equal (seed, stream_id) pairs always produce the same sequence; distinct
-    stream ids give statistically independent sequences, so parallel replicas
-    stay reproducible without shared state.
+    stream ids give statistically independent sequences from one seed. The
+    simulator draws all replicas of a run from RngStream(seed, 0), and gamma
+    points differ by seed, so it needs no other id.
     """
 
     seed: int

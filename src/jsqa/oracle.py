@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .counts import StateCounts
 from .errors import ConfigError, StateBudgetError
@@ -70,7 +69,7 @@ class TruncatedChain:
     config: SystemConfig
     cap: int
     states: np.ndarray
-    matrix: sp.csr_array
+    matrix: scipy.sparse.csr_array
     expected_unused: np.ndarray
     row_clamp: np.ndarray
 
@@ -85,6 +84,7 @@ def _queue_tables(gamma: float, laws, cap: int):
     (2, cap + 1) array of its rows' clamped mass and expected unused service
     (the magnitude of the values that fold into 0). All read one survivors'
     law of q - d, carried by one two-term convolution per row."""
+    import scipy.sparse as sp  # loaded on first use, not with the package
     side = cap + 1
     tables = [([0], [], [], np.zeros((2, side))) for _ in laws]
     surv, lo, lost = np.ones(1), 0, 0.0  # the law of q - d over lo, lo + 1, ...
@@ -117,10 +117,11 @@ def _queue_tables(gamma: float, laws, cap: int):
              clamp_unused) for indptr, cols, vals, clamp_unused in tables]
 
 
-def _product_rows(first, second, weight, states, sizes) -> sp.csr_array:
+def _product_rows(first, second, weight, states, sizes) -> scipy.sparse.csr_array:
     """Kernel rows weight[s] * (first[q1] outer second[q2]) of the states
     (q1, q2), each holding `sizes[s]` entries in sorted column order; rows of
     zero weight are empty."""
+    import scipy.sparse as sp
     side = first.shape[1]
     cols, vals = [], []
     for s in np.flatnonzero(weight):
@@ -254,7 +255,7 @@ def stationary(chain: TruncatedChain) -> np.ndarray:
     return pi / pi.sum()
 
 
-def _closed_classes(matrix: sp.csr_array) -> int:
+def _closed_classes(matrix: scipy.sparse.csr_array) -> int:
     """Number of closed classes of a kernel: its strong components that no
     transition leaves."""
     from scipy.sparse.csgraph import connected_components
@@ -270,5 +271,6 @@ def exact_law(chain: TruncatedChain, pi: np.ndarray) -> StateCounts:
     """The stationary law `pi` as a one-batch count table over the chain's
     states, so a batch-means estimator evaluated on it gives the exact value
     (with a NaN standard error, as for any single batch)."""
+    import scipy.sparse as sp
     return StateCounts(rows=chain.states, table=sp.csr_array(pi[None, :]), sizes=np.ones(1))
 

@@ -237,16 +237,13 @@ def _abandon(q, marks, gamma, gen):
 def _shortest(key):
     """The shortest queue of each row: its first column of least `key`, the
     queue lengths plus U(0,1) tie noise, so the pick goes by length first and
-    breaks integer ties uniformly. One strict < pass per further column keeps
-    the first minimum; with two queues the pick is a single comparison."""
+    breaks integer ties uniformly. argmin keeps the first minimum; one queue
+    needs no pick and two take one strict < comparison, both faster."""
     if key.shape[1] == 1:
         return np.zeros(len(key), dtype=np.intp)
-    best = key[:, 0]
-    dest = (key[:, 1] < best).astype(np.intp)
-    for i in range(2, key.shape[1]):
-        best = np.minimum(best, key[:, i - 1])
-        dest[key[:, i] < best] = i
-    return dest
+    if key.shape[1] == 2:
+        return (key[:, 1] < key[:, 0]).astype(np.intp)
+    return key.argmin(axis=1)
 
 
 def _slot(q, a, s, noise, offsets, marks, gamma, gen):
