@@ -11,11 +11,11 @@ Per coordinate, with sigma2 = limiting per-slot variance and n queues:
 The scaled total follows the same law with n replaced by 1 (the limit vector
 is a single scalar times the all-ones vector).
 
-Gaussian integrals use error-function closed forms; quadrature is kept to
-test-time cross-checks and to truncated-normal moments, where it is exact
-enough at the stated tolerance and avoids a recurrence. The truncated forms
-are ratios to the mass above zero, Phi(mu0 / sd), which underflows for a
-mean far below zero, so they are taken in log space through log_ndtr.
+Gaussian integrals use error-function closed forms, and truncated-normal
+moments a fixed composite Gauss-Legendre rule over the density, which avoids
+a recurrence. The truncated forms are ratios to the mass above zero,
+Phi(mu0 / sd), which underflows for a mean far below zero, so they are taken
+in log space through log_ndtr.
 """
 
 from __future__ import annotations
@@ -122,17 +122,25 @@ class LimitDistribution:
                 return 0.0
             # (m-1)!! * var^(m/2)
             return float(np.prod(np.arange(1, m, 2))) * self.var ** (m // 2)
-        from scipy import integrate  # only this branch needs it; loaded on first use
+        # numpy.polynomial is not loaded by `import numpy`; loaded on first use
+        from numpy.polynomial.legendre import leggauss
 
+        # composite 24-point Gauss-Legendre over the mean +- (12 + m) sd, cut
+        # at 0, in panels at most sd wide: panels that keep doubling miss the
+        # body of a law far above zero (1.6e-2 relative error at mu0 / sd = 50).
+        # A mean far below zero squeezes the body against 0 to a width of about
+        # sd / |mu0 / sd|, so panels from 0 start at that width and double
         sd = math.sqrt(self.var)
-        val, _ = integrate.quad(
-            lambda x: x**m * self.pdf(x),
-            0.0,
-            max(self.mu0, 0.0) + (12.0 + m) * sd,
-            epsrel=1e-8,
-            limit=200,
-        )
-        return val
+        top = max(self.mu0, 0.0) + (12.0 + m) * sd
+        edges = [max(0.0, self.mu0 - (12.0 + m) * sd)]
+        width = sd / max(1.0, -self.mu0 / sd) if edges[0] == 0.0 else sd
+        while edges[-1] < top:
+            edges.append(min(edges[-1] + width, top))
+            width = min(2.0 * width, sd)
+        nodes, weights = leggauss(24)
+        half = np.diff(edges)[:, None] / 2.0
+        x = np.array(edges[:-1])[:, None] + half * (1.0 + nodes)
+        return float((half * weights * x**m * self.pdf(x)).sum())
 
 
 def exponential(mean: float) -> LimitDistribution:

@@ -43,10 +43,10 @@ DROP_BELOW = 1e-14
 # The build's one budget, in kernel nonzeros: it caps the state count (each
 # state's row holds at least one), each queue table's entries as they are
 # stored (one queue's hit table is its kernel) and a two-queue kernel's exact
-# count before it is built. 2^24 nonzeros are 200 MB of CSR. Building the
-# kernel takes about twice that, and the stationary solve adds only a few
-# state-sized vectors (criterion 2's config at cap 100: 8.1 M nonzeros, 97 MB
-# of CSR, 0.32 GB peak RSS after build and solve).
+# count before it is built. 2^24 nonzeros are 200 MB of CSR. The build
+# writes a two-queue kernel in place at that count, and the stationary solve
+# adds only a few state-sized vectors (criterion 2's config at cap 100: 8.1 M
+# nonzeros, 97 MB of CSR, 0.21 GB peak RSS after build and solve).
 MAX_KERNEL_NONZEROS = 1 << 24
 # `auto_chain` doubles the cap until the stationary leakage is below this
 TARGET_LEAKAGE = 1e-8
@@ -117,23 +117,13 @@ def _queue_tables(gamma: float, laws, cap: int):
              clamp_unused) for indptr, cols, vals, clamp_unused in tables]
 
 
-def _product_rows(first, second, weight, states, sizes) -> scipy.sparse.csr_array:
-    """Kernel rows weight[s] * (first[q1] outer second[q2]) of the states
-    (q1, q2), each holding `sizes[s]` entries in sorted column order; rows of
-    zero weight are empty."""
-    import scipy.sparse as sp
-    side = first.shape[1]
-    cols, vals = [], []
-    for s in np.flatnonzero(weight):
-        a = slice(first.indptr[states[s, 0]], first.indptr[states[s, 0] + 1])
-        b = slice(second.indptr[states[s, 1]], second.indptr[states[s, 1] + 1])
-        cols.append(np.add.outer(first.indices[a] * side, second.indices[b], dtype=np.int32))
-        vals.append(weight[s] * np.multiply.outer(first.data[a], second.data[b]))
-    # int32 indices (the budget keeps them below 2^31) make the kernel a
-    # quarter smaller than int64 ones
-    indptr = np.insert(np.cumsum(sizes, dtype=np.int32), 0, 0)
-    csr = (np.concatenate(vals, axis=None), np.concatenate(cols, axis=None), indptr)
-    return sp.csr_array(csr, shape=(len(states),) * 2)
+def _outer_row(a, qa, b, qb, out=(None, None)):
+    """Kernel columns and values of a[qa] outer b[qb], for queue tables a
+    and b: two arrays of shape (entries of a[qa], entries of b[qb]) in sorted
+    column order, written into the arrays `out` when given."""
+    ra, rb = slice(a.indptr[qa], a.indptr[qa + 1]), slice(b.indptr[qb], b.indptr[qb + 1])
+    return (np.add.outer(a.indices[ra] * b.shape[1], b.indices[rb], out=out[0]),
+            np.multiply.outer(a.data[ra], b.data[rb], out=out[1]))
 
 
 def build_chain(config: SystemConfig, cap: int) -> TruncatedChain:
@@ -168,6 +158,7 @@ def build_chain(config: SystemConfig, cap: int) -> TruncatedChain:
     if n == 1:
         (matrix, (clamp, unused)), = tables.values()  # counted as it was stored
     else:
+        import scipy.sparse as sp
         hit, miss = ([tables[svc, h] for svc in config.services] for h in (True, False))
         H, M = ([t for t, _ in tabs] for tabs in (hit, miss))
         # dispatch weights: the shortest queue gets the batch, ties split evenly
@@ -179,18 +170,37 @@ def build_chain(config: SystemConfig, cap: int) -> TruncatedChain:
         # tied rows (q, q) hold both parts, which overlap in the cells that H
         # and M of the same queue both reach
         shared = [h.astype(bool).multiply(m.astype(bool)).sum(axis=1) for h, m in zip(H, M)]
-        nonzeros = int(sizes[0].sum() + sizes[1].sum() - shared[0] @ shared[1])
+        row_sizes = sizes[0] + sizes[1]
+        row_sizes[:: side + 1] -= shared[0] * shared[1]
+        nonzeros = int(row_sizes.sum())
         if nonzeros > MAX_KERNEL_NONZEROS:
             raise StateBudgetError(
                 f"cap {cap} gives {len(states)} states and a kernel of {nonzeros} nonzeros, "
                 f"over the budget of {MAX_KERNEL_NONZEROS}"
             )
-        # adding the two sorted parts merges the tied rows
-        first, second = (_product_rows(*p, states, k) for p, k in zip(parts, sizes))
-        matrix = first + second
         # the same dispatch mixture of the per-queue clamped mass and unused service
         clamp, unused = sum(w * h[:, q] + (1.0 - w) * m[:, q]
                             for w, (_, h), (_, m), q in zip(weights.T, hit, miss, states.T))
+        # each row is written in place at its counted size. int32 indices
+        # (the budget keeps them below 2^31) make the kernel a quarter smaller
+        # than int64 ones
+        indptr = np.zeros(len(states) + 1, dtype=np.int32)
+        np.cumsum(row_sizes, out=indptr[1:])
+        indices, data = np.empty(nonzeros, dtype=np.int32), np.empty(nonzeros)
+        for qa in range(side):
+            starts = indptr[qa * side : (qa + 1) * side + 1].tolist()
+            for qb in range(side):
+                at = slice(starts[qb], starts[qb + 1])
+                if qa != qb:  # the shorter queue's part alone, of weight 1
+                    a, b, _ = parts[qa > qb]
+                    shape = (a.indptr[qa + 1] - a.indptr[qa], -1)
+                    _outer_row(a, qa, b, qb, out=(indices[at].reshape(shape), data[at].reshape(shape)))
+                else:  # half of each part; the cells both parts reach add up
+                    (c0, v0), (c1, v1) = (_outer_row(a, qa, b, qb) for a, b, _ in parts)
+                    cols, where = np.unique(np.concatenate((c0, c1), axis=None), return_inverse=True)
+                    indices[at] = cols
+                    data[at] = np.bincount(where, weights=0.5 * np.concatenate((v0, v1), axis=None))
+        matrix = sp.csr_array((data, indices, indptr), shape=(len(states),) * 2)
     return TruncatedChain(config, cap, states, matrix, expected_unused=unused, row_clamp=clamp)
 
 

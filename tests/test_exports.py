@@ -1,8 +1,10 @@
 """Every name a jsqa module lists in `__all__` must exist, so a deleted
 function cannot linger as a stale export. Importing the package, parsing and
 validating its inputs and `jsqa domination` load numpy only: scipy is
-imported in the functions that use it."""
+imported in the functions that use it, and a critical `jsqa run` loads only
+scipy.sparse and scipy.special."""
 
+import ast
 import importlib
 import json
 import os
@@ -103,3 +105,16 @@ def test_domination_loads_no_scipy(tmp_path, capsys):
     assert report.startswith("slots=20000 violations=")
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == report + "\n"
+
+
+def test_critical_run_loads_only_sparse_and_special(tmp_path):
+    # with one gamma the point runs in this interpreter: count tables need
+    # scipy.sparse and the limit laws scipy.special, while the truncated
+    # Gaussian's moments load no quadrature (and with it no linalg or optimize)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(dict(CRITICAL_MANIFEST, gammas=[1e-2])))
+    argv = ["run", str(path), "--out", str(tmp_path / "out")]
+    code = f"import sys\nfrom jsqa.cli import main\nassert main(sys.argv[1:]) == 0\n{PRINT_SCIPY}"
+    loaded = ast.literal_eval(_fresh(code, *argv).splitlines()[-1])
+    subpackages = {m.split(".")[1] for m in loaded if "." in m} - {"version"}
+    assert sorted(p for p in subpackages if not p.startswith("_")) == ["sparse", "special"]

@@ -134,6 +134,27 @@ class TestMoments:
             math.sqrt(2 / math.pi), rel=1e-8
         )
 
+    # mu0 / sd from a law far above zero, through the half normal, to one
+    # pressed against zero (largest error measured: 4.6e-14)
+    @pytest.mark.parametrize("sd", [0.7, 2.0])
+    @pytest.mark.parametrize("ratio", [200, 50, 20, 8, 2, 0, -0.5, -2, -8, -12, -40])
+    def test_truncated_moments_match_quadrature(self, ratio, sd):
+        dist = truncated_gaussian(ratio * sd, sd**2)
+        # the body: about sd / |ratio| wide against zero, or at the mean
+        points = [sd / max(1.0, -ratio)] + [dist.mu0] * (ratio > 1)
+        for m in range(1, 5):
+            ref, _ = integrate.quad(
+                lambda x: x**m * dist.pdf(x), 0.0, max(dist.mu0, 0.0) + 40.0 * sd,
+                points=points, epsrel=1e-12, epsabs=0.0, limit=500,
+            )
+            assert dist.moment(m) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("sd", [0.5, 0.7, 2.0])
+    def test_half_normal_even_moments(self, sd):
+        dist = truncated_gaussian(0.0, sd**2)
+        assert dist.moment(2) == pytest.approx(sd**2, rel=1e-14, abs=0.0)
+        assert dist.moment(4) == pytest.approx(3 * sd**4, rel=1e-14, abs=0.0)
+
     def test_gaussian_moments(self):
         dist = gaussian(0.25)
         assert dist.moment(3) == 0.0
