@@ -1,8 +1,9 @@
 """Every name a jsqa module lists in `__all__` must exist, so a deleted
 function cannot linger as a stale export. Importing the package, parsing and
 validating its inputs and `jsqa domination` load numpy only: scipy is
-imported in the functions that use it, and a critical `jsqa run` loads only
-scipy.sparse and scipy.special."""
+imported in the functions that use it, a critical `jsqa run` loads only
+scipy.sparse and scipy.special, and a two-queue `jsqa oracle-check` loads no
+graph search."""
 
 import ast
 import importlib
@@ -118,3 +119,17 @@ def test_critical_run_loads_only_sparse_and_special(tmp_path):
     loaded = ast.literal_eval(_fresh(code, *argv).splitlines()[-1])
     subpackages = {m.split(".")[1] for m in loaded if "." in m} - {"version"}
     assert sorted(p for p in subpackages if not p.startswith("_")) == ["sparse", "special"]
+
+
+def test_two_queue_oracle_check_loads_no_graph_search(tmp_path):
+    # the solve checks that the kernel has one closed class by walking back
+    # through the queue tables from its most likely state, not by strong
+    # components
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(ORACLE_CONFIG))
+    argv = ["oracle-check", str(path), "--cap", "20", "--samples", "20000", "--replicas", "16",
+            "--seed", "1"]
+    code = f"import sys\nfrom jsqa.cli import main\nassert main(sys.argv[1:]) == 0\n{PRINT_SCIPY}"
+    loaded = ast.literal_eval(_fresh(code, *argv).splitlines()[-1])
+    assert "scipy.sparse.linalg" in loaded
+    assert "scipy.sparse.csgraph" not in loaded
