@@ -88,10 +88,29 @@ class TruncatedChain:
 
     @cached_property
     def matrix(self) -> scipy.sparse.csr_array:
-        """The kernel as a CSR array, assembled on first read."""
+        """The kernel as a CSR array, assembled on first read. A two-queue
+        row is written in place at its counted size; int32 indices (the
+        budget keeps them below 2^31) make the kernel a quarter smaller than
+        int64 ones."""
         if self.config.n == 1:
             return self.parts[0][0]
-        return _write_kernel(self.parts, self.kernel_indptr)
+        import scipy.sparse as sp
+        parts, indptr, side = self.parts, self.kernel_indptr, self.cap + 1
+        indices, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
+        for qa in range(side):
+            starts = indptr[qa * side : (qa + 1) * side + 1].tolist()
+            for qb in range(side):
+                at = slice(starts[qb], starts[qb + 1])
+                if qa != qb:  # the shorter queue's part alone, of weight 1
+                    a, b, _ = parts[qa > qb]
+                    shape = (a.indptr[qa + 1] - a.indptr[qa], -1)
+                    _outer_row(a, qa, b, qb, out=(indices[at].reshape(shape), data[at].reshape(shape)))
+                else:  # half of each part; the cells both parts reach add up
+                    (c0, v0), (c1, v1) = (_outer_row(a, qa, b, qb) for a, b, _ in parts)
+                    cols, where = np.unique(np.concatenate((c0, c1), axis=None), return_inverse=True)
+                    indices[at] = cols
+                    data[at] = np.bincount(where, weights=0.5 * np.concatenate((v0, v1), axis=None))
+        return sp.csr_array((data, indices, indptr), shape=(self.num_states,) * 2)
 
 
 def _queue_tables(gamma: float, laws, cap: int):
@@ -218,28 +237,6 @@ def build_chain(config: SystemConfig, cap: int) -> TruncatedChain:
     return TruncatedChain(config, cap, states, expected_unused=unused, row_clamp=clamp,
                           parts=parts, kernel_indptr=indptr)
 
-
-def _write_kernel(parts, indptr) -> scipy.sparse.csr_array:
-    """The two-queue kernel of `parts` as CSR, each row written in place at
-    its counted size (row offsets `indptr`). int32 indices (the budget keeps
-    them below 2^31) make the kernel a quarter smaller than int64 ones."""
-    import scipy.sparse as sp
-    side, size = parts[0][0].shape[0], len(indptr) - 1
-    indices, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
-    for qa in range(side):
-        starts = indptr[qa * side : (qa + 1) * side + 1].tolist()
-        for qb in range(side):
-            at = slice(starts[qb], starts[qb + 1])
-            if qa != qb:  # the shorter queue's part alone, of weight 1
-                a, b, _ = parts[qa > qb]
-                shape = (a.indptr[qa + 1] - a.indptr[qa], -1)
-                _outer_row(a, qa, b, qb, out=(indices[at].reshape(shape), data[at].reshape(shape)))
-            else:  # half of each part; the cells both parts reach add up
-                (c0, v0), (c1, v1) = (_outer_row(a, qa, b, qb) for a, b, _ in parts)
-                cols, where = np.unique(np.concatenate((c0, c1), axis=None), return_inverse=True)
-                indices[at] = cols
-                data[at] = np.bincount(where, weights=0.5 * np.concatenate((v0, v1), axis=None))
-    return sp.csr_array((data, indices, indptr), shape=(size, size))
 
 
 def stationary_leakage(chain: TruncatedChain, pi: np.ndarray) -> float:

@@ -144,7 +144,8 @@ class TestBuildChain:
 
     def test_build_peak_memory_about_twice_the_kernel(self, monkeypatch):
         # each row is written in place at its pre-counted size, so the build
-        # peaks at about the kernel itself: 1.04x its CSR bytes for JSQ2 at
+        # and the first read of `matrix`, which assembles the kernel, peak at
+        # about the kernel itself: 1.04x its CSR bytes for JSQ2 at
         # cap 40 and 1.07x for UNEQUAL at cap 30, against 2.09x and 2.12x when
         # two sparse parts were built and added. UNEQUAL's tied rows merge two
         # different pairs of queue tables
