@@ -10,13 +10,19 @@ distinct states (hundreds against a million rows). The table keeps only its
 nonzero counts, so memory is O(N + U) for U distinct rows, never O(bounding
 box of the rows).
 
-The table is built from one int64 key per sample: the batch label, then
-each column's value less that column's minimum, as mixed-radix digits. Rows
-that are not integer, or whose keys would overflow int64, are first numbered
-by `np.unique(rows, axis=0)`. The key array is the only N-sized array
+The table is built from one int64 key per row: the batch label, then each
+column's value less that column's minimum, as mixed-radix digits. Rows that
+are not integer, or whose keys would overflow int64, are first numbered by
+`np.unique(rows, axis=0)`. A row may stand for several samples: with
+`weights`, row i counts weights[i] times, so a table can be merged from
+partial tables, each (batch, row) entry with its count, as
+`simulator.collect_steady_state` does with the samples it counts a flush at
+a time. Unweighted, the key array is the only array of the rows' length that
 `count_rows` keeps: each digit is added to it in place, it is sorted in
-place, and the counts are the lengths of its runs of equal keys. The table
-does not depend on the order of the samples.
+place, and the counts are the lengths of its runs of equal keys. Weighted,
+the keys are put in order by an argsort, which also orders the weights, and
+a run's count is the sum of its weights. The table does not depend on the
+order of the rows.
 """
 
 from __future__ import annotations
@@ -75,13 +81,14 @@ class StateCounts:
         return float(bm.mean()), float(batch_stderr(bm))
 
 
-def count_rows(rows, batch) -> StateCounts:
+def count_rows(rows, batch, weights=None) -> StateCounts:
     """Count table of the rows of `rows` ((N,) or (N, k)) per batch label,
-    one label per row.
+    one label per row; with `weights` (N,), positive integers, row i counts
+    as weights[i] samples.
 
     Each column's digit is its value less the column's minimum, in the radix
     of its span. ConfigError is raised unless the labels are 0..B-1 with a
-    sample in every batch: their maximum, taken unsigned so that a negative
+    row in every batch: their maximum, taken unsigned so that a negative
     label is the largest, must be below N, and no batch size may be 0.
     """
     from scipy import sparse  # loaded on first use, not with the package
@@ -95,6 +102,10 @@ def count_rows(rows, batch) -> StateCounts:
         raise ValueError(
             f"need one batch label per row: {rows.shape[0]} rows, labels of shape {batch.shape}"
         )
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.int64)
+        if weights.shape != batch.shape or not (weights > 0).all():
+            raise ValueError("need one positive integer weight per row")
     nb = int(batch.view(np.uint64).max()) + 1
     if nb > batch.size:
         raise ConfigError("batch labels must be 0..B-1 with a sample in every batch")
@@ -116,22 +127,39 @@ def count_rows(rows, batch) -> StateCounts:
         code -= low
         code += col
     radix = math.prod(spans)
-    code.sort()
+    if weights is None:
+        code.sort()
+    else:
+        order = code.argsort()
+        code = code[order]
+        weights = weights[order]
+        del order
     starts = np.flatnonzero(code[1:] != code[:-1]) + 1
     starts = np.concatenate(([0], starts))
     keys = code[starts]
-    counts = np.diff(starts, append=code.size)
-    # the keys' runs are read; free the N-sized array before the table is built
-    del code
+    if weights is None:
+        counts = np.diff(starts, append=code.size)
+    else:
+        counts = np.add.reduceat(weights, starts)
+    # the keys' runs are read; free the N-sized arrays before the table is built
+    del code, weights
     batch_of, state = np.divmod(keys, radix)
-    codes, column = np.unique(state, return_inverse=True)
-    table = sparse.csr_array(
-        (counts.astype(float), (batch_of, column.reshape(-1))), shape=(nb, codes.size)
-    )
+    del keys
+    # searchsorted against the few distinct codes: lighter than unique's inverse
+    codes = np.unique(state)
+    column = np.searchsorted(codes, state)
+    del state
     sizes = np.bincount(batch_of, weights=counts, minlength=nb)
+    # the keys are sorted, so each batch's entries are a run in column order
+    indptr = np.zeros(nb + 1, dtype=np.int64)
+    np.cumsum(np.bincount(batch_of, minlength=nb), out=indptr[1:])
+    del batch_of
+    table = sparse.csr_array((counts.astype(float), column, indptr),
+                             shape=(nb, codes.size))
     if not sizes.all():
         raise ConfigError("batch labels must be 0..B-1 with a sample in every batch")
     # numbered rows need no decoding: each has a sample, so `codes` is 0..U-1
     if distinct is None:
-        distinct = np.column_stack(np.unravel_index(codes, spans)) + lows
+        distinct = np.column_stack(np.unravel_index(codes, spans))
+        distinct += lows
     return StateCounts(rows=distinct, table=table, sizes=sizes)

@@ -19,7 +19,7 @@ to the next (see `_abandon`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,12 +53,30 @@ __all__ = [
 BLOCK = 64
 BLOCK_ROWS = 1 << 14
 
-# Memory cap for collect_steady_state, in 8-byte cells: n + 1 per retained
-# sample (q plus its unused-service total), plus per replica one slot's
-# working arrays and its rows of one draw block. Under tracemalloc, for
-# n = 1..4, a slot's arrays (state, marks and temporaries) peak at 6n + 2
-# cells per replica and a block's draws at 2n + 2 per row-slot, counted here
-# as 6 (n + 1) and 2 (n + 1).
+# Retained samples are counted into the batch table as they are simulated.
+# They are written into a buffer of at most FLUSH_SAMPLES retained samples
+# (one slot's worth if the replicas are more), and each time a batch of
+# either replica class ends, or the buffer fills, its samples are counted into
+# (batch, state, count) entries. The buffer's size changes when the samples
+# are counted, not which samples or batches there are, so it is not part of
+# the (config, plan, seed) -> samples contract.
+FLUSH_SAMPLES = 1 << 18
+
+# A flush is counted on a dense (replica, state) grid over its bounding box
+# of states when the grid holds at most DENSE_CELLS_PER_SAMPLE cells per
+# sample of the flush, else by a sort (`count_rows`).
+DENSE_CELLS_PER_SAMPLE = 4
+
+# Memory cap for collect_steady_state, in 8-byte cells: 3n + 8 per retained
+# sample, plus per replica one slot's working arrays and its rows of one draw
+# block. The samples' share bounds the worst case, one entry per sample: the
+# entry store holds n + 2 cells per entry, its merge into the table
+# (`count_rows`) builds the table and its distinct rows on top, and a flush's
+# buffer, codes and grid, freed before the merge, stay below that. Under
+# tracemalloc, for n = 1..4 and flushes counted either way, such collections
+# peak at 3n + 7.0 to 3n + 7.8 cells per sample. A slot's arrays (state,
+# marks and temporaries) peak at 6n + 2 cells per replica and a block's
+# draws at 2n + 2 per row-slot, counted here as 6 (n + 1) and 2 (n + 1).
 MAX_SAMPLE_CELLS = 1 << 28
 
 
@@ -100,39 +118,49 @@ def plan_from_dict(obj: dict) -> SamplingPlan:
 
 @dataclass
 class SampleSet:
-    """Column store of retained steady-state samples and their statistics.
+    """Retained steady-state samples, kept as the statistics the estimators
+    read.
 
-    `q` is (N, n); `u_total` is the unused-service total of the slot that
-    produced each state. `batch` assigns each sample to a batch of
-    consecutive retained samples of one replica; batch spans are sized
-    against the chain's relaxation time so batch means give honest standard
-    errors. The three columns have equal lengths and share one sample order,
-    which no statistic depends on (`collect_steady_state` gives it). Built
-    with them are what the estimators read: `counts`, the per-batch count
-    table of the distinct rows of `q` (`jsqa.counts`), and `batch_u_mean`,
-    the per-batch means of `u_total`. The batch labels must be 0..B-1, each
-    holding at least one sample (a label with no sample would make every
-    batch mean of it 0/0); `count_rows` checks them and raises ConfigError.
+    `counts` is the per-batch count table of the distinct retained states
+    (`jsqa.counts`). A batch is a run of consecutive retained samples of one
+    replica, its span sized against the chain's relaxation time so that
+    batch means give honest standard errors. `batch_u_mean` holds each
+    batch's mean of the unused-service total of the slots that produced its
+    samples. No per-sample array is kept: `collect_steady_state` counts the
+    samples into the table as they are simulated, and `from_arrays` builds a
+    set from per-sample columns gathered elsewhere.
     """
 
-    q: np.ndarray
-    u_total: np.ndarray
-    batch: np.ndarray
+    counts: StateCounts
+    batch_u_mean: np.ndarray
     config: SystemConfig
-    counts: StateCounts = field(init=False)
-    batch_u_mean: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        if not len(self.q) == len(self.u_total) == len(self.batch):
+    @classmethod
+    def from_arrays(cls, q, u_total, batch, config: SystemConfig) -> SampleSet:
+        """The sample set of per-sample columns: the states `q` (N, n), the
+        unused-service total `u_total` of the slot that produced each, and
+        their batch labels `batch`. The columns must have equal lengths, and
+        the labels must be 0..B-1, each holding at least one sample (a label
+        with no sample would make every batch mean of it 0/0); `count_rows`
+        checks them and raises ConfigError. No statistic depends on the order
+        of the samples."""
+        if not len(q) == len(u_total) == len(batch):
             raise ConfigError(
                 f"q, u_total and batch must have equal lengths, not "
-                f"{len(self.q)}, {len(self.u_total)} and {len(self.batch)}"
+                f"{len(q)}, {len(u_total)} and {len(batch)}"
             )
-        self.counts = count_rows(self.q, self.batch)
-        self.batch_u_mean = np.bincount(self.batch, weights=self.u_total) / self.counts.sizes
+        counts = count_rows(q, batch)
+        return cls(counts, np.bincount(batch, weights=u_total) / counts.sizes, config)
 
     def __len__(self) -> int:
-        return self.q.shape[0]
+        return int(self.counts.sizes.sum())
+
+    @property
+    def q(self) -> np.ndarray:
+        """The retained states (N, n): the table's distinct rows, each
+        repeated by its pooled count, in state order. The order they were
+        simulated in is not kept."""
+        return np.repeat(self.counts.rows, self.counts.pooled.astype(np.int64), axis=0)
 
     @property
     def gamma(self) -> float:
@@ -172,29 +200,23 @@ def default_plan(
     )
 
 
-def _batches_for(counts: np.ndarray, thinning: int, relax: float) -> np.ndarray:
-    """Batch ids of the retained samples in collection order (see
-    `collect_steady_state`), where replica i retains counts[i] samples.
+def _batches_for(counts: np.ndarray, thinning: int, relax: float):
+    """How the retained samples fall into batches, where replica i retains
+    counts[i] samples: returns (edges, which, first).
 
     Each replica's samples are split into contiguous runs of its retained
     index, sized >= ~10 relaxation times, and the batches are numbered
     replica by replica. A replica's split depends only on its count, so it is
-    tabulated once per distinct count (at most two) and gathered for each replica.
+    worked out once per distinct count (at most two): replica i's batches
+    start at the retained indices edges[which[i]][:-1], the last entry being
+    its count, and its batches are first[i] .. first[i + 1] - 1.
     """
     min_span_samples = max(1, int(math.ceil(10.0 * relax / thinning)))
     values, which = np.unique(counts, return_inverse=True)
     per_value = np.clip(values // min_span_samples, 1, 32)
-    per_replica = per_value[which]
-    first = np.cumsum(per_replica) - per_replica
-    # by_index[k, v]: batch within the replica of retained sample k, for a
-    # replica that retains values[v] samples
-    by_index = np.zeros((values.max(), values.size), dtype=np.int64)
-    for v, (cnt, b) in enumerate(zip(values, per_value)):
-        edges = np.linspace(0, cnt, b + 1).astype(np.int64)
-        by_index[:cnt, v] = np.repeat(np.arange(b), np.diff(edges))
-    grid = np.take(by_index, which, axis=1)
-    grid += first
-    return grid.reshape(-1)[: counts.sum()]
+    first = np.concatenate(([0], np.cumsum(per_value[which])))
+    edges = [np.linspace(0, cnt, b + 1).astype(np.int64) for cnt, b in zip(values, per_value)]
+    return edges, which.reshape(-1), first
 
 
 def _draw_block(config: SystemConfig, gen: np.random.Generator, slots: int, rows: int):
@@ -292,28 +314,104 @@ def _block_slots(replicas: int) -> int:
     return max(1, min(BLOCK, BLOCK_ROWS // replicas))
 
 
+def _count_block(block):
+    """Counts of the distinct states of each replica in the (slots, replicas,
+    n) block of retained states: returns (replica, count, state) arrays, one
+    entry per distinct (replica, state) pair.
+
+    The states are numbered in their bounding box (mixed-radix digits, as in
+    `count_rows`). Where the (replicas x box) grid holds at most
+    DENSE_CELLS_PER_SAMPLE cells per sample, the entries are the grid's
+    nonzero cells, counted by one bincount; a wider grid, or one whose codes
+    would overflow int64, is counted by `count_rows` with the replica as the
+    batch label.
+    """
+    m, r, n = block.shape
+    lows = [int(block[:, :, j].min()) for j in range(n)]
+    spans = [int(block[:, :, j].max()) - low + 1 for j, low in enumerate(lows)]
+    box = math.prod(spans)
+    # r * box grid cells against m * r samples
+    if box > DENSE_CELLS_PER_SAMPLE * m:
+        counts = count_rows(block.reshape(-1, n), np.tile(np.arange(r), m))
+        table = counts.table
+        replica = np.repeat(np.arange(r), np.diff(table.indptr))
+        return replica, table.data.astype(np.int64), counts.rows[table.indices]
+    # the replica is the leading digit of each code
+    code = np.empty((m, r), dtype=np.int64)
+    code[:] = np.arange(r)
+    for j, (low, span) in enumerate(zip(lows, spans)):
+        code *= span
+        code += block[:, :, j]
+        code -= low
+    grid = np.bincount(code.reshape(-1), minlength=r * box)
+    del code
+    cells = np.flatnonzero(grid)
+    hits = grid[cells]
+    del grid
+    replica, state = np.divmod(cells, box)
+    del cells
+    states = np.column_stack(np.unravel_index(state, spans))
+    states += lows
+    return replica, hits, states
+
+
 def _run_replicas(config, counts, warmup, thinning, stream):
     """Simulate the replicas as one state matrix, replica i retaining
-    counts[i] samples; `counts` must not increase, so that the replicas
-    with one sample more come first.
+    counts[i] samples, and count the retained samples into their batches;
+    `counts` must not increase, so that the replicas with one sample more
+    come first.
 
-    Returns the retained samples (q, u_total) in (retained index, replica)
-    order: every replica's first sample, then every replica's second, and so
-    on. Both are views of the buffers the samples were written to, whose
-    padding (the missing last samples of the later replicas) is their tail.
+    Returns (table, batch_u_sum): the count table of the retained states per
+    batch (`count_rows`) and each batch's total unused service. The samples
+    are written in (retained index, replica) order into a buffer, which is
+    counted (`_count_block`) when a batch of either replica class ends or it
+    holds FLUSH_SAMPLES samples. Within one flush, then, each replica's
+    samples lie in one batch, so the replica names it. The entries of all
+    flushes go to one store, whose rows (batch, count, state) double when
+    full; `count_rows` merges them at the end. The unused service of each
+    retained slot is summed per replica and added to its batch at the same
+    flush.
     """
     gen = stream.generator()
-    r = len(counts)
-    offsets = np.arange(r) * config.n
-    ones = np.ones(config.n, dtype=np.int64)
-    q = np.zeros((r, config.n), dtype=np.int64)
-    marks = _first_marks(config.gamma, gen, q.shape)
-    max_count = int(counts.max())
-    out_q = np.empty((max_count, r, config.n), dtype=np.int64)
-    out_u = np.empty((max_count, r), dtype=np.int64)
+    r, n = len(counts), config.n
+    edges, which, first = _batches_for(counts, thinning, relaxation_slots(config))
+    depth = max(1, FLUSH_SAMPLES // r)
+    cuts = np.unique(np.concatenate(edges))
+    ends = []
+    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        ends += [*range(lo + depth, hi, depth), hi]
+    depth = int(np.diff(ends, prepend=0).max())
 
-    total = warmup + max_count * thinning
+    offsets = np.arange(r) * n
+    ones = np.ones(n, dtype=np.int64)
+    q = np.zeros((r, n), dtype=np.int64)
+    marks = _first_marks(config.gamma, gen, q.shape)
+    buf = np.empty((depth, r, n), dtype=np.int64)
+    u = np.zeros(r, dtype=np.int64)
+    batch_u_sum = np.zeros(int(first[-1]), dtype=np.int64)
+    limit = int(counts.sum())
+    store = np.empty((min(limit, 1 << 12), n + 2), dtype=np.int64)
+    stored = 0
+
+    def flush(k0, k1):
+        nonlocal store, stored
+        active = int(np.count_nonzero(counts > k0))
+        within = [np.searchsorted(e, k0, side="right") - 1 for e in edges]
+        labels = first[:active] + np.take(within, which[:active])
+        batch_u_sum[labels] += u[:active]
+        u[:] = 0
+        replica, hits, states = _count_block(buf[: k1 - k0, :active])
+        end = stored + hits.size
+        if end > store.shape[0]:
+            store.resize((max(end, min(2 * store.shape[0], limit)), n + 2), refcheck=False)
+        store[stored:end, 0] = labels[replica]
+        store[stored:end, 1] = hits
+        store[stored:end, 2:] = states
+        stored = end
+
+    total = warmup + ends[-1] * thinning
     block = _block_slots(r)
+    k0, nxt = 0, 0
     for b0 in range(0, total, block):
         a, s, noise = _draw_block(config, gen, min(block, total - b0), r)
         for j in range(a.shape[0]):
@@ -322,13 +420,18 @@ def _run_replicas(config, counts, warmup, thinning, stream):
             # that reaches warmup + k * thinning
             k, rem = divmod(b0 + j + 1 - warmup, thinning)
             if rem == 0 and k > 0:
-                out_q[k - 1] = q
+                buf[k - 1 - k0] = q
                 # row sums as products with ones: cheaper than sum(axis=1)
                 # on rows this narrow
-                out_u[k - 1] = (q - pre) @ ones
+                u += (q - pre) @ ones
+                if k == ends[nxt]:
+                    flush(k0, k)
+                    k0, nxt = k, nxt + 1
 
-    kept = int(counts.sum())
-    return out_q.reshape(-1, config.n)[:kept], out_u.reshape(-1)[:kept]
+    del buf
+    store.resize((stored, n + 2), refcheck=False)
+    table = count_rows(store[:, 2:], store[:, 0], weights=store[:, 1])
+    return table, batch_u_sum
 
 
 def collect_steady_state(config: SystemConfig, plan: SamplingPlan, seed: int) -> SampleSet:
@@ -338,34 +441,36 @@ def collect_steady_state(config: SystemConfig, plan: SamplingPlan, seed: int) ->
     Each replica discards `plan.warmup_slots` slots, then retains one state
     every `plan.thinning` slots; retained counts are split as evenly as
     possible across replicas, the first ones taking one more, so that exactly
-    `plan.num_samples` samples come back. A replica that would retain no
+    `plan.num_samples` samples are retained. A replica that would retain no
     sample is not simulated, so at most `plan.num_samples` replicas run. They
     run as one state matrix on RngStream(seed, 0), so identical (config,
     plan, seed) always produce the identical sample set.
 
-    The samples come back in (retained index, replica) order, the order they
-    were simulated in; the batches are runs of consecutive retained samples
-    of one replica, numbered replica by replica. No statistic depends on this
-    order, since each is read from the count table.
+    The samples are counted into their batches as they are simulated, in
+    (retained index, replica) order: every replica's first sample, then every
+    replica's second, and so on. The batches are runs of consecutive
+    retained samples of one replica, numbered replica by replica. Only the
+    count table and the per-batch unused-service means come back; neither
+    depends on the order in which the samples were counted.
     """
     require_valid(config)
     plan.check()
     replicas = min(plan.replicas, plan.num_samples)
+    per_sample = 3 * config.n + 8
     per_replica = (config.n + 1) * (6 + 2 * _block_slots(replicas))
-    cells = plan.num_samples * (config.n + 1) + replicas * per_replica
+    cells = plan.num_samples * per_sample + replicas * per_replica
     if cells > MAX_SAMPLE_CELLS:
         raise ResourceLimitError(
-            f"plan retains {plan.num_samples} samples x {config.n + 1} cells and runs {replicas} "
+            f"plan retains {plan.num_samples} samples x {per_sample} cells and runs {replicas} "
             f"replicas x {per_replica} working cells, exceeding the cap of {MAX_SAMPLE_CELLS} cells"
         )
 
     base, rem = divmod(plan.num_samples, replicas)
     counts = np.repeat(np.array([base + 1, base], dtype=np.int64), [rem, replicas - rem])
-    q, u = _run_replicas(config, counts, plan.warmup_slots, plan.thinning, RngStream(seed, 0))
-    batch = _batches_for(counts, plan.thinning, relaxation_slots(config))
-    # free the per-replica counts before SampleSet builds its count table
-    del counts
-    return SampleSet(q=q, u_total=u, batch=batch, config=config)
+    table, batch_u_sum = _run_replicas(
+        config, counts, plan.warmup_slots, plan.thinning, RngStream(seed, 0)
+    )
+    return SampleSet(table, batch_u_sum / table.sizes, config)
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,62 @@ class TestCountRows:
             count_rows(np.arange(10), np.array(batch))
 
 
+def assert_weighted_matches_expanded(rows, batch, seed):
+    """count_rows of the distinct (batch, row) entries, each weighted by its
+    multiplicity, equals count_rows of the rows themselves, bitwise. Some
+    entries are split in two, and all are shuffled, as flushes that cut a
+    batch leave them."""
+    rows = np.asarray(rows).reshape(len(batch), -1)
+    entries, weights = np.unique(np.column_stack([batch, rows]), axis=0, return_counts=True)
+    gen = RngStream(seed).generator()
+    split = np.flatnonzero((weights > 1) & (gen.random(weights.size) < 0.5))
+    assert split.size > 0
+    entries = np.concatenate([entries, entries[split]])
+    weights = np.concatenate([weights, np.ones(split.size, dtype=weights.dtype)])
+    weights[split] -= 1
+    order = gen.permutation(weights.size)
+    entries, weights = entries[order], weights[order]
+    weighted = count_rows(entries[:, 1:].astype(rows.dtype), entries[:, 0].astype(np.int64),
+                          weights=weights)
+    expanded = count_rows(rows, batch)
+    for got, want in [
+        (weighted.rows, expanded.rows),
+        (weighted.table.data, expanded.table.data),
+        (weighted.table.indices, expanded.table.indices),
+        (weighted.table.indptr, expanded.table.indptr),
+        (weighted.sizes, expanded.sizes),
+    ]:
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+class TestWeights:
+    def test_integer_rows(self):
+        rows = RngStream(11).generator().integers(-5, 9, size=(4000, 2))
+        assert_weighted_matches_expanded(rows, np.arange(4000) * 7 // 4000, seed=1)
+
+    def test_continuous_rows(self):
+        # float rows are numbered by np.unique before they are keyed
+        rows = np.round(RngStream(12).generator().normal(size=(3000, 2)), 1)
+        assert_weighted_matches_expanded(rows, np.arange(3000) % 5, seed=2)
+
+    def test_rows_past_the_key(self):
+        # three spans of 2**20 and 8 batch labels overflow int64, so the
+        # rows are numbered first
+        gen = RngStream(13).generator()
+        lows = np.array([-(2**40), 0, 2**50])
+        pool = gen.integers(lows, lows + 2**20, size=(40, 3))
+        pool[:2] = lows, lows + 2**20 - 1
+        rows = pool[gen.integers(0, 40, size=3000)]
+        assert_weighted_matches_expanded(rows, np.arange(3000) % 8, seed=3)
+
+    @pytest.mark.parametrize("weights", [[1, 0, 2], [1, -1, 2], [1, 2]],
+                             ids=["zero", "negative", "short"])
+    def test_weights_must_be_positive_one_per_row(self, weights):
+        with pytest.raises(ValueError, match="positive integer weight per row"):
+            count_rows(np.arange(3), np.zeros(3, dtype=np.int64), weights=weights)
+
+
 class TestBatchMeans:
     def test_matches_per_sample_means(self):
         gen = RngStream(4).generator()

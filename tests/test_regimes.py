@@ -89,11 +89,15 @@ def _samples_for(spec, gamma, num=2000, seed=1):
 
 
 def _counts_with(spec, gamma, states):
-    """Count table of a short run at `gamma` whose first rows are `states`."""
-    samples = _samples_for(spec, gamma)
-    q = samples.q.copy()
+    """Count table of a short run at `gamma` with its first samples, in
+    (batch, state) order, replaced by `states`."""
+    counts = _samples_for(spec, gamma).counts
+    table = counts.table
+    hits = table.data.astype(np.int64)
+    batch = np.repeat(np.repeat(np.arange(counts.num_batches), np.diff(table.indptr)), hits)
+    q = np.repeat(counts.rows[table.indices], hits, axis=0)
     q[: len(states)] = states
-    return count_rows(q, samples.batch)
+    return count_rows(q, batch)
 
 
 def _scaled_row(scaled, raw, state):

@@ -155,20 +155,56 @@ class TestStep:
         assert (q_next * u == 0).all()
 
 
+def _assert_same_set(a, b):
+    """The two sample sets' count tables and unused-service means are equal,
+    bitwise and in dtype."""
+    for x, y in [
+        (a.counts.rows, b.counts.rows),
+        (a.counts.table.data, b.counts.table.data),
+        (a.counts.table.indices, b.counts.table.indices),
+        (a.counts.table.indptr, b.counts.table.indptr),
+        (a.counts.sizes, b.counts.sizes),
+        (a.batch_u_mean, b.batch_u_mean),
+    ]:
+        assert x.dtype == y.dtype
+        assert np.array_equal(x, y)
+
+
+def _reference_columns(config, plan):
+    """(replica, retained index, batch label) of every retained sample,
+    replica by replica, as a loop over replicas labels them: replica i
+    retains num_samples // replicas samples, one more if
+    i < num_samples % replicas, split into at most 32 runs of consecutive
+    retained index, each at least ten relaxation times long, and the
+    batches are numbered replica by replica."""
+    replicas = min(plan.replicas, plan.num_samples)
+    base, extra = divmod(plan.num_samples, replicas)
+    span = max(1, math.ceil(10.0 * simulator.relaxation_slots(config) / plan.thinning))
+    replica, index, labels, first = [], [], [], 0
+    for i in range(replicas):
+        cnt = base + (i < extra)
+        b = max(1, min(32, cnt // span))
+        edges = np.linspace(0, cnt, b + 1).astype(np.int64)
+        replica.append(np.full(cnt, i))
+        index.append(np.arange(cnt))
+        labels.append(first + np.repeat(np.arange(b), np.diff(edges)))
+        first += b
+    return np.concatenate(replica), np.concatenate(index), np.concatenate(labels)
+
+
 class TestCollect:
     def test_absorbing_empty_state(self):
         config = SystemConfig(gamma=1.0, arrivals=Constant(0), services=(Constant(0),))
         plan = SamplingPlan(warmup_slots=10, num_samples=500, thinning=1, replicas=4)
         samples = collect_steady_state(config, plan, seed=0)
         assert not samples.q.any()
-        assert not samples.u_total.any()
+        assert not samples.batch_u_mean.any()
 
     def test_determinism_contract(self):
         plan = default_plan(SSQ, num_samples=20_000, replicas=8)
         a = collect_steady_state(SSQ, plan, seed=123)
         b = collect_steady_state(SSQ, plan, seed=123)
-        assert np.array_equal(a.q, b.q)
-        assert np.array_equal(a.u_total, b.u_total)
+        _assert_same_set(a, b)
 
     def test_determinism_across_groups(self):
         # more replicas than BLOCK_ROWS // BLOCK, so each draw block is cut
@@ -177,8 +213,7 @@ class TestCollect:
         a = collect_steady_state(SSQ, plan, seed=7)
         b = collect_steady_state(SSQ, plan, seed=7)
         assert len(a) == plan.num_samples
-        assert np.array_equal(a.q, b.q)
-        assert np.array_equal(a.u_total, b.u_total)
+        _assert_same_set(a, b)
 
     def test_mean_matches_exact_chain(self):
         chain = build_chain(SSQ, 100)
@@ -186,21 +221,19 @@ class TestCollect:
         exact = law.estimate(law.rows.sum(axis=1))[0]
         plan = default_plan(SSQ, num_samples=400_000, replicas=64)
         samples = collect_steady_state(SSQ, plan, seed=11)
-        totals = samples.q.sum(axis=1).astype(float)
-        nb = samples.counts.num_batches
-        means = np.array([totals[samples.batch == b].mean() for b in range(nb)])
-        se = means.std(ddof=1) / math.sqrt(nb)
-        assert abs(totals.mean() - exact) < 4 * se
+        totals = samples.counts.rows.sum(axis=1)
+        means = samples.counts.batch_means(totals)
+        se = means.std(ddof=1) / math.sqrt(samples.counts.num_batches)
+        assert abs(samples.counts.pooled @ totals / len(samples) - exact) < 4 * se
 
     def test_stationarity_drift_identity(self):
         # mean of gamma * total - u_total equals the drift in steady state
         plan = default_plan(SSQ, num_samples=400_000, replicas=64)
         samples = collect_steady_state(SSQ, plan, seed=13)
-        vals = SSQ.gamma * samples.q.sum(axis=1) - samples.u_total
-        nb = samples.counts.num_batches
-        means = np.array([vals[samples.batch == b].mean() for b in range(nb)])
-        se = means.std(ddof=1) / math.sqrt(nb)
-        assert abs(vals.mean() - SSQ.drift) < 4 * se
+        counts = samples.counts
+        means = SSQ.gamma * counts.batch_means(counts.rows.sum(axis=1)) - samples.batch_u_mean
+        se = means.std(ddof=1) / math.sqrt(counts.num_batches)
+        assert abs(counts.sizes @ means / len(samples) - SSQ.drift) < 4 * se
 
     def test_marks_carried_across_slots_are_exact(self, monkeypatch):
         """Abandonments over a whole steady-state run, where each cell's next
@@ -235,40 +268,61 @@ class TestCollect:
         assert abs(z_sum) < 4.0, f"z_sum={z_sum:+.2f}"
         assert abs(z_lag) < 4.0, f"lag-1 corr={corr:+.4f}, z={z_lag:+.2f}"
 
-    def test_statistics_built_at_construction(self):
+    def test_statistics_built_at_construction(self, monkeypatch):
+        """The count table and the unused-service means are those of the
+        per-sample columns: every slot's state and unused-service total are
+        recorded from `_slot`, the retained ones picked out by the plan, and
+        each labelled by the documented batch contract."""
         plan = default_plan(SSQ, num_samples=20_000, replicas=8)
+        seen = []
+        slot = simulator._slot
+
+        def record(q, *args):
+            q_next, pre, dest, d = slot(q, *args)
+            seen.append((q_next.copy(), (q_next - pre).sum(axis=1)))
+            return q_next, pre, dest, d
+
+        monkeypatch.setattr(simulator, "_slot", record)
         samples = collect_steady_state(SSQ, plan, seed=5)
-        expect = count_rows(samples.q, samples.batch)
+        states = np.array([x[0] for x in seen])  # (slots, replicas, n)
+        unused = np.array([x[1] for x in seen])  # (slots, replicas)
+
+        replica, index, batch = _reference_columns(SSQ, plan)
+        # retained sample k (from 0) is the state after slot warmup + (k + 1) * thinning
+        slot_of = plan.warmup_slots + (index + 1) * plan.thinning - 1
+        q, u = states[slot_of, replica], unused[slot_of, replica]
+        expect = count_rows(q, batch)
+        assert len(samples) == plan.num_samples
         assert np.array_equal(samples.counts.rows, expect.rows)
-        assert np.array_equal(samples.counts.table.toarray(), expect.table.toarray())
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(samples.counts.table, name), getattr(expect.table, name))
         assert np.array_equal(samples.counts.sizes, expect.sizes)
-        means = np.bincount(samples.batch, weights=samples.u_total) / np.bincount(samples.batch)
+        means = np.bincount(batch, weights=u) / np.bincount(batch)
         assert np.array_equal(samples.batch_u_mean, means)
 
     @pytest.mark.parametrize("batch", [[0, 2], [-1, 0]], ids=["gap", "negative"])
     def test_batch_labels_must_cover_every_batch(self, batch):
         with pytest.raises(ConfigError, match="batch labels must be 0..B-1"):
-            SampleSet(q=np.array([[1], [2]]), u_total=np.zeros(2, dtype=np.int64),
-                      batch=np.array(batch), config=SSQ)
+            SampleSet.from_arrays(q=np.array([[1], [2]]), u_total=np.zeros(2, dtype=np.int64),
+                                  batch=np.array(batch), config=SSQ)
 
     @pytest.mark.parametrize(
         "u,batch", [(2, 1), (1, 2), (2, 3)], ids=["one-label", "short-u", "long-labels"]
     )
     def test_columns_must_have_equal_lengths(self, u, batch):
         with pytest.raises(ConfigError, match="equal lengths"):
-            SampleSet(q=np.array([[1], [2]]), u_total=np.zeros(u, dtype=np.int64),
-                      batch=np.zeros(batch, dtype=np.int64), config=SSQ)
+            SampleSet.from_arrays(q=np.array([[1], [2]]), u_total=np.zeros(u, dtype=np.int64),
+                                  batch=np.zeros(batch, dtype=np.int64), config=SSQ)
 
     @pytest.mark.parametrize("extra", [123, 270], ids=["first-group-ragged", "second-group-ragged"])
     def test_sample_order_contract(self, monkeypatch, extra):
-        """Samples come in (retained index, replica) order over all replicas;
-        batches are runs of consecutive retained samples of one replica,
+        """Batches are runs of consecutive retained samples of one replica,
         numbered replica by replica. The plan's 296 replicas draw blocks
         shorter than BLOCK slots, and its extra samples end at two places.
 
         `_slot` is replaced by a stand-in whose state is (replica, slots run)
-        and whose unused service is their sum, so each sample names its
-        replica and retained index."""
+        and whose unused service is their sum, so each sample is a distinct
+        state that names its replica and retained index."""
 
         def fake_slot(q, a, s, noise, offsets, marks, gamma, gen):
             nxt = np.empty_like(q)
@@ -282,62 +336,79 @@ class TestCollect:
         plan = SamplingPlan(warmup_slots=6, num_samples=replicas * 30 + extra,
                             thinning=2, replicas=replicas)
         samples = collect_steady_state(config, plan, seed=0)
-        replica = samples.q[:, 0]
-        index = (samples.q[:, 1] - plan.warmup_slots) // plan.thinning - 1
-        assert np.array_equal(samples.u_total, replica + samples.q[:, 1])
+        counts, table = samples.counts, samples.counts.table
+        assert (table.data == 1).all()
+        # the table's entries in (batch, state) order, and so, within a
+        # batch, in retained-index order
+        batch = np.repeat(np.arange(counts.num_batches), np.diff(table.indptr))
+        state = counts.rows[table.indices]
+        replica = state[:, 0]
+        index = (state[:, 1] - plan.warmup_slots) // plan.thinning - 1
+        assert np.bincount(replica).tolist() == [31] * extra + [30] * (replicas - extra)
 
-        counts = np.bincount(replica, minlength=replicas)
-        assert counts.tolist() == [31] * extra + [30] * (replicas - extra)
-        # retained index before replica
-        assert (np.diff(index * replicas + replica) > 0).all()
+        ref_replica, ref_index, ref_batch = _reference_columns(config, plan)
+        assert counts.num_batches > 2 * replicas  # several batches per replica
+        assert np.array_equal(batch, ref_batch)
+        assert np.array_equal(replica, ref_replica)
+        assert np.array_equal(index, ref_index)
+        means = np.bincount(batch, weights=state.sum(axis=1)) / np.bincount(batch)
+        assert np.array_equal(samples.batch_u_mean, means)
 
-        # the same samples in replica order, labelled replica by replica as
-        # a loop over replicas does it
-        order = np.lexsort((index, replica))
-        assert np.array_equal(index[order], np.concatenate([np.arange(c) for c in counts]))
-        span = max(1, math.ceil(10.0 * simulator.relaxation_slots(config) / plan.thinning))
-        labels, first = [], 0
-        for cnt in counts:
-            b = max(1, min(32, cnt // span))
-            edges = np.linspace(0, cnt, b + 1).astype(np.int64)
-            labels.append(first + np.repeat(np.arange(b), np.diff(edges)))
-            first += b
-        labels = np.concatenate(labels)
-        assert first > 2 * replicas  # several batches per replica
-        assert np.array_equal(samples.batch[order], labels)
+    @pytest.mark.parametrize("spread", [3, 40, 2**62], ids=["dense", "sorted", "numbered"])
+    def test_flush_counts_either_way(self, monkeypatch, spread):
+        """A flush is counted on a dense (replica, state) grid when the
+        states' bounding box holds at most DENSE_CELLS_PER_SAMPLE cells per
+        sample, else by `count_rows`, which numbers rows whose codes would
+        overflow; either way its entries are the distinct (replica, state)
+        pairs in order, with their counts."""
+        block = _gen(8).integers(-spread, spread, size=(16, 5, 2))
+        calls = []
 
-        reference = SampleSet(q=samples.q[order], u_total=samples.u_total[order],
-                              batch=labels, config=config)
-        assert np.array_equal(samples.counts.rows, reference.counts.rows)
-        assert np.array_equal(samples.counts.table.toarray(), reference.counts.table.toarray())
-        assert np.array_equal(samples.counts.sizes, reference.counts.sizes)
-        assert np.array_equal(samples.batch_u_mean, reference.batch_u_mean)
+        def spy(rows, batch):
+            calls.append(rows.shape)
+            return count_rows(rows, batch)
+
+        monkeypatch.setattr(simulator, "count_rows", spy)
+        replica, hits, states = simulator._count_block(block)
+        box = math.prod(int(c.max()) - int(c.min()) + 1 for c in block.reshape(-1, 2).T)
+        assert bool(calls) == (box > simulator.DENSE_CELLS_PER_SAMPLE * 16)
+        pairs = np.column_stack([np.tile(np.arange(5), 16), block.reshape(-1, 2)])
+        expect, expect_hits = np.unique(pairs, axis=0, return_counts=True)
+        assert np.array_equal(np.column_stack([replica, states]), expect)
+        assert np.array_equal(hits, expect_hits)
 
     @staticmethod
-    def _peak_over_retained(num_samples, replicas):
-        """tracemalloc peak of an overloaded collection over its retained
-        arrays (q, u_total and batch)."""
+    def _peak_over_samples(num_samples, replicas):
+        """tracemalloc peak of an overloaded two-queue collection over
+        num_samples x (n + 2) cells, the bytes of per-sample columns of the
+        states, their unused service and their batch labels."""
         spec = RegimeSpec("overloaded", 0.2, 0.0, (Binomial(2, 0.25), Binomial(2, 0.25)), 4)
+        config = build_config(spec, 0.1)
         plan = SamplingPlan(warmup_slots=200, num_samples=num_samples, thinning=1, replicas=replicas)
+        # a first collection loads scipy modules on first use: run a small
+        # one before tracing
+        collect_steady_state(config, SamplingPlan(10, 10, 1, 1), seed=0)
         tracemalloc.start()
         try:
-            samples = collect_steady_state(build_config(spec, 0.1), plan, seed=3)
+            collect_steady_state(config, plan, seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return peak / (samples.q.nbytes + samples.u_total.nbytes + samples.batch.nbytes)
+        return peak / (num_samples * (2 + 2) * 8)
 
     def test_peak_memory_of_collection(self):
-        """The retained samples are written once, in slot order, and the
-        count table sorts one key array in place, freed before the table is
-        built. On this plan collection peaks at 1.59x the retained arrays."""
-        assert self._peak_over_retained(1 << 16, 256) <= 1.9
+        """The retained samples are counted into the batch table a flush at
+        a time, so no per-sample array is built: on this plan collection
+        peaks at 1.03x the bytes per-sample columns would take (1.56x when
+        they were kept)."""
+        assert self._peak_over_samples(1 << 16, 256) <= 1.25
 
     def test_peak_memory_of_a_wide_collection(self):
         """With more replicas than BLOCK_ROWS // BLOCK, a draw block is cut to
         at most BLOCK_ROWS row-slots, so the draws stay small beside the
-        retained arrays: this plan peaks at 1.84x them."""
-        assert self._peak_over_retained(1 << 18, 4096) <= 1.9
+        flush, which here holds the whole plan: it peaks at 1.39x (1.84x
+        when per-sample columns were kept)."""
+        assert self._peak_over_samples(1 << 18, 4096) <= 1.6
 
     def test_memory_cap(self, monkeypatch):
         monkeypatch.setattr(simulator, "MAX_SAMPLE_CELLS", 1000)
@@ -346,7 +417,7 @@ class TestCollect:
             collect_steady_state(SSQ, plan, seed=0)
 
     def test_memory_cap_counts_the_replicas(self, monkeypatch):
-        # 1000 samples of SSQ are 2000 cells, but 1000 replicas also hold a
+        # 1000 samples of SSQ are 11000 cells, but 1000 replicas also hold a
         # slot's working arrays and 16-slot draw blocks
         monkeypatch.setattr(simulator, "MAX_SAMPLE_CELLS", 20_000)
         plan = SamplingPlan(warmup_slots=10, num_samples=1000, thinning=1, replicas=1)
@@ -359,9 +430,7 @@ class TestCollect:
         plan = SamplingPlan(warmup_slots=50, num_samples=100, thinning=1, replicas=10**12)
         a = collect_steady_state(SSQ, plan, seed=4)
         b = collect_steady_state(SSQ, dataclasses.replace(plan, replicas=100), seed=4)
-        assert np.array_equal(a.q, b.q)
-        assert np.array_equal(a.u_total, b.u_total)
-        assert np.array_equal(a.batch, b.batch)
+        _assert_same_set(a, b)
 
     def test_invalid_plan_rejected(self):
         with pytest.raises(ConfigError):

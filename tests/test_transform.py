@@ -49,7 +49,7 @@ def make_samples(q, u=None, gamma=0.1, batches=4, config=None):
     size = q.shape[0]
     u = np.zeros(size, dtype=np.int64) if u is None else np.asarray(u, dtype=np.int64)
     batch = (np.arange(size) * batches // size).astype(np.int64)
-    return SampleSet(q=q, u_total=u, batch=batch, config=config)
+    return SampleSet.from_arrays(q=q, u_total=u, batch=batch, config=config)
 
 
 class TestEmpiricalMgf:
@@ -354,10 +354,13 @@ def assert_close(actual, expected):
 
 
 def random_samples(n, batches, seed, lo=0, hi=15, size=3000, config=None):
+    """Random samples, with their per-sample columns (q, u_total, batch),
+    which the sample set does not keep."""
     gen = RngStream(seed).generator()
     q = gen.integers(lo, hi, size=(size, n))
     u = gen.integers(0, 3, size=size)
-    return make_samples(q, u=u, batches=batches, config=config)
+    batch = np.arange(size) * batches // size
+    return make_samples(q, u=u, batches=batches, config=config), q, u, batch
 
 
 # arrivals Binomial(4, 0.5), drift 2 - 2 * 0.5 = 1 at gamma 0.1, so the
@@ -372,37 +375,38 @@ class TestMatchesPerSampleReference:
     @pytest.mark.parametrize("spec", [CRITICAL, OVERLOADED], ids=["total", "centered-total"])
     def test_empirical_mgf(self, n, spec):
         spec = replace(spec, base_services=(Binomial(2, 0.25),) * n)
-        samples = random_samples(n, batches=6, seed=10 + n, config=build_config(spec, 0.1))
+        config = build_config(spec, 0.1)
+        samples, q, u, batch = random_samples(n, batches=6, seed=10 + n, config=config)
         gamma = samples.gamma
         est = empirical_mgf(samples, GRID, spec)
-        x = samples.q.sum(axis=1)
+        x = q.sum(axis=1)
         if spec.kind == "overloaded":
             x = x - samples.config.drift / gamma
-        bv, bd = ref_mgf(x, samples.batch, gamma, GRID, 0.5)
+        bv, bd = ref_mgf(x, batch, gamma, GRID, 0.5)
         assert_close(est.batch_values, bv)
         assert_close(est.batch_derivs, bd)
         assert_close(est.values, bv.mean(axis=0))
         assert_close(est.stderr, ref_stderr(bv))
-        assert_close(est.batch_u_mean, ref_batch_means(samples.u_total, samples.batch))
+        assert_close(est.batch_u_mean, ref_batch_means(u, batch))
 
     def test_centered_total_takes_both_signs(self):
-        samples = random_samples(2, batches=5, seed=3, hi=15, config=OVERLOADED_CONFIG)
-        x = samples.q.sum(axis=1) - OVERLOADED_CONFIG.drift / 0.1
+        samples, q, u, batch = random_samples(2, batches=5, seed=3, hi=15, config=OVERLOADED_CONFIG)
+        x = q.sum(axis=1) - OVERLOADED_CONFIG.drift / 0.1
         assert x.min() < 0 < x.max()
         est = empirical_mgf(samples, GRID, OVERLOADED_DRIFT_1)
-        bv, bd = ref_mgf(x, samples.batch, 0.1, GRID, 0.5)
+        bv, bd = ref_mgf(x, batch, 0.1, GRID, 0.5)
         assert_close(est.batch_values, bv)
         assert_close(est.batch_derivs, bd)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_ssc(self, n):
-        samples = random_samples(n, batches=6, seed=20 + n)
-        q = samples.q.astype(float)
+        samples, q, u, batch = random_samples(n, batches=6, seed=20 + n)
+        q = q.astype(float)
         sq = (q**2).sum(axis=1)
-        perp = ref_batch_means(sq - q.sum(axis=1) ** 2 / n, samples.batch)
+        perp = ref_batch_means(sq - q.sum(axis=1) ** 2 / n, batch)
         est = ssc_estimate(samples.counts)
         assert_close(est.perp_second_moment, perp.mean())
-        assert_close(est.total_second_moment, ref_batch_means(sq, samples.batch).mean())
+        assert_close(est.total_second_moment, ref_batch_means(sq, batch).mean())
         assert_close(est.stderr, ref_stderr(perp))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -413,15 +417,15 @@ class TestMatchesPerSampleReference:
         config = build_config(spec, gamma)
         # per-queue center 0.2 / (n * gamma) = 4 / n: scaled coordinates of
         # both signs
-        samples = random_samples(n, batches=6, seed=30 + n, hi=10, config=config)
-        x = gamma ** scaling_exponent(spec) * (samples.q - center_per_queue(spec, gamma))
+        samples, q, u, batch = random_samples(n, batches=6, seed=30 + n, hi=10, config=config)
+        x = gamma ** scaling_exponent(spec) * (q - center_per_queue(spec, gamma))
         assert x.min() < 0 < x.max()
         rows = moment_report(scale(samples.counts, spec, gamma), gaussian(1.0), 4)
-        pooled, pooled_batch = x.reshape(-1), np.repeat(samples.batch, n)
+        pooled, pooled_batch = x.reshape(-1), np.repeat(batch, n)
         expected = [ref_batch_means(pooled**m, pooled_batch) for m in range(1, 5)]
         if n >= 2:
             expected += [
-                ref_batch_means(x[:, 0] ** m1 * x[:, 1] ** m2, samples.batch)
+                ref_batch_means(x[:, 0] ** m1 * x[:, 1] ** m2, batch)
                 for m1 in range(1, 4)
                 for m2 in range(1, 5 - m1)
             ]
@@ -431,13 +435,13 @@ class TestMatchesPerSampleReference:
             assert_close(row.stderr, ref_stderr(bm))
 
     def test_single_batch_stays_unusable(self):
-        samples = random_samples(2, batches=1, seed=40)
+        samples, q, u, batch = random_samples(2, batches=1, seed=40)
         est = empirical_mgf(samples, GRID, CRITICAL)
         assert np.isnan(est.stderr).all()
         assert not est.usable.any()
         assert math.isnan(ssc_estimate(samples.counts).stderr)
         assert math.isnan(unused_service_rate(samples).stderr_raw)
-        scaled = count_rows(samples.q.astype(float), samples.batch)
+        scaled = count_rows(q.astype(float), batch)
         for row in moment_report(scaled, exponential(1.0), 2):
             assert math.isnan(row.stderr)
             assert math.isnan(row.zscore)
@@ -453,8 +457,9 @@ class TestMatchesPerSampleReference:
     def test_ks_of_scaled_coordinate_is_exact(self):
         spec = OVERLOADED
         gamma = 0.05
-        samples = random_samples(2, batches=4, seed=50, hi=10, config=build_config(spec, gamma))
+        config = build_config(spec, gamma)
+        samples, q, u, batch = random_samples(2, batches=4, seed=50, hi=10, config=config)
         scaled = scale(samples.counts, spec, gamma)
-        x0 = gamma ** scaling_exponent(spec) * (samples.q[:, 0] - center_per_queue(spec, gamma))
+        x0 = gamma ** scaling_exponent(spec) * (q[:, 0] - center_per_queue(spec, gamma))
         dist = gaussian(0.8)
         assert ks_statistic(scaled.rows[:, 0], dist, scaled.pooled) == ref_ks(x0, dist)
