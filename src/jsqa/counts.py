@@ -150,14 +150,13 @@ def count_rows(rows, batch, weights=None) -> StateCounts:
     column = np.searchsorted(codes, state)
     del state
     sizes = np.bincount(batch_of, weights=counts, minlength=nb)
+    if not sizes.all():
+        raise ConfigError("batch labels must be 0..B-1 with a sample in every batch")
     # the keys are sorted, so each batch's entries are a run in column order
     indptr = np.zeros(nb + 1, dtype=np.int64)
     np.cumsum(np.bincount(batch_of, minlength=nb), out=indptr[1:])
     del batch_of
-    table = sparse.csr_array((counts.astype(float), column, indptr),
-                             shape=(nb, codes.size))
-    if not sizes.all():
-        raise ConfigError("batch labels must be 0..B-1 with a sample in every batch")
+    table = sparse.csr_array((counts.astype(float), column, indptr), shape=(nb, codes.size))
     # numbered rows need no decoding: each has a sample, so `codes` is 0..U-1
     if distinct is None:
         distinct = np.column_stack(np.unravel_index(codes, spans))

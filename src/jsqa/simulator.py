@@ -216,7 +216,7 @@ def _batches_for(counts: np.ndarray, thinning: int, relax: float):
     per_value = np.clip(values // min_span_samples, 1, 32)
     first = np.concatenate(([0], np.cumsum(per_value[which])))
     edges = [np.linspace(0, cnt, b + 1).astype(np.int64) for cnt, b in zip(values, per_value)]
-    return edges, which.reshape(-1), first
+    return edges, which, first
 
 
 def _draw_block(config: SystemConfig, gen: np.random.Generator, slots: int, rows: int):
@@ -375,11 +375,13 @@ def _run_replicas(config, counts, warmup, thinning, stream):
     gen = stream.generator()
     r, n = len(counts), config.n
     edges, which, first = _batches_for(counts, thinning, relaxation_slots(config))
-    depth = max(1, FLUSH_SAMPLES // r)
-    cuts = np.unique(np.concatenate(edges))
+    # each flush ends at a batch edge of either class, or after `most`
+    # retained slots
+    most = max(1, FLUSH_SAMPLES // r)
+    cuts = np.unique(np.concatenate(edges)).tolist()
     ends = []
-    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-        ends += [*range(lo + depth, hi, depth), hi]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        ends += [*range(lo + most, hi, most), hi]
     depth = int(np.diff(ends, prepend=0).max())
 
     offsets = np.arange(r) * n
@@ -389,8 +391,9 @@ def _run_replicas(config, counts, warmup, thinning, stream):
     buf = np.empty((depth, r, n), dtype=np.int64)
     u = np.zeros(r, dtype=np.int64)
     batch_u_sum = np.zeros(int(first[-1]), dtype=np.int64)
+    # at most one entry per sample
     limit = int(counts.sum())
-    store = np.empty((min(limit, 1 << 12), n + 2), dtype=np.int64)
+    store = np.empty((min(limit, 4096), n + 2), dtype=np.int64)
     stored = 0
 
     def flush(k0, k1):
