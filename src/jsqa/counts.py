@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["StateCounts", "count_rows", "batch_stderr"]
+__all__ = ["StateCounts", "count_rows", "decode_rows", "batch_stderr"]
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -159,6 +159,20 @@ def count_rows(rows, batch, weights=None) -> StateCounts:
     table = sparse.csr_array((counts.astype(float), column, indptr), shape=(nb, codes.size))
     # numbered rows need no decoding: each has a sample, so `codes` is 0..U-1
     if distinct is None:
-        distinct = np.column_stack(np.unravel_index(codes, spans))
-        distinct += lows
+        distinct = decode_rows(codes, lows, spans)
     return StateCounts(rows=distinct, table=table, sizes=sizes)
+
+
+def decode_rows(codes, lows, spans) -> np.ndarray:
+    """The int64 rows (U, k) whose mixed-radix codes are `codes` (U,), each
+    column's digit being its value less lows[j] in the radix spans[j], as
+    `count_rows` numbers them. The codes are copied into the first column
+    and the digits are split off it into the others, last column first, so
+    the rows are the only array built."""
+    rows = np.empty((len(codes), len(spans)), dtype=np.int64)
+    lead = rows[:, 0]
+    lead[:] = codes
+    for j in range(len(spans) - 1, 0, -1):
+        np.divmod(lead, spans[j], out=(lead, rows[:, j]))
+    rows += lows
+    return rows

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import StateCounts, count_rows
+from .counts import StateCounts, count_rows, decode_rows
 from .errors import ConfigError, ResourceLimitError, as_int, parsing
 from .model import RngStream, SystemConfig, require_valid, sample_many
 
@@ -74,9 +74,11 @@ DENSE_CELLS_PER_SAMPLE = 4
 # (`count_rows`) builds the table and its distinct rows on top, and a flush's
 # buffer, codes and grid, freed before the merge, stay below that. Under
 # tracemalloc, for n = 1..4 and flushes counted either way, such collections
-# peak at 3n + 7.0 to 3n + 7.8 cells per sample. A slot's arrays (state,
-# marks and temporaries) peak at 6n + 2 cells per replica and a block's
-# draws at 2n + 2 per row-slot, counted here as 6 (n + 1) and 2 (n + 1).
+# peak at 2n + 7.1 to 2n + 7.7 cells per sample, the distinct rows being
+# decoded into one array (`decode_rows`), so the share leaves about n cells
+# to spare. A slot's arrays (state, marks and temporaries) peak at 6n + 2
+# cells per replica and a block's draws at 2n + 2 per row-slot, counted here
+# as 6 (n + 1) and 2 (n + 1).
 MAX_SAMPLE_CELLS = 1 << 28
 
 
@@ -348,11 +350,9 @@ def _count_block(block):
     cells = np.flatnonzero(grid)
     hits = grid[cells]
     del grid
-    replica, state = np.divmod(cells, box)
-    del cells
-    states = np.column_stack(np.unravel_index(state, spans))
-    states += lows
-    return replica, hits, states
+    # decoded with the replica as one more leading digit
+    rows = decode_rows(cells, [0, *lows], [r, *spans])
+    return rows[:, 0], hits, rows[:, 1:]
 
 
 def _run_replicas(config, counts, warmup, thinning, stream):
@@ -518,11 +518,22 @@ def simulate_coupled_domination(
 
     Within a slot the marks are i.i.d. Bernoulli(gamma) over job positions
     1, 2, ..., so the marked positions form a renewal sequence with
-    Geometric(gamma) gaps. Each slot walks that sequence until it passes the
-    largest exposed head count and discards the overshooting gap, which by
-    memorylessness leaves the next slot a fresh start; a chain's abandonments
-    are the marked positions at or below its own head count. A slot thus
-    costs O(1 + gamma * heads) with no numpy call.
+    Geometric(gamma) gaps; a chain's abandonments are the marked positions
+    at or below its own head count. Each chunk of slots draws its net
+    increments c = a - s and each slot's first mark. While the chains are
+    ordered, a first mark past q and ceil(c_tilde / gamma) lies past q_lo
+    too and past every exposed head (the upper chain exposes at most
+    floor(c_tilde / gamma)): no chain abandons, each adds c, clamped at 0,
+    and they stay ordered, so the slot takes a fast path with no check.
+    Every other slot walks further gaps from one Geometric(gamma) stream
+    until the position is past q and the upper chain's heads, and past the
+    lower chain's heads or the lower chain has lost q_lo + c jobs, after
+    which its next length is 0 whatever the later marks say. The walk stops
+    at a mark, so the marks past it are unread and by memorylessness a fresh
+    start for the next slot. A slot thus reads at most
+    1 + gamma * max(q, q_hi) marks on average, plus at most max(0, q_lo + c)
+    for the lower chain: a cost set by the chains' lengths, not by c_tilde,
+    and paid with no numpy call.
     """
     require_valid(config)
     if config.n != 1:
@@ -539,26 +550,42 @@ def simulate_coupled_domination(
     chunk = 1 << 14
     next_gap = _mark_gaps(gen, gamma, chunk).__next__
     q = q_hi = q_lo = 0
+    # floor_heads while the chains are ordered, q_lo <= q <= q_hi, else inf
+    gate = floor_heads
     violations = 0
     max_violation = 0
     queue_sum = 0
     done = 0
     while done < horizon:
         m = min(chunk, horizon - done)
-        a = sample_many(config.arrivals, gen, m).tolist()
-        s = sample_many(config.services[0], gen, m).tolist()
-        for a_t, s_t in zip(a, s):
-            # conditional expressions rather than min/max calls: this loop
-            # runs once per slot in pure Python
+        net = sample_many(config.arrivals, gen, m) - sample_many(config.services[0], gen, m)
+        first = gen.geometric(gamma, m).tolist()
+        # conditional expressions rather than min/max calls: this loop runs
+        # once per slot in pure Python
+        for c, pos in zip(net.tolist(), first):
+            if pos > q and pos > gate:
+                # ordered chains, so the mark is past q_lo too and past every
+                # exposed head: no chain abandons, and adding c and clamping
+                # at 0 keeps them ordered, so the slot needs no check. Only
+                # when the lowest chain clamps can the others.
+                q_lo += c
+                if q_lo < 0:
+                    q_lo = 0
+                    q = q + c if q + c > 0 else 0
+                    q_hi = q_hi + c if q_hi + c > 0 else 0
+                else:
+                    q += c
+                    q_hi += c
+                queue_sum += q
+                continue
             h_hi = q_hi if q_hi < cap_heads else cap_heads
             h_lo = q_lo if q_lo > floor_heads else floor_heads
+            # the middle and upper chains read every mark up to top; the
+            # lower chain's next length is 0 once it has lost `need` jobs
             top = q if q > h_hi else h_hi
-            if h_lo > top:
-                top = h_lo
-            c = a_t - s_t
+            need = q_lo + c
             d_mid = d_hi = d_lo = 0
-            pos = next_gap()
-            while pos <= top:
+            while pos <= top or (pos <= h_lo and d_lo < need):
                 d_mid += pos <= q
                 d_hi += pos <= h_hi
                 d_lo += pos <= h_lo
@@ -573,7 +600,10 @@ def simulate_coupled_domination(
             if q_lo < 0:
                 q_lo = 0
             queue_sum += q
-            if not q_lo <= q <= q_hi:
+            if q_lo <= q <= q_hi:
+                gate = floor_heads
+            else:
+                gate = math.inf
                 violations += 1
                 max_violation = max(max_violation, q_lo - q, q - q_hi)
         done += m

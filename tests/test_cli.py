@@ -392,6 +392,14 @@ class TestDomination:
         assert status == 0
         assert "violations=0" in capsys.readouterr().out
 
+    def test_huge_constant_returns(self, tmp_path, capsys, gap_budget):
+        # ceil(c_tilde / gamma) = 1e301 lower-chain heads: only the stop rule
+        # keeps each slot's walk short
+        gap_budget(5)
+        path = write_config(tmp_path, SSQ)
+        assert cli.main(["domination", str(path), "--horizon", "5", "--c-tilde", "1e300"]) == 0
+        assert "slots=5 violations=0" in capsys.readouterr().out
+
     @pytest.mark.parametrize("c_tilde", ["nan", "inf", "-inf"])
     def test_non_finite_constant_is_a_clean_error(self, tmp_path, capsys, c_tilde):
         path = write_config(tmp_path, SSQ)

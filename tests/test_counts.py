@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jsqa.counts import batch_stderr, count_rows
+from jsqa.counts import batch_stderr, count_rows, decode_rows
 from jsqa.errors import ConfigError
 from jsqa.model import RngStream
 
@@ -99,6 +99,19 @@ class TestCountRows:
     def test_one_label_per_row(self, batch):
         with pytest.raises(ValueError, match="one batch label per row"):
             count_rows(np.arange(10), np.array(batch))
+
+
+@pytest.mark.parametrize(
+    "spans, lows",
+    [((7,), (-3,)), ((3, 1, 5), (0, 9, -2)), ((2**20, 2**20, 2**20), (-(2**40), 0, 2**50))],
+    ids=["one-column", "unit-span", "wide"],
+)
+def test_decode_rows_inverts_the_codes(spans, lows):
+    codes = RngStream(6).generator().integers(0, np.prod(spans, dtype=np.int64), size=500)
+    rows = decode_rows(codes, list(lows), list(spans))
+    expected = np.column_stack(np.unravel_index(codes, spans)) + np.array(lows)
+    assert rows.dtype == np.int64 and rows.flags.c_contiguous
+    assert np.array_equal(rows, expected)
 
 
 def assert_weighted_matches_expanded(rows, batch, seed):

@@ -12,6 +12,10 @@ estimators: `exact_law`, then `regimes.scale`, then `ks_statistic` or
 rate check pins the rate these chains show, within 10%. In the critical
 family, the mean and second moment extrapolated at that rate from the last
 two gamma must also meet the limit's to 1e-3 relative.
+
+The unused service is also pinned exactly: every chain meets the drift
+identity E[u] = gamma * E[sum q] - drift, and its limit form,
+`critical_unused_limit` = the critical total limit's mean less C.
 """
 
 import functools
@@ -20,7 +24,7 @@ import math
 import numpy as np
 import pytest
 
-from jsqa.limits import critical_unused_limit, limit_for_regime
+from jsqa.limits import critical_unused_limit, limit_for_regime, truncated_gaussian
 from jsqa.model import Binomial
 from jsqa.oracle import auto_chain, exact_law
 from jsqa.regimes import RegimeSpec, build_config, limit_sigma2, scale, scaling_exponent
@@ -35,12 +39,20 @@ FAMILIES = {
 }
 
 
-def exact_errors(spec, gamma):
+@functools.cache
+def exact_chain(kind, gamma):
+    """The exact chain of family `kind` at gamma and its stationary law as a
+    count table; each is solved once per session."""
+    chain, pi = auto_chain(build_config(FAMILIES[kind][0], gamma))
+    return chain, exact_law(chain, pi)
+
+
+def exact_errors(kind, gamma):
     """The scaled exact law at gamma against the limit: its KS distance, the
     errors of its mean and second moment, and the error of the scaled unused
     service (NaN outside the critical family)."""
-    chain, pi = auto_chain(build_config(spec, gamma))
-    law = exact_law(chain, pi)
+    spec = FAMILIES[kind][0]
+    chain, law = exact_chain(kind, gamma)
     scaled = scale(law, spec, gamma)
     per_coordinate, _ = limit_for_regime(spec)
     x = scaled.rows[:, 0]
@@ -60,7 +72,7 @@ def family_errors(kind):
     gamma; each family's chains are solved once per session."""
     spec, gammas = FAMILIES[kind]
     # columns: ks, mean error, second-moment error, unused-service error
-    return spec, np.array([exact_errors(spec, g) for g in gammas])
+    return spec, np.array([exact_errors(kind, g) for g in gammas])
 
 
 @pytest.fixture(scope="module", params=sorted(FAMILIES))
@@ -89,6 +101,35 @@ def test_errors_fall_strictly(family):
     for column, name in enumerate(names, start=1):
         error = np.abs(values[:, column])
         assert (np.diff(error) < 0).all(), f"{name} errors {values[:, column]}"
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_drift_identity(kind):
+    """Under the stationary law the mean queue change is 0, so the unused
+    service is E[u] = gamma * E[sum q] - drift exactly. On every chain of
+    the family the two sides agree to 1e-8 of the identity's largest term
+    (measured: at most 1.5e-10, at critical gamma = 1e-4; the margin is for
+    the iterative solve). That term, not E[u], is the scale: overloaded
+    chains at small gamma leave E[u] near 0 (2.4e-17 at gamma = 1e-3)."""
+    spec, gammas = FAMILIES[kind]
+    for gamma in gammas:
+        chain, law = exact_chain(kind, gamma)
+        drift = build_config(spec, gamma).drift
+        unused = law.estimate(chain.expected_unused)[0]
+        abandoned = gamma * law.estimate(law.rows.sum(axis=1))[0]
+        scale = max(abs(unused), abandoned, abs(drift))
+        assert abs(unused - (abandoned - drift)) <= 1e-8 * scale, (gamma, unused, abandoned)
+
+
+@pytest.mark.parametrize("constant", [-2.0, -0.5, 0.0, 0.5, 2.0])
+def test_critical_unused_limit_is_the_mean_less_the_constant(constant):
+    """The drift identity in the limit: the scaled unused service equals the
+    critical total limit's mean less C. The closed form and the truncated
+    Gaussian's mean agree to 1e-12 relative (measured: at most 2.4e-15; the
+    mean's quadrature errs by up to 6.3e-14)."""
+    sigma2 = 1.5
+    mean = truncated_gaussian(constant, sigma2 / 2.0).moment(1)
+    assert critical_unused_limit(constant, sigma2) == pytest.approx(mean - constant, rel=1e-12)
 
 
 def test_critical_richardson_limit():

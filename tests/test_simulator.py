@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from jsqa import simulator
 from jsqa.counts import count_rows
 from jsqa.errors import ConfigError, ResourceLimitError
-from jsqa.model import BernoulliScaled, Binomial, Constant, RngStream, SystemConfig
+from jsqa.model import BernoulliScaled, Binomial, Constant, RngStream, SystemConfig, sample_many
 from jsqa.oracle import build_chain, exact_law, stationary
 from jsqa.regimes import RegimeSpec, build_config
 from jsqa.simulator import (
+    DominationReport,
     SampleSet,
     SamplingPlan,
     collect_steady_state,
@@ -469,26 +470,99 @@ class TestStepMany:
         assert (q_next * u == 0).all()
 
 
+def _walked_domination(config, c_tilde, horizon, seed):
+    """`simulate_coupled_domination` with no fast path. It reads the same
+    draws (per chunk of 2^14 slots the net increments a - s, then each
+    slot's first mark, and further gaps from one `_mark_gaps` stream), and
+    every slot walks its marks under the same stop rule."""
+    gamma = config.gamma
+    cap = max(0, math.floor(c_tilde / gamma))
+    floor = max(0, math.ceil(c_tilde / gamma))
+    gen = RngStream(seed, 0).generator()
+    chunk = 1 << 14
+    gaps = simulator._mark_gaps(gen, gamma, chunk)
+    lower = middle = upper = 0
+    violations = worst = total = 0
+    for start in range(0, horizon, chunk):
+        m = min(chunk, horizon - start)
+        net = sample_many(config.arrivals, gen, m) - sample_many(config.services[0], gen, m)
+        first = gen.geometric(gamma, m)
+        for c, pos in zip(net.tolist(), first.tolist()):
+            heads = (max(lower, floor), middle, min(upper, cap))
+            lost = [0, 0, 0]
+            # the middle and upper chains read every mark up to their heads;
+            # the lower one only until it has lost lower + c jobs
+            while pos <= max(heads[1:]) or (pos <= heads[0] and lost[0] < lower + c):
+                lost = [d + (pos <= h) for d, h in zip(lost, heads)]
+                pos += next(gaps)
+            lower, middle, upper = (
+                max(0, x + c - d) for x, d in zip((lower, middle, upper), lost)
+            )
+            total += middle
+            if not lower <= middle <= upper:
+                violations += 1
+                worst = max(worst, lower - middle, middle - upper)
+    return DominationReport(horizon, violations, worst, total / horizon if horizon else 0.0)
+
+
+def _single_queue(gamma, arrival_p=0.3):
+    return SystemConfig(
+        gamma=gamma, arrivals=BernoulliScaled(1, arrival_p), services=(BernoulliScaled(1, 0.4),)
+    )
+
+
+def _default_constant(config):
+    return config.drift + config.bound * math.sqrt(config.gamma)
+
+
 @functools.cache
 def _domination_runs(gamma, arrival_p):
     """10 seeds x 100k slots of the coupled chains at the default constant,
     shared by the law and ordering tests."""
-    config = SystemConfig(
-        gamma=gamma, arrivals=BernoulliScaled(1, arrival_p),
-        services=(BernoulliScaled(1, 0.4),),
-    )
-    c_tilde = config.drift + config.bound * math.sqrt(gamma)
+    config = _single_queue(gamma, arrival_p)
+    c_tilde = _default_constant(config)
     reports = [simulate_coupled_domination(config, c_tilde, 100_000, seed) for seed in range(10)]
     return config, reports
 
 
+# (gamma, arrival probability, c_tilde) on which the fast path must match
+# the full walk; None is the default constant
+WALK_CASES = {
+    # the bench's exact-checks config: floor 2, ceil 3 heads
+    "gamma-0.05": (0.05, 0.3, None),
+    "criterion-9-gamma-0.2": (0.2, 0.3, None),
+    "gamma-1": (1.0, 0.3, 0.5),
+    # about 132 exposed heads
+    "gamma-1e-3-overloaded": (1e-3, 0.5, None),
+    # c_tilde / gamma = 2.0 exactly: floor and ceil agree
+    "integral-heads": (0.05, 0.3, 0.1),
+    "negative-constant": (0.05, 0.3, -0.3),
+    # 1000 heads below: the lower chain stops its walk early
+    "stop-rule": (0.05, 0.3, 50.0),
+}
+
+
 class TestDomination:
+    @pytest.mark.parametrize("case", sorted(WALK_CASES))
+    def test_fast_path_matches_the_walk(self, case):
+        gamma, arrival_p, c_tilde = WALK_CASES[case]
+        config = _single_queue(gamma, arrival_p)
+        if c_tilde is None:
+            c_tilde = _default_constant(config)
+        # 40k slots span three draw chunks
+        report = simulate_coupled_domination(config, c_tilde, 40_000, seed=11)
+        assert report == _walked_domination(config, c_tilde, 40_000, seed=11)
+
+    def test_large_constant_walks_few_marks(self, gap_budget):
+        # the lower chain exposes 2e7 heads, but stops reading marks once it
+        # has lost all its jobs; a walk past every head would read ~1e6 per slot
+        gap_budget(1000)
+        report = simulate_coupled_domination(_single_queue(0.05), 1e6, horizon=1000, seed=1)
+        assert report.slots_checked == 1000 and report.violations == 0
+
     def test_no_abandonment_cap_dominates(self):
         # cap 0 exposes no jobs for the upper chain while gamma=1 drains q
-        config = SystemConfig(
-            gamma=1.0, arrivals=BernoulliScaled(1, 0.3), services=(BernoulliScaled(1, 0.4),)
-        )
-        report = simulate_coupled_domination(config, c_tilde=0.5, horizon=20_000, seed=2)
+        report = simulate_coupled_domination(_single_queue(1.0), 0.5, horizon=20_000, seed=2)
         assert report.holds
 
     def test_default_constant_zero_violations(self):
