@@ -17,12 +17,14 @@ are not integer, or whose keys would overflow int64, are first numbered by
 `weights`, row i counts weights[i] times, so a table can be merged from
 partial tables, each (batch, row) entry with its count, as
 `simulator.collect_steady_state` does with the samples it counts a flush at
-a time. Unweighted, the key array is the only array of the rows' length that
-`count_rows` keeps: each digit is added to it in place, it is sorted in
-place, and the counts are the lengths of its runs of equal keys. Weighted,
-the keys are put in order by an argsort, which also orders the weights, and
-a run's count is the sum of its weights. The table does not depend on the
-order of the rows.
+a time. Where the grid of every key (batches x radix) holds at most
+DENSE_CELLS_PER_SAMPLE cells per row, the keys are counted by one
+`np.bincount` over it, as happens when long queues crowd a small box of
+states. Otherwise they are sorted (in place, or by an argsort that also
+orders the weights) and a count is the length, or the weight, of a run of
+equal keys. The distinct rows are numbered by a running count over the radix
+where that is as small, else by `np.unique`. Either way the table is the
+same, bitwise, and does not depend on the order of the rows.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ from .errors import ConfigError
 __all__ = ["StateCounts", "count_rows", "decode_rows", "batch_stderr"]
 
 INT64_MAX = np.iinfo(np.int64).max
+
+# Keys are counted, and distinct rows numbered, on dense arrays of at most
+# this many cells per row, else by sorting; both give the same table.
+DENSE_CELLS_PER_SAMPLE = 4
 
 
 def batch_stderr(batch_means: np.ndarray) -> np.ndarray:
@@ -87,9 +93,15 @@ def count_rows(rows, batch, weights=None) -> StateCounts:
     as weights[i] samples.
 
     Each column's digit is its value less the column's minimum, in the radix
-    of its span. ConfigError is raised unless the labels are 0..B-1 with a
-    row in every batch: their maximum, taken unsigned so that a negative
-    label is the largest, must be below N, and no batch size may be 0.
+    of its span; the radix is the product of the spans. The keys are counted
+    by one bincount over their grid when B x radix is at most
+    DENSE_CELLS_PER_SAMPLE x N cells, else by a sort, and the distinct rows
+    are numbered by a running count when the radix is that small, else by
+    np.unique; the table is the same either way. ValueError is raised for a
+    weight that is not a positive integer. ConfigError is raised unless the
+    labels are 0..B-1 with a row in every batch: their maximum, taken
+    unsigned so that a negative label is the largest, must be below N, and
+    no batch size may be 0.
     """
     from scipy import sparse  # loaded on first use, not with the package
     rows = np.asarray(rows)
@@ -103,8 +115,9 @@ def count_rows(rows, batch, weights=None) -> StateCounts:
             f"need one batch label per row: {rows.shape[0]} rows, labels of shape {batch.shape}"
         )
     if weights is not None:
-        weights = np.asarray(weights, dtype=np.int64)
-        if weights.shape != batch.shape or not (weights > 0).all():
+        given = np.asarray(weights)
+        weights = given.astype(np.int64, copy=False)
+        if weights.shape != batch.shape or not ((weights > 0) & (weights == given)).all():
             raise ValueError("need one positive integer weight per row")
     nb = int(batch.view(np.uint64).max()) + 1
     if nb > batch.size:
@@ -126,33 +139,47 @@ def count_rows(rows, batch, weights=None) -> StateCounts:
         # modulo 2**64 and the key fits, so the digit lands exactly
         code -= low
         code += col
-    radix = math.prod(spans)
-    if weights is None:
-        code.sort()
+    radix, size = math.prod(spans), code.size
+    if nb * radix <= DENSE_CELLS_PER_SAMPLE * size:
+        grid = np.bincount(code, weights=weights, minlength=nb * radix)
+        del code, weights
+        keys = np.flatnonzero(grid)
+        # weighted sums come back as floats, exact for integer counts
+        counts = grid[keys].astype(np.int64, copy=False)
+        del grid
     else:
-        order = code.argsort()
-        code = code[order]
-        weights = weights[order]
-        del order
-    starts = np.flatnonzero(code[1:] != code[:-1]) + 1
-    starts = np.concatenate(([0], starts))
-    keys = code[starts]
-    if weights is None:
-        counts = np.diff(starts, append=code.size)
-    else:
-        counts = np.add.reduceat(weights, starts)
-    # the keys' runs are read; free the N-sized arrays before the table is built
-    del code, weights
+        if weights is None:
+            code.sort()
+        else:
+            order = code.argsort()
+            code = code[order]
+            weights = weights[order]
+            del order
+        starts = np.flatnonzero(code[1:] != code[:-1]) + 1
+        starts = np.concatenate(([0], starts))
+        keys = code[starts]
+        if weights is None:
+            counts = np.diff(starts, append=code.size)
+        else:
+            counts = np.add.reduceat(weights, starts)
+        # the keys' runs are read; free the N-sized arrays before the table is built
+        del code, weights
     batch_of, state = np.divmod(keys, radix)
     del keys
-    # searchsorted against the few distinct codes: lighter than unique's inverse
-    codes = np.unique(state)
-    column = np.searchsorted(codes, state)
+    if radix <= DENSE_CELLS_PER_SAMPLE * size:
+        # the states present, numbered in order by a running count
+        present = np.bincount(state, minlength=radix).astype(bool)
+        codes = np.flatnonzero(present)
+        column = (np.cumsum(present) - 1)[state]
+    else:
+        # searchsorted against the few distinct codes: lighter than unique's inverse
+        codes = np.unique(state)
+        column = np.searchsorted(codes, state)
     del state
     sizes = np.bincount(batch_of, weights=counts, minlength=nb)
     if not sizes.all():
         raise ConfigError("batch labels must be 0..B-1 with a sample in every batch")
-    # the keys are sorted, so each batch's entries are a run in column order
+    # the keys are in order, so each batch's entries are a run in column order
     indptr = np.zeros(nb + 1, dtype=np.int64)
     np.cumsum(np.bincount(batch_of, minlength=nb), out=indptr[1:])
     del batch_of

@@ -119,8 +119,8 @@ def _queue_tables(gamma: float, laws, cap: int):
     (2, cap + 1) array of its rows' clamped mass and expected unused service
     (the magnitude of the values that fold into 0). All read one survivors'
     law of q - d, carried by one two-term convolution per row. Each table's
-    rows are written into column and value buffers that double when full
-    and are trimmed once at the end."""
+    rows are written into column and value buffers that double when full, up
+    to the MAX_KERNEL_NONZEROS budget, and are trimmed once at the end."""
     import scipy.sparse as sp  # loaded on first use, not with the package
     side = cap + 1
     indptr = np.zeros((len(laws), side + 1), dtype=np.int64)
@@ -147,7 +147,7 @@ def _queue_tables(gamma: float, laws, cap: int):
                 raise StateBudgetError(f"cap {cap} gives over {MAX_KERNEL_NONZEROS} entries, the "
                                        f"budget of kernel nonzeros, in rows 0..{q} of a queue table")
             if end > cols[i].size:
-                grown = max(end, 2 * cols[i].size)
+                grown = min(max(end, 2 * cols[i].size), MAX_KERNEL_NONZEROS)
                 cols[i].resize(grown, refcheck=False)
                 vals[i].resize(grown, refcheck=False)
             cols[i][start : start + col.size] = col

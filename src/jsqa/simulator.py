@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import StateCounts, count_rows, decode_rows
+from .counts import StateCounts, count_rows
 from .errors import ConfigError, ResourceLimitError, as_int, parsing
 from .model import RngStream, SystemConfig, require_valid, sample_many
 
@@ -62,23 +62,21 @@ BLOCK_ROWS = 1 << 14
 # the (config, plan, seed) -> samples contract.
 FLUSH_SAMPLES = 1 << 18
 
-# A flush is counted on a dense (replica, state) grid over its bounding box
-# of states when the grid holds at most DENSE_CELLS_PER_SAMPLE cells per
-# sample of the flush, else by a sort (`count_rows`).
-DENSE_CELLS_PER_SAMPLE = 4
-
 # Memory cap for collect_steady_state, in 8-byte cells: 3n + 8 per retained
 # sample, plus per replica one slot's working arrays and its rows of one draw
 # block. The samples' share bounds the worst case, one entry per sample: the
-# entry store holds n + 2 cells per entry, its merge into the table
-# (`count_rows`) builds the table and its distinct rows on top, and a flush's
-# buffer, codes and grid, freed before the merge, stay below that. Under
-# tracemalloc, for n = 1..4 and flushes counted either way, such collections
-# peak at 2n + 7.1 to 2n + 7.7 cells per sample, the distinct rows being
-# decoded into one array (`decode_rows`), so the share leaves about n cells
-# to spare. A slot's arrays (state, marks and temporaries) peak at 6n + 2
-# cells per replica and a block's draws at 2n + 2 per row-slot, counted here
-# as 6 (n + 1) and 2 (n + 1).
+# entry store holds n + 2 cells per entry, and its merge into the table
+# (`count_rows`) builds keys and a sort order, or a grid of at most
+# DENSE_CELLS_PER_SAMPLE cells per entry, then the table and its distinct
+# rows. A flush holds its buffer, a label per sample (at most FLUSH_SAMPLES x
+# 8 bytes = 2 MB), keys and grid, then the distinct rows and entries; it sets
+# the peak where one flush holds every sample. Under tracemalloc (stand-in
+# slots that make every sample a distinct entry; n = 1..4, 64 and 4096
+# replicas, flushes and merges counted either way) the worst collection of
+# each n peaks at 3n + 5.5 to 3n + 6.4 cells per sample, so the share leaves
+# at least 1.6 cells to spare. A slot's arrays (state, marks and temporaries)
+# peak at 6n + 2 cells per replica and a block's draws at 2n + 2 per
+# row-slot, counted here as 6 (n + 1) and 2 (n + 1).
 MAX_SAMPLE_CELLS = 1 << 28
 
 
@@ -316,45 +314,6 @@ def _block_slots(replicas: int) -> int:
     return max(1, min(BLOCK, BLOCK_ROWS // replicas))
 
 
-def _count_block(block):
-    """Counts of the distinct states of each replica in the (slots, replicas,
-    n) block of retained states: returns (replica, count, state) arrays, one
-    entry per distinct (replica, state) pair.
-
-    The states are numbered in their bounding box (mixed-radix digits, as in
-    `count_rows`). Where the (replicas x box) grid holds at most
-    DENSE_CELLS_PER_SAMPLE cells per sample, the entries are the grid's
-    nonzero cells, counted by one bincount; a wider grid, or one whose codes
-    would overflow int64, is counted by `count_rows` with the replica as the
-    batch label.
-    """
-    m, r, n = block.shape
-    lows = [int(block[:, :, j].min()) for j in range(n)]
-    spans = [int(block[:, :, j].max()) - low + 1 for j, low in enumerate(lows)]
-    box = math.prod(spans)
-    # r * box grid cells against m * r samples
-    if box > DENSE_CELLS_PER_SAMPLE * m:
-        counts = count_rows(block.reshape(-1, n), np.tile(np.arange(r), m))
-        table = counts.table
-        replica = np.repeat(np.arange(r), np.diff(table.indptr))
-        return replica, table.data.astype(np.int64), counts.rows[table.indices]
-    # the replica is the leading digit of each code
-    code = np.empty((m, r), dtype=np.int64)
-    code[:] = np.arange(r)
-    for j, (low, span) in enumerate(zip(lows, spans)):
-        code *= span
-        code += block[:, :, j]
-        code -= low
-    grid = np.bincount(code.reshape(-1), minlength=r * box)
-    del code
-    cells = np.flatnonzero(grid)
-    hits = grid[cells]
-    del grid
-    # decoded with the replica as one more leading digit
-    rows = decode_rows(cells, [0, *lows], [r, *spans])
-    return rows[:, 0], hits, rows[:, 1:]
-
-
 def _run_replicas(config, counts, warmup, thinning, stream):
     """Simulate the replicas as one state matrix, replica i retaining
     counts[i] samples, and count the retained samples into their batches;
@@ -364,13 +323,13 @@ def _run_replicas(config, counts, warmup, thinning, stream):
     Returns (table, batch_u_sum): the count table of the retained states per
     batch (`count_rows`) and each batch's total unused service. The samples
     are written in (retained index, replica) order into a buffer, which is
-    counted (`_count_block`) when a batch of either replica class ends or it
-    holds FLUSH_SAMPLES samples. Within one flush, then, each replica's
-    samples lie in one batch, so the replica names it. The entries of all
-    flushes go to one store, whose rows (batch, count, state) double when
-    full; `count_rows` merges them at the end. The unused service of each
-    retained slot is summed per replica and added to its batch at the same
-    flush.
+    counted (`count_rows`, with the replica as the label) when a batch of
+    either replica class ends or it holds FLUSH_SAMPLES samples. Within one
+    flush, then, each replica's samples lie in one batch, so the replica
+    names it. The entries of all flushes go to one store, whose rows (batch,
+    count, state) double when full; `count_rows` merges them at the end,
+    their counts as weights. The unused service of each retained slot is
+    summed per replica and added to its batch at the same flush.
     """
     gen = stream.generator()
     r, n = len(counts), config.n
@@ -403,12 +362,17 @@ def _run_replicas(config, counts, warmup, thinning, stream):
         labels = first[:active] + np.take(within, which[:active])
         batch_u_sum[labels] += u[:active]
         u[:] = 0
-        replica, hits, states = _count_block(buf[: k1 - k0, :active])
-        end = stored + hits.size
+        part = count_rows(buf[: k1 - k0, :active].reshape(-1, n),
+                          np.tile(np.arange(active), k1 - k0))
+        table, states = part.table, part.rows[part.table.indices]
+        # free the distinct rows, as many as the entries at worst, before
+        # the store grows
+        del part
+        end = stored + table.nnz
         if end > store.shape[0]:
             store.resize((max(end, min(2 * store.shape[0], limit)), n + 2), refcheck=False)
-        store[stored:end, 0] = labels[replica]
-        store[stored:end, 1] = hits
+        store[stored:end, 0] = np.repeat(labels, np.diff(table.indptr))
+        store[stored:end, 1] = table.data
         store[stored:end, 2:] = states
         stored = end
 

@@ -16,8 +16,37 @@ def dense_reference(rows, batch):
     return distinct, dense
 
 
-def assert_matches_reference(rows, batch):
-    counts = count_rows(rows, batch)
+def on_each_side(count, grid=True):
+    """count() run as it stands, then with DENSE_CELLS_PER_SAMPLE forced to
+    sort every table and number its rows by np.unique, and, if `grid`,
+    forced to count on the grid and number by a running count; the tables
+    must be the same bitwise, and the last is returned. The grid is forced
+    only on inputs whose grid holds at most about 10^6 cells: the forced
+    value takes it up to 2^10 cells per row."""
+    tables = [count()]
+    for cells in [0, 1 << 10] if grid else [0]:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("jsqa.counts.DENSE_CELLS_PER_SAMPLE", cells)
+            tables.append(count())
+    for other in tables[1:]:
+        assert_same_table(other, tables[0])
+    return tables[-1]
+
+
+def assert_same_table(got, want):
+    for a, b in [
+        (got.rows, want.rows),
+        (got.table.data, want.table.data),
+        (got.table.indices, want.table.indices),
+        (got.table.indptr, want.table.indptr),
+        (got.sizes, want.sizes),
+    ]:
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+def assert_matches_reference(rows, batch, grid=True):
+    counts = on_each_side(lambda: count_rows(rows, batch), grid)
     distinct, dense = dense_reference(rows, batch)
     # both list distinct rows in lexicographic order
     assert np.array_equal(counts.rows, distinct)
@@ -59,7 +88,7 @@ class TestCountRows:
         # a span far beyond the sample count is offset, not numbered:
         # the radix is large, but no array of its size arises
         rows = np.array([[0, 10**15], [3, -(10**15)], [0, 10**15]])
-        assert_matches_reference(rows, np.array([0, 1, 1]))
+        assert_matches_reference(rows, np.array([0, 1, 1]), grid=False)
 
     @pytest.mark.parametrize(
         "spans,batches,lows",
@@ -78,7 +107,8 @@ class TestCountRows:
         pool = np.vstack([lows, highs, gen.integers(lows, highs, size=(48, len(spans)))])
         rows = pool[gen.integers(0, 50, size=3000)]
         rows[:2] = lows, highs  # each column's whole span is present
-        assert_matches_reference(rows, np.arange(3000) % batches)
+        # the key-fits radix reaches 2**63, so no grid is forced
+        assert_matches_reference(rows, np.arange(3000) % batches, grid=False)
 
     @pytest.mark.parametrize(
         "batch",
@@ -129,18 +159,9 @@ def assert_weighted_matches_expanded(rows, batch, seed):
     weights[split] -= 1
     order = gen.permutation(weights.size)
     entries, weights = entries[order], weights[order]
-    weighted = count_rows(entries[:, 1:].astype(rows.dtype), entries[:, 0].astype(np.int64),
-                          weights=weights)
-    expanded = count_rows(rows, batch)
-    for got, want in [
-        (weighted.rows, expanded.rows),
-        (weighted.table.data, expanded.table.data),
-        (weighted.table.indices, expanded.table.indices),
-        (weighted.table.indptr, expanded.table.indptr),
-        (weighted.sizes, expanded.sizes),
-    ]:
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
+    weighted = on_each_side(lambda: count_rows(entries[:, 1:].astype(rows.dtype),
+                                               entries[:, 0].astype(np.int64), weights=weights))
+    assert_same_table(weighted, on_each_side(lambda: count_rows(rows, batch)))
 
 
 class TestWeights:
@@ -163,8 +184,8 @@ class TestWeights:
         rows = pool[gen.integers(0, 40, size=3000)]
         assert_weighted_matches_expanded(rows, np.arange(3000) % 8, seed=3)
 
-    @pytest.mark.parametrize("weights", [[1, 0, 2], [1, -1, 2], [1, 2]],
-                             ids=["zero", "negative", "short"])
+    @pytest.mark.parametrize("weights", [[1, 0, 2], [1, -1, 2], [1, 2], [1.5, 1, 2.9]],
+                             ids=["zero", "negative", "short", "fractional"])
     def test_weights_must_be_positive_one_per_row(self, weights):
         with pytest.raises(ValueError, match="positive integer weight per row"):
             count_rows(np.arange(3), np.zeros(3, dtype=np.int64), weights=weights)

@@ -113,6 +113,23 @@ class TestBuildChain:
         with pytest.raises(StateBudgetError):
             build_chain(config3, 10)
 
+    def test_refused_table_stays_within_the_budget(self, monkeypatch):
+        """A queue table's buffers double when full, but never past the
+        budget of MAX_KERNEL_NONZEROS entries, the most a table that is not
+        refused can hold: refusing cap 2000 of SSQ at a 2^16-entry budget
+        peaks at 1.09x the budget's column and value bytes (2.04x when the
+        buffers doubled past it)."""
+        build_chain(SSQ, 10)  # scipy's first-use imports are not traced
+        monkeypatch.setattr(oracle, "MAX_KERNEL_NONZEROS", 1 << 16)
+        tracemalloc.start()
+        try:
+            with pytest.raises(StateBudgetError, match="over 65536 entries"):
+                build_chain(SSQ, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (1 << 16) * (8 + 8)
+
     def test_negative_cap_rejected(self):
         with pytest.raises(ConfigError, match="cap must be nonnegative"):
             build_chain(SSQ, -1)

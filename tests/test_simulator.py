@@ -357,26 +357,24 @@ class TestCollect:
 
     @pytest.mark.parametrize("spread", [3, 40, 2**62], ids=["dense", "sorted", "numbered"])
     def test_flush_counts_either_way(self, monkeypatch, spread):
-        """A flush is counted on a dense (replica, state) grid when the
-        states' bounding box holds at most DENSE_CELLS_PER_SAMPLE cells per
-        sample, else by `count_rows`, which numbers rows whose codes would
-        overflow; either way its entries are the distinct (replica, state)
-        pairs in order, with their counts."""
+        """A flush is counted by `count_rows` with the replica as the label,
+        on a dense grid or by a sort (by default the first block takes the
+        grid, the second the sort, and the third's codes would overflow, so
+        its rows are numbered first). With DENSE_CELLS_PER_SAMPLE forced to
+        either side, the entries read off the table as the flush reads them
+        are the distinct (replica, state) pairs in order, with their
+        counts."""
         block = _gen(8).integers(-spread, spread, size=(16, 5, 2))
-        calls = []
-
-        def spy(rows, batch):
-            calls.append(rows.shape)
-            return count_rows(rows, batch)
-
-        monkeypatch.setattr(simulator, "count_rows", spy)
-        replica, hits, states = simulator._count_block(block)
-        box = math.prod(int(c.max()) - int(c.min()) + 1 for c in block.reshape(-1, 2).T)
-        assert bool(calls) == (box > simulator.DENSE_CELLS_PER_SAMPLE * 16)
         pairs = np.column_stack([np.tile(np.arange(5), 16), block.reshape(-1, 2)])
         expect, expect_hits = np.unique(pairs, axis=0, return_counts=True)
-        assert np.array_equal(np.column_stack([replica, states]), expect)
-        assert np.array_equal(hits, expect_hits)
+        for cells in [0, 1 << 10]:
+            monkeypatch.setattr("jsqa.counts.DENSE_CELLS_PER_SAMPLE", cells)
+            part = count_rows(block.reshape(-1, 2), np.tile(np.arange(5), 16))
+            table = part.table
+            replica = np.repeat(np.arange(5), np.diff(table.indptr))
+            states = part.rows[table.indices]
+            assert np.array_equal(np.column_stack([replica, states]), expect)
+            assert np.array_equal(table.data.astype(np.int64), expect_hits)
 
     @staticmethod
     def _peak_over_samples(num_samples, replicas):
@@ -407,8 +405,9 @@ class TestCollect:
     def test_peak_memory_of_a_wide_collection(self):
         """With more replicas than BLOCK_ROWS // BLOCK, a draw block is cut to
         at most BLOCK_ROWS row-slots, so the draws stay small beside the
-        flush, which here holds the whole plan: it peaks at 1.39x (1.84x
-        when per-sample columns were kept)."""
+        flush, which here holds the whole plan: it peaks at 1.58x, 1.38x
+        before the flush passed `count_rows` a label per sample (1.84x when
+        per-sample columns were kept)."""
         assert self._peak_over_samples(1 << 18, 4096) <= 1.6
 
     def test_memory_cap(self, monkeypatch):
